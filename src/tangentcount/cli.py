@@ -25,7 +25,8 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
+from contextlib import nullcontext
+from math import factorial
 
 from . import gw
 from .cache import CountCache
@@ -113,12 +114,6 @@ def diagram_text(p):
     return "(%s)" % ",".join(map(str, p))
 
 
-def rational_text(x):
-    """Reduced p/q, plain p when the denominator is 1."""
-    x = Fraction(x)
-    return str(x)
-
-
 # ----------------------------------------------------------------- emitting
 
 def emit_records(records, fields, fmt, out):
@@ -154,28 +149,30 @@ def cmd_compute(args, parser):
         constraints = parse_constraints(args.constraints)
     except ValueError as exc:
         parser.error(str(exc))
+    key = encode_key(args.space, degree, canonical_constraints(constraints))
+    total = sum(weight(c) for c in constraints)
+    needed = gw.chern_number(args.space, degree) - 1
+    if total != needed:
+        print("constraint weights sum to %d but the class needs %d; "
+              "the invariant vanishes" % (total, needed), file=sys.stderr)
     engine = Engine()
     with _open_cache(args) as cache:
         if cache:
             cache.preload(engine)
-        total = sum(weight(c) for c in constraints)
-        needed = gw.chern_number(args.space, degree) - 1
-        if total != needed:
-            print("constraint weights sum to %d but the class needs %d; "
-                  "the invariant vanishes" % (total, needed), file=sys.stderr)
-        preloaded = engine.was_preloaded(args.space, degree, constraints)
+        try:
+            preloaded = total == needed and engine.was_preloaded(
+                args.space, degree, constraints)
+        except ValueError:
+            parser.error("key %s is too large: the degree and every row "
+                         "must be at most 255" % key)
         if args.hat:
             value = engine.hat_invariant(args.space, degree, constraints)
         else:
             value = engine.invariant(args.space, degree, constraints)
         if cache:
             cache.harvest(engine)
-        record = {
-            "key": encode_key(args.space, degree,
-                              canonical_constraints(constraints)),
-            "value": value,
-            "provenance": "cached" if preloaded else "computed",
-        }
+        record = {"key": key, "value": value,
+                  "provenance": "cached" if preloaded else "computed"}
         if args.format == "plain":
             print(value)
         else:
@@ -197,7 +194,7 @@ def cmd_table(args, parser):
         low, high = 1, args.max_d
     else:
         parser.error("table needs -d or --max-d")
-    if low < 1:
+    if min(low, high) < 1:
         parser.error("degrees start at 1")
     engine = Engine()
     with _open_cache(args) as cache:
@@ -212,7 +209,7 @@ def cmd_table(args, parser):
                     "tangency_max": engine.invariant(
                         "cp2", d, ((3 * d - 1,),)),
                     "point_count": gw.kontsevich_count(d),
-                    "descendant": rational_text(gw.descendant_average(d)),
+                    "descendant": str(gw.descendant_average(d)),
                 })
         else:
             fields = ["key", "value", "provenance"]
@@ -334,7 +331,7 @@ def cmd_verify(args, parser):
 
         bad = [k for k in range(2, 15)
                if abs(determinant(move_matrix(k)))
-               != _factorial(k - 1)]
+               != factorial(k - 1)]
         report("move-matrix determinant law, weights 2..14", not bad,
                "wrong at weights %r" % bad)
 
@@ -361,31 +358,12 @@ def cmd_verify(args, parser):
     return 1 if failures else 0
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 # ------------------------------------------------------------------ plumbing
 
-class _NoCache:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _open_cache(args):
-    if getattr(args, "no_cache", False):
-        return _NoCache()
-    path = getattr(args, "cache_file", None) or os.environ.get(
-        "TANGENTCOUNT_CACHE")
-    if not path:
-        return _NoCache()
-    return CountCache(path)
+    path = None if args.no_cache else (
+        args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))
+    return CountCache(path) if path else nullcontext()
 
 
 def _print_stats(args, engine, cache):

@@ -28,11 +28,12 @@ lexicographically, which is asserted at runtime.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from . import gw
 from .errors import InconsistencyError
-from .matrices import solve_split_system
+from .matrices import solve_plan, solve_split_system
 from .partitions import (as_diagram, aut_order, multinomial, partitions_of,
                          weight)
 
@@ -43,7 +44,17 @@ def canonical_constraints(constraints):
     cs = tuple(as_diagram(c) for c in constraints)
     if any(not c for c in cs):
         raise ValueError("empty constraint diagram")
-    return tuple(sorted(cs, key=lambda c: (weight(c), c), reverse=True))
+    return _in_key_order(cs)
+
+
+@lru_cache(maxsize=None)
+def _key_order(c):
+    return weight(c), c
+
+
+def _in_key_order(cs):
+    """canonical_constraints for valid diagrams, without re-validating."""
+    return tuple(sorted(cs, key=_key_order, reverse=True))
 
 
 def complexity(constraints):
@@ -83,7 +94,7 @@ class Engine:
     def hat_invariant(self, space, degree, constraints):
         """The ordered-branch invariant hat-H for the given key (0 off-shell)."""
         cs = canonical_constraints(constraints)
-        if not self._on_shell(space, degree, cs):
+        if sum(map(weight, cs)) != gw.chern_number(space, degree) - 1:
             return 0
         return self._eval(space, degree, cs, None)
 
@@ -156,10 +167,6 @@ class Engine:
 
     # ------------------------------------------------------------- internals
 
-    @staticmethod
-    def _on_shell(space, degree, cs):
-        return sum(weight(c) for c in cs) == gw.chern_number(space, degree) - 1
-
     def _eval(self, space, degree, cs, parent_rank):
         key = _pack_key(space, degree, cs)
         hit = self._memo.get(key)
@@ -172,15 +179,14 @@ class Engine:
             raise InconsistencyError(
                 "complexity failed to decrease: %s -> %s at %s"
                 % (parent_rank, rank, (space, degree, cs)))
-        if rank[0] == 1:
-            value = self._base_case(space, degree, cs)
-            self._memo[key] = value
-            return value
         level = rank[0]
-        target = next(i for i, c in enumerate(cs)
-                      if weight(c) == level and c[0] >= 2)
-        rest = cs[:target] + cs[target + 1:]
-        self._solve_at(space, degree, rest, level, rank)
+        if level == 1:
+            self._memo[key] = self._base_case(space, degree, cs)
+        else:
+            target = next(i for i, c in enumerate(cs)
+                          if weight(c) == level and c[0] >= 2)
+            rest = cs[:target] + cs[target + 1:]
+            self._solve_at(space, degree, rest, level, rank)
         return self._memo[key]
 
     def _base_case(self, space, degree, cs):
@@ -198,24 +204,20 @@ class Engine:
     def _solve_at(self, space, degree, rest, k, rank):
         """One box-moving solve: fills the memo with hat-H for every diagram
         of weight k at the chosen point, same remaining constraints."""
-        parts = partitions_of(k)
-        split_values = []
-        for y in parts[:-1]:
-            sub = canonical_constraints(rest + ((y[0],), y[1:]))
-            split_values.append(self._eval(space, degree, sub, rank))
+        split_values = [
+            self._eval(space, degree, _in_key_order(rest + pair), rank)
+            for pair in solve_plan(k).splits]
         all_ones = self._eval(
-            space, degree, canonical_constraints(rest + ((1,) * k,)), rank)
+            space, degree, _in_key_order(rest + ((1,) * k,)), rank)
         solved = solve_split_system(k, split_values, all_ones)
         self.counters["solves"] += 1
         for q, value in solved.items():
-            sub = canonical_constraints(rest + (q,))
-            mkey = _pack_key(space, degree, sub)
-            old = self._memo.get(mkey)
-            if old is not None and old != value:
+            sub = _in_key_order(rest + (q,))
+            old = self._memo.setdefault(_pack_key(space, degree, sub), value)
+            if old != value:
                 raise InconsistencyError(
                     "conflicting values %d and %d for %s"
                     % (old, value, (space, degree, sub)))
-            self._memo[mkey] = value
 
     # --------------------------------------------------------- cache plumbing
 
@@ -244,7 +246,13 @@ def _pack_key(space, degree, cs):
         head = bytes((1, degree[0], degree[1]))
     else:
         head = bytes((0, degree))
-    return head + b"".join(bytes(c) + b"\0" for c in cs)
+    return head + b"".join(map(_chunk, cs))
+
+
+@lru_cache(maxsize=None)
+def _chunk(c):
+    """One constraint's part of a packed key, built once per diagram."""
+    return bytes(c) + b"\0"
 
 
 def _unpack_key(packed):

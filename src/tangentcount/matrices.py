@@ -27,7 +27,9 @@ function of the last one and closing the loop with the first equation, which
 costs only the number of nonzero entries.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InconsistencyError
 from .partitions import as_diagram, partitions_of
@@ -83,6 +85,25 @@ def determinant(matrix):
     return sign * m[n - 1][n - 1]
 
 
+SolvePlan = namedtuple("SolvePlan", "parts splits merges")
+
+
+@lru_cache(maxsize=None)
+def solve_plan(k):
+    """What the weight-k system needs besides its right-hand side, built
+    once: the partitions of k in increasing order, the split pair (top
+    row, rest) of every non-horizontal diagram, and per row the unknowns
+    of its merge targets, one per lower row (unknown j is parts[j + 1])."""
+    parts = tuple(partitions_of(k))
+    pos = {q: j for j, q in enumerate(parts)}
+    rows = parts[:-1]
+    return SolvePlan(
+        parts,
+        tuple(((y[0],), y[1:]) for y in rows),
+        tuple(tuple(pos[merge_top_into(y, i)] - 1 for i in range(1, len(y)))
+              for y in rows))
+
+
 def solve_split_system(k, split_values, all_ones_value):
     """Recover all one-point invariants of weight k from split values.
 
@@ -97,45 +118,38 @@ def solve_split_system(k, split_values, all_ones_value):
     All results must come out integral; anything else means the inputs were
     inconsistent and raises InconsistencyError.
     """
-    parts = partitions_of(k)
+    parts, _, merges = solve_plan(k)
     t = len(parts)
     if len(split_values) != t - 1:
         raise ValueError("expected %d split values for weight %d, got %d"
                          % (t - 1, k, len(split_values)))
     if t == 1:  # weight 1: nothing to solve
         return {}
-    pos = {q: j for j, q in enumerate(parts)}
-    # Unknown j (0-based, j = 0..t-2) is the invariant for parts[j+1].  Walk
-    # the equations from the top of the order down, writing each unknown as
-    # const + coef * (last unknown); merge targets always sit strictly later
-    # in the order, so every term is already resolved when it is needed.
-    affine = [None] * (t - 1)
-    affine[t - 2] = (0, 1)
+    # Unknown j is const[j] + coef[j] * top, top being the last unknown, the
+    # single row (k); merge targets sit later in the order than their row.
+    const, coef = [0] * (t - 1), [0] * (t - 2) + [1]
     for r in range(t - 2, 0, -1):
-        y = parts[r]
-        const, coef = split_values[r], 0
-        for i in range(1, len(y)):
-            ta, tb = affine[pos[merge_top_into(y, i)] - 1]
-            const -= ta
-            coef -= tb
-        affine[r - 1] = (const, coef)
+        a, b = split_values[r], 0
+        for j in merges[r]:
+            a -= const[j]
+            b -= coef[j]
+        const[r - 1], coef[r - 1] = a, b
     # First equation (the single-column diagram) closes the loop.
-    y = parts[0]
-    const, coef = all_ones_value, 0
-    for i in range(1, len(y)):
-        ta, tb = affine[pos[merge_top_into(y, i)] - 1]
-        const += ta
-        coef += tb
-    if coef == 0:
+    a, b = all_ones_value, 0
+    for j in merges[0]:
+        a += const[j]
+        b += coef[j]
+    if b == 0:
         raise InconsistencyError("singular splitting system at weight %d" % k)
-    top = Fraction(split_values[0] - const, coef)
-    out = {}
-    for j in range(t - 1):
-        a, b = affine[j]
-        value = a + b * top
-        if value.denominator != 1:
-            raise InconsistencyError(
-                "non-integral invariant %s for constraint %s at weight %d"
-                % (value, parts[j + 1], k))
-        out[parts[j + 1]] = int(value)
-    return out
+    # Every unknown is an integer exactly when top is, since top is one of
+    # them and the others are integer affine functions of it.
+    top, remainder = divmod(split_values[0] - a, b)
+    if remainder:
+        top = Fraction(split_values[0] - a, b)
+        for j in range(t - 1):
+            value = const[j] + coef[j] * top
+            if value.denominator != 1:
+                raise InconsistencyError(
+                    "non-integral invariant %s for constraint %s at weight %d"
+                    % (value, parts[j + 1], k))
+    return {parts[j + 1]: const[j] + coef[j] * top for j in range(t - 1)}

@@ -66,6 +66,22 @@ def test_compute_off_shell_warns(capsys):
     assert "vanishes" in err
 
 
+def test_off_shell_keys_of_any_size_give_zero(capsys):
+    for argv in [["-d", "3", "-c", "(100000)"],
+                 ["--space", "p1xp1", "-d", "300,1", "-c", "(1)"]]:
+        code, out, err = run(capsys, "compute", *argv, "--no-cache")
+        assert (code, out) == (0, "0\n")
+        assert "vanishes" in err
+
+
+def test_on_shell_key_too_large_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "-d", "90", "-c", "(269)", "--no-cache"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "cp2;90;(269) is too large" in err.splitlines()[-1]
+
+
 def test_compute_quadric(capsys):
     code, out, _ = run(capsys, "compute", "--space", "p1xp1", "-d", "2,1",
                        "-c", "(3);(1);(1)", "--no-cache")
@@ -95,6 +111,14 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert info.value.code == 2
         capsys.readouterr()
+
+
+def test_table_degree_zero_is_usage_error(capsys):
+    for argv in [["table", "-d", "0"], ["table", "--max-d", "0"]]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "degrees start at 1" in capsys.readouterr().err
 
 
 def test_table_tangency_max(capsys):

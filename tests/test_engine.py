@@ -196,3 +196,13 @@ def test_inconsistent_preload_is_detected():
     e.absorb_item("cp2;2;(2,1)|(2)", 777)
     with pytest.raises(InconsistencyError):
         e.hat_invariant("cp2", 2, ((3,), (2,)))
+
+
+def test_cold_column_work_is_pinned():
+    # the amount of work for cold T_1..T_6 in one Engine: every solve and
+    # every stored key is still there, so speed comes from bookkeeping
+    e = Engine()
+    for d in range(1, 7):
+        e.invariant("cp2", d, ((3 * d - 1,),))
+    assert e.counters["solves"] == 6992
+    assert sum(1 for _ in e.memo_items()) == 66153

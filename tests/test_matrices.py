@@ -1,6 +1,9 @@
 """The box-moving matrix: frozen small cases, structure, the determinant
 law, and exactness of the splitting solve."""
 
+import random
+import re
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import (determinant, merge_top_into, move_matrix,
-                                   solve_split_system)
+                                   solve_plan, solve_split_system)
 from tangentcount.partitions import partitions_of
 from tangentcount.star import star
 
@@ -118,3 +121,74 @@ def test_solve_weight_one_is_empty():
 def test_solve_input_length_checked():
     with pytest.raises(ValueError):
         solve_split_system(4, [1, 2, 3], 0)
+
+
+def gauss_solve(matrix, rhs_list):
+    """Reference solve of matrix * x = rhs for every rhs in rhs_list by
+    Fraction Gauss-Jordan elimination with row pivoting; it knows nothing
+    of the Hessenberg shape.  Returns one solution list per rhs."""
+    n = len(matrix)
+    m = [[Fraction(e) for e in row] + [Fraction(rhs[r]) for rhs in rhs_list]
+         for r, row in enumerate(matrix)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [[m[r][n + i] / m[r][r] for r in range(n)]
+            for i in range(len(rhs_list))]
+
+
+def test_plan_merges_reproduce_move_matrix():
+    for k in range(1, 15):
+        parts, splits, merges = solve_plan(k)
+        assert list(parts) == partitions_of(k)
+        assert splits == tuple(((y[0],), y[1:]) for y in parts[:-1])
+        n = len(parts) - 1
+        rebuilt = [[0] * n for _ in range(n)]
+        for r, targets in enumerate(merges):
+            if r:
+                rebuilt[r][r - 1] += 1  # y itself, one place down the order
+            for j in targets:
+                rebuilt[r][j] += 1
+        assert rebuilt == move_matrix(k), k
+
+
+def test_solve_matches_fraction_oracle():
+    # Random integer right-hand sides mostly give non-integral solutions;
+    # every third one is built from integer unknowns, so both outcomes
+    # come up at every weight up to 14.
+    rng = random.Random(20190606)
+    for k in range(2, 15):
+        parts = partitions_of(k)
+        cases = []
+        for trial in range(12):
+            w1 = rng.randint(-10**6, 10**6)
+            if trial % 3 == 0:
+                w = {q: rng.randint(-10**6, 10**6) for q in parts[1:]}
+                split = matvec(k, w, w1)
+            else:
+                split = [rng.randint(-10**6, 10**6) for _ in parts[:-1]]
+            cases.append((split, w1))
+        rhs_list = [[s - (w1 if r == 0 else 0) for r, s in enumerate(split)]
+                    for split, w1 in cases]
+        outcomes = set()
+        for (split, w1), x in zip(cases, gauss_solve(move_matrix(k),
+                                                     rhs_list)):
+            oracle = dict(zip(parts[1:], x))
+            if all(v.denominator == 1 for v in x):
+                outcomes.add("integral")
+                got = solve_split_system(k, split, w1)
+                assert got == oracle
+                assert all(type(v) is int for v in got.values())
+            else:
+                outcomes.add("non-integral")
+                first = next(q for q, v in oracle.items()
+                             if v.denominator != 1)
+                with pytest.raises(InconsistencyError, match=re.escape(
+                        "for constraint %s at" % (first,))):
+                    solve_split_system(k, split, w1)
+        # |det A_2| = 1: only from weight 3 on can a solve fail
+        assert outcomes == {"integral", "non-integral"} or k == 2, k
