@@ -17,24 +17,24 @@ Public surface:
 
   Engine            memoizing evaluator (invariant, hat_invariant,
                     full_table, sum_identity, combine_forward)
-  star, coefficient the diagram product and its structure constants
+  star              the diagram product and its structure constants
   move_matrix       the box-moving matrix of one weight
   gw_blowup         rational-curve counts on blowups of the plane
   kontsevich_count  plane curves through generic points
-  main              the command-line entry point
+
+The command-line entry point is tangentcount.cli:main.
 """
 
 from .engine import Engine, canonical_constraints, complexity
 from .errors import InconsistencyError
 from .gw import gw_blowup, kontsevich_count
 from .matrices import determinant, move_matrix
-from .star import coefficient, combination_coefficient, star
-from .cli import main
+from .star import combination_coefficient, star
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Engine", "InconsistencyError", "canonical_constraints", "coefficient",
+    "Engine", "InconsistencyError", "canonical_constraints",
     "combination_coefficient", "complexity", "determinant", "gw_blowup",
-    "kontsevich_count", "main", "move_matrix", "star", "__version__",
+    "kontsevich_count", "move_matrix", "star", "__version__",
 ]

@@ -16,8 +16,9 @@ not matter.  Exit codes: 0 success, 1 a verification check failed,
 2 bad usage, 3 internal inconsistency detected.
 
 A cache file (``--cache-file`` or the TANGENTCOUNT_CACHE environment
-variable) persists every computed invariant between runs; ``--no-cache``
-disables it, ``--stats`` reports work counters on stderr.
+variable) persists computed invariants between runs (plane counts are
+recomputed instead); ``--no-cache`` disables it, ``--stats`` reports work
+counters on stderr.
 """
 
 import argparse
@@ -25,15 +26,16 @@ import csv
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from math import factorial
 
 from . import gw
 from .cache import CountCache
-from .engine import Engine, canonical_constraints, encode_key
+from .engine import (KEY_LIMIT, Engine, canonical_constraints, encode_key,
+                     key_fits)
 from .errors import InconsistencyError
 from .matrices import determinant, move_matrix
-from .partitions import as_diagram, partitions_of, weight
+from .partitions import diagram_text, parse_diagram, partitions_of, weight
 from .star import star, star_oracle
 
 # Published values used by `verify` as regression targets.  T_d is the
@@ -89,29 +91,11 @@ def parse_constraints(text):
     Rows may come in any order; each diagram is canonicalized to weakly
     decreasing.
     """
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError("constraint %r is not parenthesized" % (chunk,))
-        body = chunk[1:-1].strip()
-        if not body:
-            raise ValueError("empty constraint diagram in %r" % (text,))
-        try:
-            rows = tuple(int(x) for x in body.split(","))
-            out.append(as_diagram(rows))
-        except (ValueError, TypeError):
-            raise ValueError("constraint %r is not a diagram of positive "
-                             "integers" % (chunk,))
+    out = tuple(parse_diagram(chunk) for chunk in text.split(";")
+                if chunk.strip())
     if not out:
         raise ValueError("no constraints in %r" % (text,))
-    return tuple(out)
-
-
-def diagram_text(p):
-    return "(%s)" % ",".join(map(str, p))
+    return out
 
 
 # ----------------------------------------------------------------- emitting
@@ -149,36 +133,28 @@ def cmd_compute(args, parser):
         constraints = parse_constraints(args.constraints)
     except ValueError as exc:
         parser.error(str(exc))
-    key = encode_key(args.space, degree, canonical_constraints(constraints))
+    cs = canonical_constraints(constraints)
+    key = encode_key(args.space, degree, cs)
     total = sum(weight(c) for c in constraints)
     needed = gw.chern_number(args.space, degree) - 1
     if total != needed:
         print("constraint weights sum to %d but the class needs %d; "
               "the invariant vanishes" % (total, needed), file=sys.stderr)
-    engine = Engine()
-    with _open_cache(args) as cache:
-        if cache:
-            cache.preload(engine)
-        try:
-            preloaded = total == needed and engine.was_preloaded(
-                args.space, degree, constraints)
-        except ValueError:
-            parser.error("key %s is too large: the degree and every row "
-                         "must be at most 255" % key)
+    else:
+        _check_key_size(parser, args.space, degree, cs)
+    with _session(args) as (engine, cache):
+        cached = total == needed and _was_cached(cache, key)
         if args.hat:
             value = engine.hat_invariant(args.space, degree, constraints)
         else:
             value = engine.invariant(args.space, degree, constraints)
-        if cache:
-            cache.harvest(engine)
         record = {"key": key, "value": value,
-                  "provenance": "cached" if preloaded else "computed"}
+                  "provenance": "cached" if cached else "computed"}
         if args.format == "plain":
             print(value)
         else:
             emit_records([record], ["key", "value", "provenance"],
                          args.format, sys.stdout)
-        _print_stats(args, engine, cache)
     return 0
 
 
@@ -196,10 +172,8 @@ def cmd_table(args, parser):
         parser.error("table needs -d or --max-d")
     if min(low, high) < 1:
         parser.error("degrees start at 1")
-    engine = Engine()
-    with _open_cache(args) as cache:
-        if cache:
-            cache.preload(engine)
+    _check_key_size(parser, "cp2", high, ((3 * high - 1,),))
+    with _session(args) as (engine, cache):
         records = []
         if args.mode == "tangency-max":
             fields = ["d", "tangency_max", "point_count", "descendant"]
@@ -215,31 +189,26 @@ def cmd_table(args, parser):
             fields = ["key", "value", "provenance"]
             for d in range(low, high + 1):
                 for p in partitions_of(3 * d - 1):
-                    preloaded = engine.was_preloaded("cp2", d, (p,))
                     n = engine.invariant("cp2", d, (p,))
                     if n:
+                        key = encode_key("cp2", d, (p,))
                         records.append({
-                            "key": encode_key("cp2", d, (p,)),
+                            "key": key,
                             "value": n,
-                            "provenance":
-                                "cached" if preloaded else "computed",
+                            "provenance": "cached"
+                            if _was_cached(cache, key) else "computed",
                         })
-        if cache:
-            cache.harvest(engine)
         emit_records(records, fields, args.format, sys.stdout)
-        _print_stats(args, engine, cache)
     return 0
 
 
 def cmd_star(args, parser):
     try:
-        p1 = parse_constraints(args.first)
-        p2 = parse_constraints(args.second)
-        if len(p1) != 1 or len(p2) != 1:
-            raise ValueError("star takes one diagram per argument")
+        p1 = parse_diagram(args.first)
+        p2 = parse_diagram(args.second)
     except ValueError as exc:
         parser.error(str(exc))
-    expansion = sorted(star(p1[0], p2[0]).items())
+    expansion = sorted(star(p1, p2).items())
     records = [{"key": diagram_text(q), "value": c, "provenance": "computed"}
                for q, c in expansion]
     if args.format == "plain":
@@ -247,7 +216,7 @@ def cmd_star(args, parser):
             ("%d %s" % (c, diagram_text(q))) if c != 1 else diagram_text(q)
             for q, c in expansion)
         print("%s * %s = %s"
-              % (diagram_text(p1[0]), diagram_text(p2[0]), terms))
+              % (diagram_text(p1), diagram_text(p2), terms))
     else:
         emit_records(records, ["key", "value", "provenance"],
                      args.format, sys.stdout)
@@ -292,7 +261,6 @@ def cmd_verify(args, parser):
     max_d = args.max_d if args.max_d is not None else 5
     if max_d < 1:
         parser.error("--max-d must be at least 1")
-    engine = Engine()
     failures = []
 
     def report(name, ok, detail=""):
@@ -303,10 +271,7 @@ def cmd_verify(args, parser):
         if not ok:
             failures.append(name)
 
-    with _open_cache(args) as cache:
-        if cache:
-            cache.preload(engine)
-
+    with _session(args) as (engine, _):
         hi = min(max_d, max(TANGENCY_MAX))
         bad = [(d, engine.invariant("cp2", d, ((3 * d - 1,),)))
                for d in range(1, hi + 1)]
@@ -351,29 +316,48 @@ def cmd_verify(args, parser):
                             bad += 1
         report("diagram product against independent enumeration", bad == 0,
                "%d mismatching pairs" % bad)
-
-        if cache:
-            cache.harvest(engine)
-        _print_stats(args, engine, cache)
     return 1 if failures else 0
 
 
 # ------------------------------------------------------------------ plumbing
 
-def _open_cache(args):
+@contextmanager
+def _session(args):
+    """A fresh Engine with the cache file, if any, open and preloaded.
+
+    Yields (engine, cache), cache None without a file.  On a clean exit
+    the run's results are harvested into the file and, with --stats, the
+    work counters go to stderr; an exception skips both.
+    """
     path = None if args.no_cache else (
         args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))
-    return CountCache(path) if path else nullcontext()
+    engine = Engine()
+    with CountCache(path) if path else nullcontext() as cache:
+        if cache:
+            cache.preload(engine)
+        yield engine, cache
+        if cache:
+            cache.harvest(engine)
+        if args.stats:
+            pairs = ["%s=%d" % kv for kv in sorted(engine.counters.items())]
+            pairs += ["%s=%d" % kv for kv in sorted(gw.counters.items())]
+            if cache:
+                pairs.append("cache_entries=%d" % len(cache.entries))
+            print("stats: " + " ".join(pairs), file=sys.stderr)
 
 
-def _print_stats(args, engine, cache):
-    if not getattr(args, "stats", False):
-        return
-    pairs = ["%s=%d" % (k, v) for k, v in sorted(engine.counters.items())]
-    pairs += ["%s=%d" % (k, v) for k, v in sorted(gw.counters.items())]
-    if cache:
-        pairs.append("cache_entries=%d" % len(cache.entries))
-    print("stats: " + " ".join(pairs), file=sys.stderr)
+def _was_cached(cache, key):
+    """Whether the file held the invariant key text when it was opened
+    (valid until the session harvests)."""
+    return cache is not None and ("ht", key) in cache.entries
+
+
+def _check_key_size(parser, space, degree, cs):
+    """Usage error, before any work, for a key the engine cannot pack."""
+    if not key_fits(degree, cs):
+        parser.error("key %s is too large: the degree and every row must "
+                     "be at most %d" % (encode_key(space, degree, cs),
+                                        KEY_LIMIT))
 
 
 def build_parser():

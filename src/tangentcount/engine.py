@@ -34,8 +34,9 @@ from math import factorial, prod
 from . import gw
 from .errors import InconsistencyError
 from .matrices import solve_plan, solve_split_system
-from .partitions import (as_diagram, aut_order, multinomial, partitions_of,
-                         weight)
+from .partitions import (as_diagram, aut_order, diagram_text, multinomial,
+                         parse_diagram, partitions_of, weight)
+from .star import star
 
 
 def canonical_constraints(constraints):
@@ -87,7 +88,6 @@ class Engine:
         self._memo = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0}
-        self._preloaded = set()
 
     # ------------------------------------------------------------- public API
 
@@ -121,7 +121,6 @@ class Engine:
         if len(cs) < 2:
             raise ValueError("need at least two constraints to combine")
         p1, p2, rest = cs[0], cs[1], cs[2:]
-        from .star import star
         norm = aut_order(p1) * aut_order(p2)
         out = []
         for q, coeff in sorted(star(p1, p2).items()):
@@ -228,20 +227,24 @@ class Engine:
 
     def absorb_item(self, text, value):
         """Insert one externally stored (key text, value) pair."""
-        key = _pack_key(*decode_key(text))
-        self._memo[key] = int(value)
-        self._preloaded.add(key)
+        self._memo[_pack_key(*decode_key(text))] = int(value)
 
-    def was_preloaded(self, space, degree, constraints):
-        key = _pack_key(space, degree, canonical_constraints(constraints))
-        return key in self._preloaded
+
+KEY_LIMIT = 255  # a packed key holds the degree and each row in one byte
+
+
+def key_fits(degree, cs):
+    """Whether a key's degree (or bidegree) and every row of its diagrams
+    are small enough for the packed memo key."""
+    sizes = list(degree) if isinstance(degree, tuple) else [degree]
+    return all(n <= KEY_LIMIT for n in sizes + [max(c) for c in cs])
 
 
 def _pack_key(space, degree, cs):
     """Compact byte form of a memo key.  The memo holds millions of entries
     at high degree, so each key is one small bytes object instead of nested
     tuples: a space tag, the degree byte(s), then each constraint's parts
-    terminated by a zero byte (parts are always >= 1)."""
+    terminated by a zero byte (parts are always >= 1).  See key_fits."""
     if space == "p1xp1":
         head = bytes((1, degree[0], degree[1]))
     else:
@@ -271,12 +274,13 @@ def encode_key(space, degree, cs):
         dtext = "%d,%d" % degree
     else:
         dtext = "%d" % degree
-    ptext = "|".join("(%s)" % ",".join(map(str, c)) for c in cs)
-    return ";".join((space, dtext, ptext))
+    return ";".join((space, dtext, "|".join(map(diagram_text, cs))))
 
 
 def decode_key(text):
-    """Inverse of encode_key; raises ValueError on malformed text."""
+    """Inverse of encode_key; raises ValueError on malformed text, and on
+    text that encode_key would not have written (rows or diagrams out of
+    order, spaces, leading zeros), so one key has one record."""
     space, dtext, ptext = text.split(";")
     if space == "p1xp1":
         a, b = dtext.split(",")
@@ -285,10 +289,8 @@ def decode_key(text):
         degree = int(dtext)
     else:
         raise ValueError("unknown space %r" % (space,))
-    cs = []
-    for chunk in ptext.split("|"):
-        chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError("malformed diagram %r" % (chunk,))
-        cs.append(tuple(int(x) for x in chunk[1:-1].split(",")))
-    return space, degree, canonical_constraints(cs)
+    key = space, degree, _in_key_order(tuple(map(parse_diagram,
+                                                 ptext.split("|"))))
+    if encode_key(*key) != text:
+        raise ValueError("key %r is not in canonical form" % (text,))
+    return key

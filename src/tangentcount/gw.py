@@ -33,6 +33,7 @@ The computation runs entirely over exact integers:
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InconsistencyError
@@ -47,9 +48,7 @@ def _count(event):
 
 # ----------------------------------------------------------- plane curve counts
 
-_plane_counts = {1: 1}
-
-
+@lru_cache(maxsize=None, typed=True)
 def kontsevich_count(d):
     """Number of rational plane curves of degree d through 3d-1 points.
 
@@ -57,26 +56,22 @@ def kontsevich_count(d):
 
         N_d = sum over d1 + d2 = d of N_{d1} N_{d2} d1^2 d2 *
               (d2 * binom(3d-4, 3d1-2) - d1 * binom(3d-4, 3d1-1)).
+
+    A pure function of d, so it is cached here and never persisted.
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError("degree must be a positive integer, got %r" % (d,))
-    if d not in _plane_counts:
-        _count("kontsevich_evals")
-        total = 0
-        for d1 in range(1, d):
-            d2 = d - d1
-            total += (_plane_counts_get(d1) * _plane_counts_get(d2)
-                      * d1 * d1 * d2
-                      * (d2 * comb(3 * d - 4, 3 * d1 - 2)
-                         - d1 * comb(3 * d - 4, 3 * d1 - 1)))
-        _plane_counts[d] = total
-    return _plane_counts[d]
-
-
-def _plane_counts_get(d):
-    if d not in _plane_counts:
-        kontsevich_count(d)
-    return _plane_counts[d]
+    _count("kontsevich_evals")
+    if d == 1:
+        return 1
+    total = 0
+    for d1 in range(1, d):
+        d2 = d - d1
+        total += (kontsevich_count(d1) * kontsevich_count(d2)
+                  * d1 * d1 * d2
+                  * (d2 * comb(3 * d - 4, 3 * d1 - 2)
+                     - d1 * comb(3 * d - 4, 3 * d1 - 1)))
+    return total
 
 
 # ------------------------------------------------------------ class bookkeeping
@@ -139,8 +134,9 @@ def vanishing_filter(space, degree, diagram):
     Two sources: the branch diagram alone forces more double points near its
     point than the whole class supports (delta(P) > delta(A)), or the class
     is a multiple of one ruling of P1 x P1 (bidegree (d, 0) with d > 1, which
-    has no somewhere-injective representatives at all).  Used as a
-    consistency assertion against computed values, never as a shortcut.
+    has no somewhere-injective representatives at all).  Never used as a
+    shortcut: only the tests (test_consistency, test_gw) call it, to check
+    computed values against it.
     """
     _check_space(space)
     if space == "p1xp1":
@@ -395,34 +391,32 @@ def _split_sum(d, m, n, slot):
 # --------------------------------------------------------------- cache support
 
 def memo_items():
-    """Snapshot of the memoized invariants as (key text, value) pairs.
+    """Snapshot of the memoized blowup invariants as (key text, value) pairs.
 
-    Keys read "d;m1,m2,..." with the retained multiplicities, or "d;" for
-    a plain plane count (no blowup points).
+    Keys read "d;m1,m2,..." with the retained multiplicities (all >= 2).
+    Plane counts are not included: kontsevich_count recomputes them.
     """
-    for d, value in _plane_counts.items():
-        yield "%d;" % d, value
     for (d, deep), value in _values.items():
         yield "%d;%s" % (d, ",".join(map(str, deep))), value
 
 
 def absorb_item(text, value):
-    """Insert one externally stored (key text, value) pair into the memo."""
+    """Insert one externally stored (key text, value) pair into the memo.
+
+    Only blowup classes are accepted; a plane-count key "d;" with no
+    multiplicities is rejected like any other malformed key.
+    """
     head, _, tail = text.partition(";")
     d = int(head)
     deep = tuple(int(x) for x in tail.split(",")) if tail else ()
-    if d < 1 or any(m < 2 for m in deep) or sorted(
+    if d < 1 or not deep or any(m < 2 for m in deep) or sorted(
             deep, reverse=True) != list(deep):
         raise ValueError("malformed blowup key %r" % (text,))
-    if deep:
-        _values[(d, deep)] = int(value)
-    else:
-        _plane_counts[d] = int(value)
+    _values[(d, deep)] = int(value)
 
 
 def reset():
     """Drop all memoized invariants and counters (for tests and cold runs)."""
     _values.clear()
     counters.clear()
-    _plane_counts.clear()
-    _plane_counts[1] = 1
+    kontsevich_count.cache_clear()

@@ -8,6 +8,7 @@ contact order and the number of rows is the number of branches.
 Everything here is elementary combinatorics, kept exact over Python ints.
 """
 
+from functools import lru_cache
 from math import factorial
 
 
@@ -22,6 +23,27 @@ def as_diagram(parts):
         if not isinstance(r, int) or isinstance(r, bool) or r <= 0:
             raise ValueError("diagram rows must be positive integers, got %r" % (r,))
     return rows
+
+
+@lru_cache(maxsize=None)
+def diagram_text(p):
+    """Printed form of a diagram, e.g. "(3,1,1)".  Cached: cache files
+    print and check the same few thousand diagrams over and over."""
+    return "(%s)" % ",".join(map(str, p))
+
+
+def parse_diagram(text):
+    """Inverse of diagram_text, accepting rows in any order and spaces
+    around them; raises ValueError unless the text is one parenthesized,
+    non-empty list of positive integers."""
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ValueError("diagram %r is not parenthesized" % (text,))
+    try:
+        return as_diagram(int(x) for x in text[1:-1].split(","))
+    except ValueError:
+        raise ValueError("%r is not a diagram of positive integers"
+                         % (text,)) from None
 
 
 def weight(p):

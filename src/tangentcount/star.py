@@ -43,11 +43,6 @@ def star(p1, p2):
     return out
 
 
-def coefficient(p1, p2, q):
-    """The multiplicity c(p1, p2; q) of the diagram q in p1 * p2."""
-    return star(p1, p2).get(as_diagram(q), 0)
-
-
 def star_oracle(p1, p2):
     """Independent recomputation of star() by a different enumeration.
 
@@ -90,5 +85,5 @@ def combination_coefficient(p1, p2, q):
     integral — they count merge patterns up to symmetry — but nothing
     downstream relies on that, so no integrality is enforced here.)
     """
-    return Fraction(coefficient(p1, p2, q) * aut_order(q),
+    return Fraction(star(p1, p2).get(as_diagram(q), 0) * aut_order(q),
                     aut_order(p1) * aut_order(p2))

@@ -65,10 +65,12 @@ def test_malformed_entries_do_not_poison_engines(tmp_path):
     with open(path, "w") as handle:
         handle.write("ht:nowhere;3;(2)\t7\n")   # unknown space
         handle.write("gw:0;\t7\n")              # impossible degree
+        handle.write("ht:cp2;3;(1,7)\t5\n")     # rows out of order
     engine = fresh_state()
     with CountCache(path) as cache:
         assert cache.preload(engine) == 0
     assert engine.invariant("cp2", 1, ((2,),)) == 1
+    assert engine.invariant("cp2", 3, ((7, 1),)) == 1
 
 
 def test_second_open_is_read_only(tmp_path, capsys):

@@ -4,9 +4,13 @@ and cache behavior observable through --stats."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tangentcount
 from tangentcount import gw
 from tangentcount.cli import main, parse_constraints, parse_degree
 
@@ -80,6 +84,33 @@ def test_on_shell_key_too_large_is_usage_error(capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "cp2;90;(269) is too large" in err.splitlines()[-1]
+
+
+def test_table_key_too_large_is_usage_error(capsys):
+    # checked before any work: the full mode would otherwise first list
+    # every partition of 257
+    for argv in [["table", "-d", "86"], ["table", "--mode", "full", "-d", "86"],
+                 ["table", "--max-d", "86"]]:
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--no-cache"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("tangentcount: error: key cp2;86;(257) is too "
+                           "large: the degree and every row must be at "
+                           "most 255")
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(tangentcount.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "TANGENTCOUNT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tangentcount.cli", "compute",
+         "-d", "3", "-c", "(8)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4\n"
 
 
 def test_compute_quadric(capsys):
@@ -245,3 +276,30 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     assert out.strip() == "4"
     with open(path) as handle:
         assert "ht:cp2;3;(8)\t4" in handle.read().splitlines()
+
+
+def test_plane_counts_in_a_cache_file_are_ignored(tmp_path, capsys):
+    # a plane count is recomputed, never read back: a poisoned record
+    # neither changes the answer nor gets copied into the ht: section
+    gw.reset()
+    path = tmp_path / "counts.txt"
+    path.write_text("gw:5;\t999\n")
+    code, out, _ = run(capsys, "compute", "-d", "5", "-c", ";".join(
+        ["(1)"] * 14), "--cache-file", str(path))
+    assert (code, out) == (0, "87304\n")
+    records = path.read_text().splitlines()
+    assert "ht:cp2;5;" + "|".join(["(1)"] * 14) + "\t87304" in records
+    assert not any(line.startswith("ht:") and line.endswith("\t999")
+                   for line in records)
+    gw.reset()
+
+
+def test_table_provenance_comes_from_the_file(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    path.write_text("ht:cp2;3;(8)\t4\n")
+    code, out, _ = run(capsys, "table", "--mode", "full", "-d", "3",
+                       "--format", "csv", "--cache-file", str(path))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {r["key"]: r["provenance"] for r in rows} == {
+        "cp2;3;(8)": "cached", "cp2;3;(7,1)": "computed"}

@@ -173,6 +173,9 @@ def test_key_text_round_trip():
         decode_key("torus;3;(1)")
     with pytest.raises(ValueError):
         decode_key("cp2;3;1,1")
+    for text in ["cp2;3;(1,7)", "cp2;3;(1)|(7)", "cp2;03;(8)", "cp2;3; (8)"]:
+        with pytest.raises(ValueError):
+            decode_key(text)
 
 
 def test_absorbed_values_are_used():
@@ -184,8 +187,6 @@ def test_absorbed_values_are_used():
     assert e2.counters["solves"] == 0
     assert e2.invariant("cp2", 3, ((8,),)) == real
     assert e2.counters["solves"] == 0
-    assert e2.was_preloaded("cp2", 3, ((8,),))
-    assert not e.was_preloaded("cp2", 3, ((8,),))
 
 
 def test_inconsistent_preload_is_detected():
