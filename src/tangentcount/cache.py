@@ -1,11 +1,12 @@
 """Persistent cache of computed counts.
 
-File format: one record per line, ``section:key<TAB>value``, where the
-section is ``gw`` (blowup Gromov-Witten invariants) or ``ht`` (tangency
-invariants in the ordered-branch normalization), the key is the textual
-form of the invariant's arguments, and the value is a decimal integer.
-Damaged or unrecognized lines are skipped on load, so a truncated append
-never poisons a cache file.
+File format: one record per line, ``ht:key<TAB>value``: a tangency
+invariant in the ordered-branch normalization, keyed by the canonical text
+of its arguments (engine.encode_key), with a decimal integer value.
+Damaged or unrecognized lines, including the ``gw:`` blowup records of
+older files, are skipped on load and dropped at the next compaction, so a
+truncated append never poisons a cache file.  The loaded records are the
+only copy: the engine looks a key's text up in them on a memo miss.
 
 New results are appended as they are harvested; a clean close rewrites the
 whole file atomically (temp file in the same directory, then rename) with
@@ -18,10 +19,6 @@ import fcntl
 import os
 import sys
 
-from . import gw
-
-_SECTIONS = ("gw", "ht")
-
 
 class CountCache:
     """One cache file: load at open, append as results arrive, compact at
@@ -33,9 +30,8 @@ class CountCache:
         self.read_only = False
         self._handle = None
         self._dirty = False
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
         try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
             self._handle = open(path, "a+")
         except OSError as exc:
             print("cache %s unavailable (%s); running without persistence"
@@ -58,12 +54,11 @@ class CountCache:
             if not line:
                 continue
             head, sep, tail = line.partition("\t")
-            section, colon, key = head.partition(":")
-            if not sep or not colon or section not in _SECTIONS:
+            if not sep or not head.startswith("ht:"):
                 bad += 1
                 continue
             try:
-                self.entries[(section, key)] = int(tail)
+                self.entries[head[3:]] = int(tail)
             except ValueError:
                 bad += 1
         if bad:
@@ -78,33 +73,23 @@ class CountCache:
         return False
 
     def preload(self, engine):
-        """Push every stored record into the backend and engine memos."""
-        loaded = 0
-        for (section, key), value in self.entries.items():
-            try:
-                if section == "gw":
-                    gw.absorb_item(key, value)
-                else:
-                    engine.absorb_item(key, value)
-                loaded += 1
-            except (ValueError, TypeError):
-                pass
-        return loaded
+        """Hand the engine the stored records, which it reads by key text
+        on a memo miss; returns how many there are."""
+        engine.stored = self.entries
+        return len(self.entries)
 
     def harvest(self, engine):
         """Append any results the run produced that the file lacks."""
         fresh = []
-        for section, items in (("gw", gw.memo_items()),
-                               ("ht", engine.memo_items())):
-            for key, value in items:
-                if (section, key) not in self.entries:
-                    self.entries[(section, key)] = value
-                    fresh.append((section, key, value))
+        for key, value in engine.memo_items():
+            if key not in self.entries:
+                self.entries[key] = value
+                fresh.append((key, value))
         if not fresh or self.read_only:
             return len(fresh)
         self._handle.seek(0, os.SEEK_END)
-        for section, key, value in fresh:
-            self._handle.write("%s:%s\t%d\n" % (section, key, value))
+        for key, value in fresh:
+            self._handle.write("ht:%s\t%d\n" % (key, value))
         self._handle.flush()
         self._dirty = True
         return len(fresh)
@@ -117,8 +102,8 @@ class CountCache:
         if compact and self._dirty and not self.read_only:
             tmp = "%s.%d.tmp" % (self.path, os.getpid())
             with open(tmp, "w") as out:
-                for (section, key), value in sorted(self.entries.items()):
-                    out.write("%s:%s\t%d\n" % (section, key, value))
+                for key, value in sorted(self.entries.items()):
+                    out.write("ht:%s\t%d\n" % (key, value))
                 out.flush()
                 os.fsync(out.fileno())
             os.replace(tmp, self.path)

@@ -16,9 +16,9 @@ not matter.  Exit codes: 0 success, 1 a verification check failed,
 2 bad usage, 3 internal inconsistency detected.
 
 A cache file (``--cache-file`` or the TANGENTCOUNT_CACHE environment
-variable) persists computed invariants between runs (plane counts are
-recomputed instead); ``--no-cache`` disables it, ``--stats`` reports work
-counters on stderr.
+variable) persists computed tangency invariants between runs; the plane
+and blowup Gromov-Witten counts under them are recomputed instead.
+``--no-cache`` disables it, ``--stats`` reports work counters on stderr.
 """
 
 import argparse
@@ -323,7 +323,7 @@ def cmd_verify(args, parser):
 
 @contextmanager
 def _session(args):
-    """A fresh Engine with the cache file, if any, open and preloaded.
+    """A fresh Engine reading the cache file's records, if there is one.
 
     Yields (engine, cache), cache None without a file.  On a clean exit
     the run's results are harvested into the file and, with --stats, the
@@ -349,7 +349,7 @@ def _session(args):
 def _was_cached(cache, key):
     """Whether the file held the invariant key text when it was opened
     (valid until the session harvests)."""
-    return cache is not None and ("ht", key) in cache.entries
+    return cache is not None and key in cache.entries
 
 
 def _check_key_size(parser, space, degree, cs):

@@ -35,7 +35,7 @@ from . import gw
 from .errors import InconsistencyError
 from .matrices import solve_plan, solve_split_system
 from .partitions import (as_diagram, aut_order, diagram_text, multinomial,
-                         parse_diagram, partitions_of, weight)
+                         partitions_of, weight)
 from .star import star
 
 
@@ -80,12 +80,16 @@ def complexity(constraints):
 class Engine:
     """Memoizing evaluator for tangency invariants over one process.
 
-    Separate instances share nothing except the (pure, value-identical)
-    blowup backend memo, so results are independent of evaluation order.
+    Separate instances share nothing except the blowup backend memo, which
+    holds only values gw computed itself, so results are independent of
+    evaluation order.  ``stored`` maps canonical key text (encode_key) to
+    hat-H records kept outside the engine, such as a cache file's: a memo
+    miss is looked up there, and every solved value is checked against it.
     """
 
     def __init__(self):
         self._memo = {}
+        self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0}
 
@@ -169,6 +173,10 @@ class Engine:
     def _eval(self, space, degree, cs, parent_rank):
         key = _pack_key(space, degree, cs)
         hit = self._memo.get(key)
+        if hit is None and self.stored:
+            hit = self.stored.get(encode_key(space, degree, cs))
+            if hit is not None:
+                self._memo[key] = hit
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
@@ -213,6 +221,8 @@ class Engine:
         for q, value in solved.items():
             sub = _in_key_order(rest + (q,))
             old = self._memo.setdefault(_pack_key(space, degree, sub), value)
+            if old == value and self.stored:
+                old = self.stored.get(encode_key(space, degree, sub), value)
             if old != value:
                 raise InconsistencyError(
                     "conflicting values %d and %d for %s"
@@ -224,10 +234,6 @@ class Engine:
         """Snapshot of the memo as (key text, value) pairs."""
         for packed, value in self._memo.items():
             yield encode_key(*_unpack_key(packed)), value
-
-    def absorb_item(self, text, value):
-        """Insert one externally stored (key text, value) pair."""
-        self._memo[_pack_key(*decode_key(text))] = int(value)
 
 
 KEY_LIMIT = 255  # a packed key holds the degree and each row in one byte
@@ -276,21 +282,3 @@ def encode_key(space, degree, cs):
         dtext = "%d" % degree
     return ";".join((space, dtext, "|".join(map(diagram_text, cs))))
 
-
-def decode_key(text):
-    """Inverse of encode_key; raises ValueError on malformed text, and on
-    text that encode_key would not have written (rows or diagrams out of
-    order, spaces, leading zeros), so one key has one record."""
-    space, dtext, ptext = text.split(";")
-    if space == "p1xp1":
-        a, b = dtext.split(",")
-        degree = (int(a), int(b))
-    elif space == "cp2":
-        degree = int(dtext)
-    else:
-        raise ValueError("unknown space %r" % (space,))
-    key = space, degree, _in_key_order(tuple(map(parse_diagram,
-                                                 ptext.split("|"))))
-    if encode_key(*key) != text:
-        raise ValueError("key %r is not in canonical form" % (text,))
-    return key

@@ -394,25 +394,12 @@ def memo_items():
     """Snapshot of the memoized blowup invariants as (key text, value) pairs.
 
     Keys read "d;m1,m2,..." with the retained multiplicities (all >= 2).
-    Plane counts are not included: kontsevich_count recomputes them.
+    Nothing in the package calls this or persists the memo: every value
+    here was computed in this process.  It exists so that benchmarks and
+    tests can count the memo.
     """
     for (d, deep), value in _values.items():
         yield "%d;%s" % (d, ",".join(map(str, deep))), value
-
-
-def absorb_item(text, value):
-    """Insert one externally stored (key text, value) pair into the memo.
-
-    Only blowup classes are accepted; a plane-count key "d;" with no
-    multiplicities is rejected like any other malformed key.
-    """
-    head, _, tail = text.partition(";")
-    d = int(head)
-    deep = tuple(int(x) for x in tail.split(",")) if tail else ()
-    if d < 1 or not deep or any(m < 2 for m in deep) or sorted(
-            deep, reverse=True) != list(deep):
-        raise ValueError("malformed blowup key %r" % (text,))
-    _values[(d, deep)] = int(value)
 
 
 def reset():

@@ -27,8 +27,8 @@ def as_diagram(parts):
 
 @lru_cache(maxsize=None)
 def diagram_text(p):
-    """Printed form of a diagram, e.g. "(3,1,1)".  Cached: cache files
-    print and check the same few thousand diagrams over and over."""
+    """Printed form of a diagram, e.g. "(3,1,1)".  Cached: cache keys
+    print the same few thousand diagrams over and over."""
     return "(%s)" % ",".join(map(str, p))
 
 

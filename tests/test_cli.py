@@ -303,3 +303,30 @@ def test_table_provenance_comes_from_the_file(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert {r["key"]: r["provenance"] for r in rows} == {
         "cp2;3;(8)": "cached", "cp2;3;(7,1)": "computed"}
+
+
+def test_cache_file_under_a_regular_file_runs_without_it(tmp_path, capsys):
+    blocker = tmp_path / "counts.txt"
+    blocker.write_text("")
+    code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
+                         "--cache-file", str(blocker / "sub.txt"))
+    assert (code, out) == (0, "4\n")
+    assert "running without persistence" in err
+
+
+def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
+    # blowup counts are recomputed, never read back: a poisoned gw: record
+    # neither changes the answer nor gets copied into the ht: section, and
+    # the compaction drops it
+    gw.reset()
+    path = tmp_path / "counts.txt"
+    path.write_text("gw:3;2\t7\n")
+    code, out, _ = run(capsys, "compute", "-d", "3", "-c",
+                       "(1,1);(1);(1);(1);(1);(1);(1)", "--hat",
+                       "--cache-file", str(path))
+    assert (code, out) == (0, "2\n")
+    records = path.read_text().splitlines()
+    assert "ht:cp2;3;(1,1)|(1)|(1)|(1)|(1)|(1)|(1)\t2" in records
+    assert not any(line.endswith("\t14") for line in records)
+    assert all(line.startswith("ht:") for line in records)
+    gw.reset()

@@ -151,21 +151,3 @@ def test_quadratic_move_invariance_of_counts():
             continue
         assert gw.gw_blowup(d, mults) == gw.gw_blowup(d2, m2), (d, mults)
         checked += 1
-
-
-def test_memo_round_trip():
-    gw.gw_blowup(3, (2, 1, 1, 1, 1, 1, 1))
-    items = dict(gw.memo_items())
-    assert items  # something was stored
-    gw.reset()
-    for key, value in items.items():
-        gw.absorb_item(key, value)
-    assert dict(gw.memo_items()) == items
-
-
-def test_absorb_rejects_malformed_keys():
-    # "5;" is a plane count: kontsevich_count owns those, no file may
-    # override them
-    for bad in ["x;2", "3;1,2", "3;2,-1", "0;", "5;", "2;3,2,abc"]:
-        with pytest.raises(ValueError):
-            gw.absorb_item(bad, 5)
