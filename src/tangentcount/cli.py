@@ -5,7 +5,8 @@ Subcommands:
   compute   one invariant N (or hat-H with --hat) for a class and constraints
   table     the full-tangency column T_d per degree, or every nonzero
             single-point invariant of one degree
-  verify    self-checks against published values and internal identities
+  verify    self-checks against published values and internal identities,
+            and with a cache file, a fresh recomputation of its records
   star      the diagram product expansion of two branching diagrams
   matrix    the box-moving matrix of one weight, optionally its determinant
 
@@ -271,7 +272,27 @@ def cmd_verify(args, parser):
         if not ok:
             failures.append(name)
 
-    with _session(args) as (engine, _):
+    with _session(args) as (engine, cache):
+        if cache:  # recompute the records of degree <= max_d afresh
+            fresh, bad = Engine(), []
+            for key, stored in sorted(cache.entries.items()):
+                try:
+                    space, dtext, ctext = key.split(";")
+                    degree = parse_degree(dtext, space)
+                    if (sum(degree) if space == "p1xp1" else degree) > max_d:
+                        continue
+                    cs = parse_constraints(ctext.replace("|", ";"))
+                    value = fresh.hat_invariant(space, degree, cs)
+                except ValueError:
+                    value = "unreadable"
+                if value != stored:
+                    bad.append("%s stored %d computed %s"
+                               % (key, stored, value))
+            report("cache records of degree at most %d" % max_d, not bad,
+                   "; ".join(bad))
+            if bad:  # the other checks go on without the wrong records
+                engine = fresh
+
         hi = min(max_d, max(TANGENCY_MAX))
         bad = [(d, engine.invariant("cp2", d, ((3 * d - 1,),)))
                for d in range(1, hi + 1)]

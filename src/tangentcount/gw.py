@@ -22,7 +22,9 @@ The computation runs entirely over exact integers:
     quantum product, instantiated on the divisor quadruple (E, L, E, L)
     where E sits over the deepest multiplicity.  The relation expresses
     (d^2 - m_1^2) times the wanted count through counts with either smaller
-    degree, fewer implied points, or fewer multiplicity slots;
+    degree, fewer implied points, or fewer multiplicity slots.  Its sum
+    over splittings is invariant under permuting equal multiplicities, so
+    it visits one splitting per orbit and weights it by the orbit's size;
   * index-zero classes with no points left are handled by the quadratic
     Cremona move while the three deepest multiplicities exceed the degree,
     and once the move no longer applies, by running the same associativity
@@ -32,6 +34,7 @@ The computation runs entirely over exact integers:
     lexicographically, so the recursion terminates.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -39,11 +42,7 @@ from math import comb, factorial
 from .errors import InconsistencyError
 from .partitions import local_double_points
 
-counters = {}
-
-
-def _count(event):
-    counters[event] = counters.get(event, 0) + 1
+counters = Counter()
 
 
 # ----------------------------------------------------------- plane curve counts
@@ -61,7 +60,7 @@ def kontsevich_count(d):
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError("degree must be a positive integer, got %r" % (d,))
-    _count("kontsevich_evals")
+    counters["kontsevich_evals"] += 1
     if d == 1:
         return 1
     total = 0
@@ -191,7 +190,7 @@ def is_exceptional(degree, mults=(), max_steps=200):
             top.append(0)
         if sum(top) <= d:
             return False
-        _count("cremona_steps")
+        counters["cremona_steps"] += 1
         d, m = cremona_move(d, m)
     return False
 
@@ -216,7 +215,7 @@ def gw_blowup(degree, mults=()):
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ValueError("multiplicities must be nonnegative integers, "
                              "got %r" % (m,))
-    _count("gw_queries")
+    counters["gw_queries"] += 1
     if chern_number("cp2", degree, mults) != 1:
         return 0
     return _value(degree, mults)
@@ -244,7 +243,7 @@ def _value(d, mults):
         return kontsevich_count(d)
     key = (d, deep)
     if key in _values:
-        _count("gw_memo_hits")
+        counters["gw_memo_hits"] += 1
         return _values[key]
     sq = sum(m * m for m in deep)
     tot = sum(deep)
@@ -255,10 +254,10 @@ def _value(d, mults):
     if npts > 0:
         value = _wdvv_solve(d, deep, npts)
     elif d * d - sq == -1 and is_exceptional(d, deep):
-        _count("gw_exceptional")
+        counters["gw_exceptional"] += 1
         value = 1
     elif sum(deep[:3]) > d:
-        _count("gw_cremona_reductions")
+        counters["gw_cremona_reductions"] += 1
         nd, nm = cremona_move(d, deep)
         value = _value(nd, nm)
     elif deep[-1] == 2:
@@ -282,7 +281,7 @@ def _wdvv_solve(d, m, npts):
     the remaining terms factor over splittings into two lower-degree
     classes.
     """
-    _count("gw_wdvv_solves")
+    counters["gw_wdvv_solves"] += 1
     n = npts - 1
     bumped = (m[0] + 1,) + m[1:]
     known = -d * d * (m[0] + 1) * _value(d, bumped)
@@ -309,7 +308,7 @@ def _point_free_solve(d, m):
     the count for X, while every other term involves either the class with
     the slot dropped entirely or smaller degrees.
     """
-    _count("gw_point_free_solves")
+    counters["gw_point_free_solves"] += 1
     slot = len(m) - 1  # deepest-sorted, so the trailing slot is the 2
     lowered = m[:-1] + (1,)
     known = (d * d - 1) * _value(d, m[:-1])
@@ -333,8 +332,15 @@ def _split_sum(d, m, n, slot):
         binom(n, n1) * (pairing of the two pieces) * bracket * count1 * count2
 
     where the bracket collects the four divisor pairings of the relation.
+    A term is unchanged when a is permuted over a run of equal entries of m
+    off the slot, so a is walked non-increasing within each run and each
+    term weighted by its orbit size, the product over runs of the
+    multinomial c! / prod(t!) of the run's length c and value repeats t.
     """
     s = len(m)
+    # tied[i]: entry i continues a run of equal multiplicities off the slot
+    tied = [0 < i and slot not in (i - 1, i) and m[i] == m[i - 1]
+            for i in range(s)]
     total = 0
     for d1 in range(1, d):
         d2 = d - d1
@@ -355,8 +361,10 @@ def _split_sum(d, m, n, slot):
             continue
         a = [0] * s
 
-        # Depth-first walk over slot values with running-total pruning.
-        def walk(idx, acc):
+        # Depth-first walk over slot values with running-total pruning;
+        # orbit is the orbit size of a[:idx], run and tie are the position
+        # of a[idx - 1] in its run and how often it repeats at the run's end.
+        def walk(idx, acc, orbit, run, tie):
             nonlocal total
             if idx == s:
                 n1 = band_hi - acc
@@ -373,18 +381,21 @@ def _split_sum(d, m, n, slot):
                     return
                 pairing = d1 * d2 - sum(ai * (mi - ai)
                                         for mi, ai in zip(m, a))
-                total += comb(n, n1) * pairing * bracket * c1 * c2
+                total += orbit * comb(n, n1) * pairing * bracket * c1 * c2
                 return
-            for ai in range(lo[idx], hi[idx] + 1):
+            # inside a run a is non-increasing: a[idx] <= a[idx - 1]
+            top, run = (a[idx - 1], run + 1) if tied[idx] else (hi[idx], 1)
+            for ai in range(lo[idx], top + 1):
                 nxt = acc + ai
                 if nxt + suf_hi[idx + 1] < band_lo:
                     continue
                 if nxt + suf_lo[idx + 1] > band_hi:
                     break
                 a[idx] = ai
-                walk(idx + 1, nxt)
+                t = tie + 1 if tied[idx] and ai == top else 1
+                walk(idx + 1, nxt, orbit * run // t, run, t)
 
-        walk(0, 0)
+        walk(0, 0, 1, 0, 0)
     return total
 
 

@@ -240,6 +240,27 @@ def test_verify_small(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_recomputes_cache_records(tmp_path, capsys):
+    # a wrong record that no check re-derives on its own is caught, named
+    # with both values, and the published checks still run
+    path = tmp_path / "bad.txt"
+    path.write_text("ht:cp2;3;(8)\t5\n")
+    code, out, _ = run(capsys, "verify", "--max-d", "3",
+                       "--cache-file", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("FAIL cache records of degree at most 3: "
+                        "cp2;3;(8) stored 5 computed 4")
+    assert all(line.startswith("PASS") for line in lines[1:])
+    # a file built cold passes
+    path = str(tmp_path / "good.txt")
+    assert run(capsys, "table", "--max-d", "4", "--cache-file", path)[0] == 0
+    code, out, _ = run(capsys, "verify", "--max-d", "4", "--cache-file", path)
+    assert code == 0
+    assert out.splitlines()[0] == "PASS cache records of degree at most 4"
+    assert all(line.startswith("PASS") for line in out.splitlines())
+
+
 def parse_stats(err):
     for line in err.splitlines():
         if line.startswith("stats: "):

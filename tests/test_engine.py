@@ -140,6 +140,14 @@ def test_quadric_symmetric_in_bidegree():
                 == e.invariant("p1xp1", (1, 2), (p,)))
 
 
+def test_quadric_point_counts():
+    # rational curves of bidegree (a, b) through 2a + 2b - 1 points: both
+    # sides of the point-count identity, the blowup recursion underneath
+    e = Engine()
+    for ab, count in [((3, 3), 3510), ((4, 3), 87544), ((4, 4), 6508640)]:
+        assert e.sum_identity("p1xp1", ab) == (count, count), ab
+
+
 def test_memo_determinism_under_evaluation_order():
     # evaluate one degree's table in several random orders with fresh
     # engines; all orders must agree everywhere
@@ -227,9 +235,12 @@ def test_inconsistent_record_read_before_the_solve_is_detected(tmp_path):
 
 def test_cold_column_work_is_pinned():
     # the amount of work for cold T_1..T_6 in one Engine: every solve and
-    # every stored key is still there, so speed comes from bookkeeping
+    # every stored key is still there, so speed comes from bookkeeping,
+    # and the blowup recursion still visits the same classes
+    gw.reset()
     e = Engine()
     for d in range(1, 7):
         e.invariant("cp2", d, ((3 * d - 1,),))
     assert e.counters["solves"] == 6992
     assert sum(1 for _ in e.memo_items()) == 66153
+    assert sum(1 for _ in gw.memo_items()) == 268

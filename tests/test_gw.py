@@ -1,8 +1,10 @@
 """The blowup Gromov-Witten backend: plane counts, anchors with assigned
 multiplicities, the standard quadratic move, and class bookkeeping."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,3 +153,49 @@ def test_quadratic_move_invariance_of_counts():
             continue
         assert gw.gw_blowup(d, mults) == gw.gw_blowup(d2, m2), (d, mults)
         checked += 1
+
+
+def _ordered_split_sum(d, m, n, slot):
+    """_split_sum's definition, summed over every ordered vector a."""
+    total = 0
+    for d1 in range(1, d):
+        d2 = d - d1
+        for a in itertools.product(*(range(mi + 1) for mi in m)):
+            n1 = 3 * d1 - 1 - sum(a)
+            if a[slot] < 1 or not 0 <= n1 <= n:
+                continue
+            rest = tuple(mi - ai for mi, ai in zip(m, a))
+            bracket = (a[slot] * d1 * rest[slot] * d2
+                       - a[slot] * a[slot] * d2 * d2)
+            pairing = d1 * d2 - sum(ai * ri for ai, ri in zip(a, rest))
+            total += (comb(n, n1) * pairing * bracket
+                      * gw._value(d1, a) * gw._value(d2, rest))
+    return total
+
+
+@st.composite
+def split_sum_args(draw):
+    """Both call forms of _split_sum on classes with repeated entries: the
+    relation for (d; m) with m deep-sorted at slot 0, and the point-free
+    form with its last slot lowered to 1."""
+    d = draw(st.integers(3, 7))
+    runs = draw(st.lists(st.tuples(st.integers(2, (d + 1) // 2),
+                                   st.integers(1, 4)),
+                         min_size=1, max_size=3))
+    m = sorted((mi for mi, count in runs for _ in range(count)),
+               reverse=True)[:7]
+    # drop slots until the class can hold curves: a point to spare and a
+    # nonnegative double-point count
+    while (sum(m) > 3 * d - 2
+           or gw.double_point_count("cp2", d, m) < 0):
+        m.pop()
+    if draw(st.booleans()):
+        return d, tuple(m), 3 * d - 2 - sum(m), 0
+    return d, tuple(m[:-1]) + (1,), 0, len(m) - 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(split_sum_args())
+def test_split_sum_matches_ordered_enumeration(args):
+    # the orbit walk must equal the sum over every ordered splitting
+    assert gw._split_sum(*args) == _ordered_split_sum(*args)
