@@ -374,7 +374,7 @@ def _was_cached(cache, key):
 
 
 def _check_key_size(parser, space, degree, cs):
-    """Usage error, before any work, for a key the engine cannot pack."""
+    """Usage error, before any work, for a key too large to be feasible."""
     if not key_fits(degree, cs):
         parser.error("key %s is too large: the degree and every row must "
                      "be at most %d" % (encode_key(space, degree, cs),

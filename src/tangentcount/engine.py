@@ -19,7 +19,7 @@ coefficients throughout:
     of order >= 2 is traded, through the box-moving linear system of
     weight k, for pairs of constraints at two points whose weights are
     both smaller.  One exact solve recovers hat-H for every diagram of
-    weight k at that point simultaneously, and all of them are memoized.
+    weight k at that point simultaneously, memoized as one vector.
 
 Termination is governed by the complexity rank (level, count): the maximal
 weight of a constraint containing a branch of order >= 2, and how many
@@ -80,15 +80,20 @@ def complexity(constraints):
 class Engine:
     """Memoizing evaluator for tangency invariants over one process.
 
-    Separate instances share nothing except the blowup backend memo, which
-    holds only values gw computed itself, so results are independent of
-    evaluation order.  ``stored`` maps canonical key text (encode_key) to
-    hat-H records kept outside the engine, such as a cache file's: a memo
-    miss is looked up there, and every solved value is checked against it.
+    The memo keeps one vector per solve, plus base case values and records
+    read from ``stored``; a key of level k is answered by any weight-k
+    vector beside one of its targets.  Separate instances share nothing
+    but the blowup backend memo, which holds only values gw computed
+    itself, so results are independent of evaluation order.  ``stored``
+    maps canonical key text (encode_key) to hat-H records kept outside the
+    engine, such as a cache file's: a memo miss is looked up there, and
+    every solved value is checked against it.
     """
 
     def __init__(self):
-        self._memo = {}
+        self._vectors = {}
+        self._ones = {}
+        self._records = {}
         self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0}
@@ -126,11 +131,9 @@ class Engine:
             raise ValueError("need at least two constraints to combine")
         p1, p2, rest = cs[0], cs[1], cs[2:]
         norm = aut_order(p1) * aut_order(p2)
-        out = []
-        for q, coeff in sorted(star(p1, p2).items()):
-            out.append((Fraction(coeff * aut_order(q), norm),
-                        canonical_constraints((q,) + rest)))
-        return out
+        return [(Fraction(coeff * aut_order(q), norm),
+                 canonical_constraints((q,) + rest))
+                for q, coeff in sorted(star(p1, p2).items())]
 
     def combined_value(self, space, degree, constraints):
         """Evaluate the combine_forward expansion term by term (must be
@@ -161,22 +164,21 @@ class Engine:
         m = gw.chern_number(space, degree) - 1
         if m < 1:
             raise ValueError("class must have chern number >= 2")
-        out = {}
-        for p in partitions_of(m):
-            n = self.invariant(space, degree, (p,))
-            if n or include_zero:
-                out[p] = n
-        return out
+        values = {p: self.invariant(space, degree, (p,))
+                  for p in partitions_of(m)}
+        return {p: n for p, n in values.items() if n or include_zero}
 
     # ------------------------------------------------------------- internals
 
     def _eval(self, space, degree, cs, parent_rank):
-        key = _pack_key(space, degree, cs)
-        hit = self._memo.get(key)
+        key = (space, degree, cs)
+        lead = next((c for c in cs if c[0] >= 2), None)  # first target
+        hit = self._ones.get(key) if lead is None else next(
+            self._holders(*key, weight(lead)), (None, None))[1]
         if hit is None and self.stored:
-            hit = self.stored.get(encode_key(space, degree, cs))
+            hit = self.stored.get(encode_key(*key))
             if hit is not None:
-                self._memo[key] = hit
+                self._records[key] = hit
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
@@ -185,16 +187,25 @@ class Engine:
         if parent_rank is not None and not rank < parent_rank:
             raise InconsistencyError(
                 "complexity failed to decrease: %s -> %s at %s"
-                % (parent_rank, rank, (space, degree, cs)))
-        level = rank[0]
-        if level == 1:
-            self._memo[key] = self._base_case(space, degree, cs)
-        else:
-            target = next(i for i, c in enumerate(cs)
-                          if weight(c) == level and c[0] >= 2)
-            rest = cs[:target] + cs[target + 1:]
-            self._solve_at(space, degree, rest, level, rank)
-        return self._memo[key]
+                % (parent_rank, rank, key))
+        if lead is None:
+            return self._ones.setdefault(key, self._base_case(*key))
+        target = cs.index(lead)
+        rest = cs[:target] + cs[target + 1:]
+        return self._solve_at(space, degree, rest, rank[0], rank)[_slot(lead)]
+
+    def _holders(self, space, degree, cs, k):
+        """(target, value) per weight-k solve vector holding the key cs, k
+        its level: in key order, its targets come first among constraints
+        with a branch >= 2."""
+        for i, c in enumerate(cs):
+            if c[0] >= 2:
+                if weight(c) < k:
+                    return
+                vector = self._vectors.get(
+                    (space, degree, cs[:i] + cs[i + 1:], k))
+                if vector is not None:
+                    yield c, vector[_slot(c)]
 
     def _base_case(self, space, degree, cs):
         """All-ones constraints: branch orders 1 everywhere, so the count is
@@ -209,8 +220,9 @@ class Engine:
         return prod(factorial(b) for b in sizes) * gw.gw_blowup(d, mults)
 
     def _solve_at(self, space, degree, rest, k, rank):
-        """One box-moving solve: fills the memo with hat-H for every diagram
-        of weight k at the chosen point, same remaining constraints."""
+        """One box-moving solve: hat-H for every diagram of weight k beside
+        rest, indexed like solve_plan(k).parts[1:], each value checked
+        against every other vector and stored record holding its key."""
         split_values = [
             self._eval(space, degree, _in_key_order(rest + pair), rank)
             for pair in solve_plan(k).splits]
@@ -218,60 +230,48 @@ class Engine:
             space, degree, _in_key_order(rest + ((1,) * k,)), rank)
         solved = solve_split_system(k, split_values, all_ones)
         self.counters["solves"] += 1
-        for q, value in solved.items():
-            sub = _in_key_order(rest + (q,))
-            old = self._memo.setdefault(_pack_key(space, degree, sub), value)
-            if old == value and self.stored:
-                old = self.stored.get(encode_key(space, degree, sub), value)
-            if old != value:
-                raise InconsistencyError(
-                    "conflicting values %d and %d for %s"
-                    % (old, value, (space, degree, sub)))
+        if self.stored or rank[1] > 1:  # else no other vector holds a key
+            for q, value in solved.items():
+                key = space, degree, _in_key_order(rest + (q,))
+                olds = [old for _, old in self._holders(*key, k)]
+                if self.stored:
+                    olds.append(self.stored.get(encode_key(*key), value))
+                for old in olds:
+                    if old != value:
+                        raise InconsistencyError(
+                            "conflicting values %d and %d for %s"
+                            % (old, value, key))
+        vector = self._vectors[space, degree, rest, k] = tuple(solved.values())
+        return vector
 
     # --------------------------------------------------------- cache plumbing
 
     def memo_items(self):
-        """Snapshot of the memo as (key text, value) pairs."""
-        for packed, value in self._memo.items():
-            yield encode_key(*_unpack_key(packed)), value
-
-
-KEY_LIMIT = 255  # a packed key holds the degree and each row in one byte
-
-
-def key_fits(degree, cs):
-    """Whether a key's degree (or bidegree) and every row of its diagrams
-    are small enough for the packed memo key."""
-    sizes = list(degree) if isinstance(degree, tuple) else [degree]
-    return all(n <= KEY_LIMIT for n in sizes + [max(c) for c in cs])
-
-
-def _pack_key(space, degree, cs):
-    """Compact byte form of a memo key.  The memo holds millions of entries
-    at high degree, so each key is one small bytes object instead of nested
-    tuples: a space tag, the degree byte(s), then each constraint's parts
-    terminated by a zero byte (parts are always >= 1).  See key_fits."""
-    if space == "p1xp1":
-        head = bytes((1, degree[0], degree[1]))
-    else:
-        head = bytes((0, degree))
-    return head + b"".join(map(_chunk, cs))
+        """Each memoized key once, as (key text, value) pairs; a vector's
+        key is yielded by the first vector, in target order, holding it."""
+        for key, value in [*self._ones.items(), *self._records.items()]:
+            if next(self._holders(*key, complexity(key[2])[0]), None) is None:
+                yield encode_key(*key), value
+        for (space, degree, rest, k), vector in self._vectors.items():
+            for q, value in zip(solve_plan(k).parts[1:], vector):
+                cs = _in_key_order(rest + (q,))
+                if next(self._holders(space, degree, cs, k))[0] == q:
+                    yield encode_key(space, degree, cs), value
 
 
 @lru_cache(maxsize=None)
-def _chunk(c):
-    """One constraint's part of a packed key, built once per diagram."""
-    return bytes(c) + b"\0"
+def _slot(q):
+    """Index of diagram q in a solve vector of its weight."""
+    return solve_plan(weight(q)).parts.index(q) - 1
 
 
-def _unpack_key(packed):
-    """Inverse of _pack_key."""
-    if packed[0] == 1:
-        degree, body = (packed[1], packed[2]), packed[3:]
-    else:
-        degree, body = packed[1], packed[2:]
-    cs = tuple(tuple(chunk) for chunk in body.split(b"\0") if chunk)
-    return ("p1xp1" if packed[0] == 1 else "cp2"), degree, cs
+KEY_LIMIT = 255  # usage guard: no on-shell key this large is feasible
+
+
+def key_fits(degree, cs):
+    """Whether a key's degree (or bidegree) and rows are within KEY_LIMIT."""
+    sizes = list(degree) if isinstance(degree, tuple) else [degree]
+    return all(n <= KEY_LIMIT for n in sizes + [max(c) for c in cs])
 
 
 def encode_key(space, degree, cs):

@@ -4,7 +4,7 @@ Each test prints one PASS line (visible with -s or -rA; the test name
 itself carries the verdict under -v).  Timed criteria assert their stated
 budget.  The extended tier of criterion 1 (degrees 8 and 9, a separate
 one-hour budget) runs only when TANGENTCOUNT_EXTENDED=1 is set, since it
-adds about ten minutes to an otherwise fast suite.
+adds about two minutes and 450 MB to an otherwise fast suite.
 
 The frozen numbers below are deliberately restated literally rather than
 imported from the package, so an accidental edit of packaged data cannot
@@ -72,7 +72,7 @@ def test_criterion_01_full_tangency_counts_cold():
 def test_criterion_01_extended_degrees_eight_and_nine():
     if os.environ.get("TANGENTCOUNT_EXTENDED") != "1":
         print("SKIP criterion 1 extended: set TANGENTCOUNT_EXTENDED=1 to "
-              "run degrees 8 and 9 (about ten minutes, budget one hour)")
+              "run degrees 8 and 9 (about two minutes, budget one hour)")
         pytest.skip("extended tier disabled (TANGENTCOUNT_EXTENDED != 1)")
     engine = Engine()
     start = time.monotonic()

@@ -12,7 +12,7 @@ from tangentcount.engine import (Engine, canonical_constraints, complexity,
                                  encode_key)
 from tangentcount.errors import InconsistencyError
 from tangentcount.partitions import partitions_of
-from tangentcount import gw
+from tangentcount import engine as engine_module, gw
 
 
 def test_canonical_constraint_order():
@@ -244,3 +244,47 @@ def test_cold_column_work_is_pinned():
     assert e.counters["solves"] == 6992
     assert sum(1 for _ in e.memo_items()) == 66153
     assert sum(1 for _ in gw.memo_items()) == 268
+
+
+def test_overlapping_solve_vectors_are_cross_checked(monkeypatch):
+    # ((3,), (2, 1), (2,)) is held by two weight-3 solve vectors: the one
+    # next to ((3,), (2,)) and the one next to ((2, 1), (2,)).  Corrupt its
+    # entry in the first; the second solve re-derives it and must refuse
+    top = ((3,), (3,), (2,))
+    clean = Engine()
+    clean.hat_invariant("cp2", 3, top)
+    last = clean.counters["solves"]  # the top solve comes after its inputs
+    real = engine_module.solve_split_system
+    calls = []
+
+    def corrupt_last(k, split_values, all_ones_value):
+        solved = real(k, split_values, all_ones_value)
+        calls.append(k)
+        if len(calls) == last:
+            solved[(2, 1)] += 1
+        return solved
+
+    monkeypatch.setattr(engine_module, "solve_split_system", corrupt_last)
+    e = Engine()
+    e.hat_invariant("cp2", 3, top)
+    with pytest.raises(InconsistencyError,
+                       match=r"conflicting values \d+ and \d+ for "
+                             r"\('cp2', 3, \(\(3,\), \(2, 1\), \(2,\)\)\)"):
+        e.hat_invariant("cp2", 3, ((2, 1), (2, 1), (2,)))
+
+
+def test_memo_items_are_distinct_and_reproducible():
+    # each memoized key is yielded once, and its value is what a fresh
+    # engine computes for the key read back from its text
+    e = Engine()
+    for d in range(1, 7):
+        e.invariant("cp2", d, ((3 * d - 1,),))
+    items = list(e.memo_items())
+    texts = [text for text, _ in items]
+    assert len(set(texts)) == len(texts)
+    fresh = Engine()
+    for text, value in random.Random(6).sample(items, 200):
+        space, dtext, ptext = text.split(";")
+        cs = parse_constraints(ptext.replace("|", ";"))
+        assert fresh.hat_invariant(
+            space, parse_degree(dtext, space), cs) == value, text
