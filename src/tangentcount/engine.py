@@ -25,11 +25,20 @@ Termination is governed by the complexity rank (level, count): the maximal
 weight of a constraint containing a branch of order >= 2, and how many
 constraints realize it.  Every recursive call strictly decreases the rank
 lexicographically, which is asserted at runtime.
+
+Inside the engine a diagram of weight w is one int, its code: _first[w]
+plus its index in partitions_of(w), the blocks of p(w) codes laid out in
+increasing weight.  So (1,)*w codes as _first[w], descending codes are the
+canonical key order, a key is a descending tuple of codes, and code c is
+entry c - _first[k] - 1 of a weight-k solve vector.  Block offsets come
+from partition counts; other diagrams are listed with their solve_plan.
 """
 
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 from . import gw
 from .errors import InconsistencyError
@@ -45,17 +54,7 @@ def canonical_constraints(constraints):
     cs = tuple(as_diagram(c) for c in constraints)
     if any(not c for c in cs):
         raise ValueError("empty constraint diagram")
-    return _in_key_order(cs)
-
-
-@lru_cache(maxsize=None)
-def _key_order(c):
-    return weight(c), c
-
-
-def _in_key_order(cs):
-    """canonical_constraints for valid diagrams, without re-validating."""
-    return tuple(sorted(cs, key=_key_order, reverse=True))
+    return tuple(sorted(cs, key=lambda c: (weight(c), c), reverse=True))
 
 
 def complexity(constraints):
@@ -66,15 +65,65 @@ def complexity(constraints):
     is how many constraints realize that maximum.  Ranks compare
     lexicographically; the recursion strictly descends in this order.
     """
-    level, count = 1, 0
-    for c in constraints:
-        if c[0] >= 2:
-            w = weight(c)
-            if w > level:
-                level, count = w, 1
-            elif w == level:
-                count += 1
-    return level, count
+    return _rank(weight(c) if c[0] >= 2 else 0 for c in constraints)
+
+
+def _rank(levels):
+    """The rank from each constraint's weight if it has a branch >= 2, else
+    0 or None (the engine passes _LEVEL.get of its codes)."""
+    levels = [w for w in levels if w]
+    top = max(levels, default=1)
+    return top, levels.count(top)
+
+
+_first = [0, 0]  # _first[w]: the code of (1,)*w, grown by _offset
+_counts = [1]  # p(0), p(1), ...: partition counts, one fewer than _first
+_LEVEL = {}  # code -> weight, for each listed diagram with a branch >= 2
+
+
+def _offset(w):
+    """_first[w], growing the blocks from partition counts (Euler's
+    pentagonal recurrence) until _first[w + 1] is known too."""
+    while len(_first) <= w + 1:
+        n = len(_counts)
+        _counts.append(sum((-1) ** (j + 1) * _counts[n - g]
+                           for j in range(1, isqrt(n) + 1)
+                           for g in (j * (3*j - 1) // 2, j * (3*j + 1) // 2)
+                           if g <= n))
+        _first.append(_first[n] + _counts[n])
+    return _first[w]
+
+
+@lru_cache(maxsize=None)
+def _listed(k):
+    """{diagram: code} over weight k's diagrams but (1,)*k; fills _LEVEL."""
+    lo = _offset(k)
+    codes = {q: lo + j for j, q in enumerate(solve_plan(k).parts) if j}
+    _LEVEL.update(dict.fromkeys(codes.values(), k))
+    return codes
+
+
+def _code(q):
+    """The code of a valid diagram."""
+    return _offset(len(q)) if q[0] == 1 else _listed(weight(q))[q]
+
+
+@lru_cache(maxsize=None)
+def _diagram(c):
+    """The diagram of a code."""
+    w = bisect_right(_first, c) - 1
+    return solve_plan(w).parts[c - _first[w]] if c in _LEVEL else (1,) * w
+
+
+@lru_cache(maxsize=None)
+def _solve_inputs(k):
+    """The codes a weight-k solve sets beside rest: splits, then (1,)*k."""
+    return (*(tuple(map(_code, pair)) for pair in solve_plan(k).splits),
+            (_offset(k),))
+
+
+def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
+    return key[:2] + (tuple(map(_diagram, key[2])),)
 
 
 class Engine:
@@ -82,18 +131,17 @@ class Engine:
 
     The memo keeps one vector per solve, plus base case values and records
     read from ``stored``; a key of level k is answered by any weight-k
-    vector beside one of its targets.  Separate instances share nothing
-    but the blowup backend memo, which holds only values gw computed
-    itself, so results are independent of evaluation order.  ``stored``
-    maps canonical key text (encode_key) to hat-H records kept outside the
-    engine, such as a cache file's: a memo miss is looked up there, and
-    every solved value is checked against it.
+    vector beside one of its targets.  Instances share only the diagram
+    codes and the blowup backend memo, both pure functions of their keys,
+    so results are independent of evaluation order.  ``stored`` maps key
+    text (encode_key) to hat-H records kept outside the engine, such as a
+    cache file's: a memo miss is looked up there, and every solved value
+    is checked against it.
     """
 
     def __init__(self):
-        self._vectors = {}
-        self._ones = {}
-        self._records = {}
+        self._vectors = defaultdict(dict)  # {(space, degree): {rest: vector}}
+        self._values = {}  # all-ones base cases and records read
         self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0}
@@ -105,7 +153,7 @@ class Engine:
         cs = canonical_constraints(constraints)
         if sum(map(weight, cs)) != gw.chern_number(space, degree) - 1:
             return 0
-        return self._eval(space, degree, cs, None)
+        return self._eval(space, degree, tuple(map(_code, cs)), None)
 
     def invariant(self, space, degree, constraints):
         """The curve count N: hat-H divided by the branch-reordering groups."""
@@ -172,47 +220,55 @@ class Engine:
 
     def _eval(self, space, degree, cs, parent_rank):
         key = (space, degree, cs)
-        lead = next((c for c in cs if c[0] >= 2), None)  # first target
-        hit = self._ones.get(key) if lead is None else next(
-            self._holders(*key, weight(lead)), (None, None))[1]
+        k = next(filter(None, map(_LEVEL.get, cs)), None)  # level if > 1
+        hit = self._values.get(key) if k is None else None
+        if k is not None:  # the first of _holders, inlined in the hot path
+            lo, hi = _first[k], _first[k + 1]
+            vectors = self._vectors[space, degree]
+            for i, c in enumerate(cs):
+                if c <= lo:
+                    break
+                vector = vectors.get(cs[:i] + cs[i + 1:]) if c < hi else None
+                if vector is not None:
+                    hit = vector[c - lo - 1]
+                    break
         if hit is None and self.stored:
-            hit = self.stored.get(encode_key(*key))
+            hit = self.stored.get(encode_key(*_decoded(key)))
             if hit is not None:
-                self._records[key] = hit
+                self._values[key] = hit
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
         self.counters["evaluations"] += 1
-        rank = complexity(cs)
+        rank = _rank(map(_LEVEL.get, cs))
         if parent_rank is not None and not rank < parent_rank:
             raise InconsistencyError(
                 "complexity failed to decrease: %s -> %s at %s"
-                % (parent_rank, rank, key))
-        if lead is None:
-            return self._ones.setdefault(key, self._base_case(*key))
-        target = cs.index(lead)
-        rest = cs[:target] + cs[target + 1:]
-        return self._solve_at(space, degree, rest, rank[0], rank)[_slot(lead)]
+                % (parent_rank, rank, _decoded(key)))
+        if k is None:
+            return self._values.setdefault(key, self._base_case(*key))
+        i = next(i for i, c in enumerate(cs) if c in _LEVEL)
+        return self._solve_at(space, degree, cs[:i] + cs[i + 1:], k, rank)[
+            cs[i] - _first[k] - 1]
 
     def _holders(self, space, degree, cs, k):
-        """(target, value) per weight-k solve vector holding the key cs, k
-        its level: in key order, its targets come first among constraints
-        with a branch >= 2."""
+        """(target, value) per weight-k solve vector holding the key cs of
+        level k; its targets are its codes between (1,)*k and (1,)*(k+1)."""
+        lo, hi = _first[k], _first[k + 1]
+        vectors = self._vectors[space, degree]
         for i, c in enumerate(cs):
-            if c[0] >= 2:
-                if weight(c) < k:
-                    return
-                vector = self._vectors.get(
-                    (space, degree, cs[:i] + cs[i + 1:], k))
-                if vector is not None:
-                    yield c, vector[_slot(c)]
+            if c <= lo:
+                return
+            vector = vectors.get(cs[:i] + cs[i + 1:]) if c < hi else None
+            if vector is not None:
+                yield c, vector[c - lo - 1]
 
     def _base_case(self, space, degree, cs):
         """All-ones constraints: branch orders 1 everywhere, so the count is
         a blowup invariant with one multiplicity-b_i point per constraint,
         times b_i! for the ordered branches."""
         self.counters["base_cases"] += 1
-        sizes = tuple(len(c) for c in cs)
+        sizes = tuple(len(_diagram(c)) for c in cs)
         if space == "p1xp1":
             d, mults = gw.translate_to_plane(degree, sizes)
         else:
@@ -223,25 +279,25 @@ class Engine:
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
         against every other vector and stored record holding its key."""
-        split_values = [
-            self._eval(space, degree, _in_key_order(rest + pair), rank)
-            for pair in solve_plan(k).splits]
-        all_ones = self._eval(
-            space, degree, _in_key_order(rest + ((1,) * k,)), rank)
-        solved = solve_split_system(k, split_values, all_ones)
+        values = [self._eval(space, degree,
+                             tuple(sorted(rest + codes, reverse=True)), rank)
+                  for codes in _solve_inputs(k)]
+        solved = solve_split_system(k, values[:-1], values[-1])
         self.counters["solves"] += 1
+        vector = tuple(solved.values())
         if self.stored or rank[1] > 1:  # else no other vector holds a key
-            for q, value in solved.items():
-                key = space, degree, _in_key_order(rest + (q,))
+            for q, value in enumerate(vector, _first[k] + 1):
+                key = space, degree, tuple(sorted(rest + (q,), reverse=True))
                 olds = [old for _, old in self._holders(*key, k)]
                 if self.stored:
-                    olds.append(self.stored.get(encode_key(*key), value))
+                    olds.append(
+                        self.stored.get(encode_key(*_decoded(key)), value))
                 for old in olds:
                     if old != value:
                         raise InconsistencyError(
                             "conflicting values %d and %d for %s"
-                            % (old, value, key))
-        vector = self._vectors[space, degree, rest, k] = tuple(solved.values())
+                            % (old, value, _decoded(key)))
+        self._vectors[space, degree][rest] = vector
         return vector
 
     # --------------------------------------------------------- cache plumbing
@@ -249,20 +305,19 @@ class Engine:
     def memo_items(self):
         """Each memoized key once, as (key text, value) pairs; a vector's
         key is yielded by the first vector, in target order, holding it."""
-        for key, value in [*self._ones.items(), *self._records.items()]:
-            if next(self._holders(*key, complexity(key[2])[0]), None) is None:
-                yield encode_key(*key), value
-        for (space, degree, rest, k), vector in self._vectors.items():
-            for q, value in zip(solve_plan(k).parts[1:], vector):
-                cs = _in_key_order(rest + (q,))
-                if next(self._holders(space, degree, cs, k))[0] == q:
-                    yield encode_key(space, degree, cs), value
-
-
-@lru_cache(maxsize=None)
-def _slot(q):
-    """Index of diagram q in a solve vector of its weight."""
-    return solve_plan(weight(q)).parts.index(q) - 1
+        for key, value in self._values.items():
+            k = _rank(map(_LEVEL.get, key[2]))[0]
+            if next(self._holders(*key, k), None) is None:
+                yield encode_key(*_decoded(key)), value
+        for (space, degree), vectors in self._vectors.items():
+            on_shell = gw.chern_number(space, degree) - 1
+            for rest, vector in vectors.items():
+                k = on_shell - sum(map(weight, map(_diagram, rest)))
+                for q, value in enumerate(vector, _first[k] + 1):
+                    key = space, degree, tuple(sorted(rest + (q,),
+                                                      reverse=True))
+                    if next(self._holders(*key, k))[0] == q:
+                        yield encode_key(*_decoded(key)), value
 
 
 KEY_LIMIT = 255  # usage guard: no on-shell key this large is feasible
@@ -276,9 +331,6 @@ def key_fits(degree, cs):
 
 def encode_key(space, degree, cs):
     """Textual form of an invariant key: space;degree;(P1)|(P2)|..."""
-    if space == "p1xp1":
-        dtext = "%d,%d" % degree
-    else:
-        dtext = "%d" % degree
+    dtext = ("%d,%d" if space == "p1xp1" else "%d") % degree
     return ";".join((space, dtext, "|".join(map(diagram_text, cs))))
 

@@ -157,9 +157,7 @@ def cremona_move(degree, mults=()):
     preserved; entries of the result may be negative and are left for the
     caller to interpret.
     """
-    m = sorted(mults, reverse=True)
-    while len(m) < 3:
-        m.append(0)
+    m = sorted(mults, reverse=True) + [0] * (3 - len(mults))
     m1, m2, m3 = m[:3]
     d = degree
     new = [d - m2 - m3, d - m1 - m3, d - m1 - m2]
@@ -185,10 +183,7 @@ def is_exceptional(degree, mults=(), max_steps=200):
             return False
         if d == 0:
             return m.count(-1) == 1 and all(x in (0, -1) for x in m)
-        top = sorted(m, reverse=True)[:3]
-        while len(top) < 3:
-            top.append(0)
-        if sum(top) <= d:
+        if sum(sorted(m, reverse=True)[:3]) <= d:
             return False
         counters["cremona_steps"] += 1
         d, m = cremona_move(d, m)

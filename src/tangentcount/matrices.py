@@ -43,16 +43,13 @@ def merge_top_into(y, i):
 
 
 def move_matrix(k):
-    """The (p(k)-1) x (p(k)-1) box-moving matrix described above."""
-    parts = partitions_of(k)
-    t = len(parts)
-    col_of = {q: j for j, q in enumerate(parts[1:])}
-    a = [[0] * (t - 1) for _ in range(t - 1)]
-    for r, y in enumerate(parts[:-1]):
-        if y in col_of:
-            a[r][col_of[y]] += 1
-        for i in range(1, len(y)):
-            a[r][col_of[merge_top_into(y, i)]] += 1
+    """The (p(k)-1) x (p(k)-1) box-moving matrix described above, read off
+    solve_plan(k): row r >= 1 holds y_r itself in column r - 1."""
+    merges = solve_plan(k).merges
+    a = [[0] * len(merges) for _ in merges]
+    for r, cols in enumerate(merges):
+        for j in cols + ((r - 1,) if r else ()):
+            a[r][j] += 1
     return a
 
 

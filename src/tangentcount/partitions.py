@@ -63,15 +63,11 @@ def partitions_of(k, max_part=None):
     At fixed weight this row-by-row comparison is plain lexicographic
     comparison of the tuples.
     """
-    if max_part is None:
-        max_part = k
     if k == 0:
         return [()]
-    out = []
-    for first in range(1, min(k, max_part) + 1):
-        for rest in partitions_of(k - first, max_part=first):
-            out.append((first,) + rest)
-    return out
+    top = k if max_part is None else min(k, max_part)
+    return [(first,) + rest for first in range(1, top + 1)
+            for rest in partitions_of(k - first, max_part=first)]
 
 
 def dual(p):

@@ -4,7 +4,7 @@ Each test prints one PASS line (visible with -s or -rA; the test name
 itself carries the verdict under -v).  Timed criteria assert their stated
 budget.  The extended tier of criterion 1 (degrees 8 and 9, a separate
 one-hour budget) runs only when TANGENTCOUNT_EXTENDED=1 is set, since it
-adds about two minutes and 450 MB to an otherwise fast suite.
+adds about one minute and 410 MB to an otherwise fast suite.
 
 The frozen numbers below are deliberately restated literally rather than
 imported from the package, so an accidental edit of packaged data cannot
@@ -18,7 +18,7 @@ from math import factorial
 
 import pytest
 
-from tangentcount import gw
+from tangentcount import engine as engine_module, gw
 from tangentcount.engine import Engine, complexity
 from tangentcount.matrices import determinant, move_matrix
 from tangentcount.partitions import (dual, local_double_points, multinomial,
@@ -72,7 +72,7 @@ def test_criterion_01_full_tangency_counts_cold():
 def test_criterion_01_extended_degrees_eight_and_nine():
     if os.environ.get("TANGENTCOUNT_EXTENDED") != "1":
         print("SKIP criterion 1 extended: set TANGENTCOUNT_EXTENDED=1 to "
-              "run degrees 8 and 9 (about two minutes, budget one hour)")
+              "run degrees 8 and 9 (about one minute, budget one hour)")
         pytest.skip("extended tier disabled (TANGENTCOUNT_EXTENDED != 1)")
     engine = Engine()
     start = time.monotonic()
@@ -182,15 +182,20 @@ def test_criterion_09_vanishing():
 
 class RankProbe(Engine):
     """Engine that records every complexity-rank transition it is asked
-    to make, including calls answered from the memo."""
+    to make, including calls answered from the memo.  Internal keys are
+    coded, so each is decoded back to diagrams first."""
 
     def __init__(self):
         super().__init__()
         self.violations = []
+        self.calls = {"top": 0, "recursive": 0}
 
     def _eval(self, space, degree, cs, parent_rank):
-        if parent_rank is not None and not complexity(cs) < parent_rank:
-            self.violations.append((parent_rank, cs))
+        self.calls["top" if parent_rank is None else "recursive"] += 1
+        if parent_rank is not None:
+            diagrams = tuple(map(engine_module._diagram, cs))
+            if not complexity(diagrams) < parent_rank:
+                self.violations.append((parent_rank, diagrams))
         return super()._eval(space, degree, cs, parent_rank)
 
 
@@ -202,6 +207,10 @@ def test_criterion_10_property_suites():
     probe.invariant("p1xp1", (2, 1), ((5,),))
     assert probe.violations == []
     assert probe.counters["solves"] > 0
+    # every call went through the probe, memo hits included
+    assert probe.calls["recursive"] > probe.counters["solves"]
+    assert sum(probe.calls.values()) == (probe.counters["evaluations"]
+                                         + probe.counters["memo_hits"])
 
     # memo determinism under randomized evaluation order
     rng = random.Random(1)

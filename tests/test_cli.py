@@ -7,12 +7,16 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tangentcount
 from tangentcount import gw
 from tangentcount.cli import main, parse_constraints, parse_degree
+from tangentcount.partitions import partitions_of
 
 
 def run(capsys, *argv):
@@ -351,3 +355,99 @@ def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
     assert not any(line.endswith("\t14") for line in records)
     assert all(line.startswith("ht:") for line in records)
     gw.reset()
+
+
+# Random command lines from the grammar of parse_degree/parse_constraints,
+# with garbage mixed in.  Valid degrees stay at most 5 (bidegrees at most
+# 6 in total) so that no case starts a long run, and no --cache-file is
+# drawn, so nothing is written.
+GARBAGE = ["", " ", "x", "-1", "1e3", "nan", "1,", ",", "2,1,3", "(", ")",
+           "()", "(0)", "(a)", "(1)(2)", "(1,-2)", ";", ";;", "(2);;(1)",
+           "--bogus", "-d", "-c", "-k", "--max-d", "--format", "-h"]
+FORMATS = ["plain", "csv", "json", "markdown"]
+
+
+def or_garbage(strategy):
+    """Mostly the strategy's text, one time in five a garbage token."""
+    return st.integers(0, 4).flatmap(
+        lambda i: st.sampled_from(GARBAGE) if i == 0 else strategy)
+
+
+def diagram_texts(max_row=6):
+    return st.lists(st.integers(1, max_row), min_size=1, max_size=4).map(
+        lambda rows: "(%s)" % ",".join(map(str, rows)))
+
+
+@st.composite
+def on_shell_keys(draw):
+    """(degree text, constraints text) of an on-shell plane key."""
+    d = draw(st.integers(1, 5))
+    rows = draw(st.permutations(draw(st.sampled_from(
+        partitions_of(3 * d - 1)))))
+    points = draw(st.lists(st.integers(0, 3), min_size=len(rows),
+                           max_size=len(rows)))
+    groups = [[r for r, p in zip(rows, points) if p == i] for i in range(4)]
+    return str(d), ";".join("(%s)" % ",".join(map(str, g))
+                            for g in groups if g)
+
+
+def degree_texts(space):
+    if space == "p1xp1":
+        return st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
+            lambda ab: sum(ab) <= 6).map(lambda ab: "%d,%d" % ab)
+    return st.integers(0, 5).map(str)
+
+
+@st.composite
+def cli_argvs(draw):
+    space = draw(or_garbage(st.sampled_from(["cp2", "cp2", "p1xp1"])))
+    command = draw(st.sampled_from(
+        ["compute", "table", "verify", "star", "matrix"]))
+    if command == "compute" and draw(st.booleans()):
+        d, cs = draw(on_shell_keys())
+        argv = ["compute", "-d", d, "-c", cs]
+        argv += draw(st.sampled_from([[], ["--hat"]]))
+    elif command == "compute":
+        argv = ["compute", "--space", space,
+                "-d", draw(or_garbage(degree_texts(space))),
+                "-c", draw(or_garbage(st.lists(diagram_texts(), min_size=1,
+                                               max_size=4).map(";".join)))]
+        argv += draw(st.sampled_from([[], ["--hat"]]))
+    elif command == "table":
+        argv = ["table", "--space", space,
+                draw(st.sampled_from(["-d", "--max-d"])),
+                draw(or_garbage(st.integers(1, 5).map(str))),
+                "--mode", draw(or_garbage(st.sampled_from(
+                    ["tangency-max", "full"])))]
+    elif command == "verify":
+        argv = ["verify", "--max-d", draw(or_garbage(degree_texts("cp2")))]
+    elif command == "star":
+        argv = ["star", draw(or_garbage(diagram_texts(4))),
+                draw(or_garbage(diagram_texts(4)))]
+    else:
+        argv = ["matrix", "-k", draw(or_garbage(
+            st.integers(-1, 8).map(str)))]
+        argv += draw(st.sampled_from([[], ["--det"]]))
+    if command != "verify" and draw(st.booleans()):
+        argv += ["--format", draw(or_garbage(st.sampled_from(FORMATS)))]
+    if command in ("compute", "table", "verify"):
+        argv += draw(st.sampled_from([[], ["--no-cache"], ["--stats"]]))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(GARBAGE)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+def test_any_command_line_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), \
+            redirect_stderr(err):
+        os.environ.pop("TANGENTCOUNT_CACHE", None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue() + out.getvalue()

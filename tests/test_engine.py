@@ -5,14 +5,18 @@ the quadric surface cases."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tangentcount.cache import CountCache
 from tangentcount.cli import parse_constraints, parse_degree
 from tangentcount.engine import (Engine, canonical_constraints, complexity,
                                  encode_key)
 from tangentcount.errors import InconsistencyError
-from tangentcount.partitions import partitions_of
-from tangentcount import engine as engine_module, gw
+from tangentcount.matrices import solve_plan
+from tangentcount.partitions import partitions_of, weight
+from tangentcount import (engine as engine_module, gw,
+                          matrices as matrices_module,
+                          partitions as partitions_module)
 
 
 def test_canonical_constraint_order():
@@ -29,6 +33,61 @@ def test_complexity_rank():
     assert complexity(((3,), (2, 1), (1, 1))) == (3, 2)
     assert complexity(((8,),)) == (8, 1)
     assert complexity(((2, 1, 1), (1, 1, 1, 1))) == (4, 1)
+
+
+def spelled_out_rank(constraints):
+    """The complexity rank as the engine module defines it, on diagrams."""
+    level, count = 1, 0
+    for c in constraints:
+        if max(c) >= 2:
+            if weight(c) > level:
+                level, count = weight(c), 1
+            elif weight(c) == level:
+                count += 1
+    return level, count
+
+
+diagrams_to_twelve = st.integers(1, 12).flatmap(
+    lambda w: st.sampled_from(partitions_of(w)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(diagrams_to_twelve, min_size=1, max_size=6))
+def test_diagram_codes_keep_key_order_rank_and_slots(cs):
+    e = engine_module
+    codes = [e._code(q) for q in cs]
+    assert [e._diagram(c) for c in codes] == cs
+    key = tuple(sorted(codes, reverse=True))
+    assert tuple(map(e._diagram, key)) == canonical_constraints(cs)
+    assert (e._rank(map(e._LEVEL.get, key)) == complexity(cs)
+            == spelled_out_rank(cs))
+    for q, c in zip(cs, codes):
+        k = weight(q)
+        assert e._first[k + 1] - e._first[k] == len(partitions_of(k))
+        if max(q) == 1:
+            assert c == e._first[k]
+        else:
+            assert c - e._first[k] - 1 == solve_plan(k).parts[1:].index(q)
+
+
+def test_all_ones_keys_list_no_diagrams(monkeypatch):
+    # an all-ones diagram codes as its block's offset, which comes from
+    # partition counts, so answering these keys lists no diagram of weight
+    # 41 (44,583 of them) or 89 (about 5e7); the heavier key runs only
+    # once the lighter one has shown that nothing is listed
+    listed = []
+    real = partitions_module.partitions_of
+
+    def recording(k, max_part=None):
+        listed.append(k)
+        return real(k, max_part)
+
+    for module in (partitions_module, matrices_module, engine_module):
+        monkeypatch.setattr(module, "partitions_of", recording)
+    assert Engine().invariant("cp2", 14, ((1,) * 41,)) == 0
+    assert max(listed, default=0) < 41
+    assert Engine().invariant("cp2", 30, ((1,) * 89,)) == 0
+    assert max(listed, default=0) < 41
 
 
 def test_worked_degree_three_chain():
