@@ -39,6 +39,10 @@ from .matrices import determinant, move_matrix
 from .partitions import diagram_text, parse_diagram, partitions_of, weight
 from .star import star, star_oracle
 
+# Largest weight `matrix` builds: the dense (p(k)-1)^2 matrix takes about
+# 114 MB at k = 24 and grows like p(k)^2, about 1.4 GB at k = 30.
+MATRIX_LIMIT = 24
+
 # Published values used by `verify` as regression targets.  T_d is the
 # degree-d count with one full-tangency point; the per-degree dicts list
 # every nonzero single-point invariant of that degree.
@@ -225,8 +229,9 @@ def cmd_star(args, parser):
 
 
 def cmd_matrix(args, parser):
-    if args.k < 2:
-        parser.error("the move matrix needs weight k >= 2")
+    if not 2 <= args.k <= MATRIX_LIMIT:
+        parser.error("the move matrix needs weight 2 <= k <= %d"
+                     % MATRIX_LIMIT)
     mat = move_matrix(args.k)
     parts = partitions_of(args.k)
     rows, cols = parts[:-1], parts[1:]
@@ -434,7 +439,8 @@ def build_parser():
     p.set_defaults(func=cmd_star)
 
     p = sub.add_parser("matrix", help="the box-moving matrix of one weight")
-    p.add_argument("-k", type=int, required=True, help="diagram weight")
+    p.add_argument("-k", type=int, required=True,
+                   help="diagram weight, 2..%d" % MATRIX_LIMIT)
     p.add_argument("--det", action="store_true",
                    help="also print the (signed) determinant")
     p.add_argument("--format", **fmt)
@@ -447,10 +453,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
     except InconsistencyError as exc:
         print("internal inconsistency: %s" % (exc,), file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, with stdout pointed at
+        # devnull so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

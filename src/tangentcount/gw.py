@@ -16,7 +16,7 @@ The computation runs entirely over exact integers:
     that are at least 2) with an implied point count 3d - 1 - sum(m);
   * classes that cannot contain a somewhere-injective rational curve give 0
     (negative multiplicity with positive degree, multiplicity exceeding the
-    degree, or negative virtual double-point count);
+    degree, or the adjunction bound sum m_i(m_i - 1) > (d - 1)(d - 2));
   * classes with no deep multiplicities reduce to Kontsevich's recursion;
   * everything else is solved from the associativity (WDVV) relation of the
     quantum product, instantiated on the divisor quadruple (E, L, E, L)
@@ -24,7 +24,8 @@ The computation runs entirely over exact integers:
     (d^2 - m_1^2) times the wanted count through counts with either smaller
     degree, fewer implied points, or fewer multiplicity slots.  Its sum
     over splittings is invariant under permuting equal multiplicities, so
-    it visits one splitting per orbit and weights it by the orbit's size;
+    it visits one splitting per orbit, weighted by the orbit's size, and
+    none with a piece past the adjunction bound;
   * index-zero classes with no points left are handled by the quadratic
     Cremona move while the three deepest multiplicities exceed the degree,
     and once the move no longer applies, by running the same associativity
@@ -240,15 +241,13 @@ def _value(d, mults):
     if key in _values:
         counters["gw_memo_hits"] += 1
         return _values[key]
-    sq = sum(m * m for m in deep)
-    tot = sum(deep)
-    if (d * d - sq - (3 * d - tot)) // 2 + 1 < 0:  # adjunction: no curves
+    if sum(m * (m - 1) for m in deep) > (d - 1) * (d - 2):  # adjunction
         _values[key] = 0
         return 0
-    npts = 3 * d - tot - 1
+    npts = 3 * d - sum(deep) - 1
     if npts > 0:
         value = _wdvv_solve(d, deep, npts)
-    elif d * d - sq == -1 and is_exceptional(d, deep):
+    elif d * d - sum(m * m for m in deep) == -1 and is_exceptional(d, deep):
         counters["gw_exceptional"] += 1
         value = 1
     elif sum(deep[:3]) > d:
@@ -331,6 +330,11 @@ def _split_sum(d, m, n, slot):
     off the slot, so a is walked non-increasing within each run and each
     term weighted by its orbit size, the product over runs of the
     multinomial c! / prod(t!) of the run's length c and value repeats t.
+
+    Terms with a piece past the adjunction bound are 0, and the walk cuts
+    them early: each a_i adds a_i(a_i - 1) >= 0 to the first piece's sum,
+    more as a_i grows, and (m_i - a_i)(m_i - a_i - 1) >= 0 to the second's,
+    less as a_i grows, so a partial sum past its bound stays past it.
     """
     s = len(m)
     # tied[i]: entry i continues a run of equal multiplicities off the slot
@@ -354,12 +358,14 @@ def _split_sum(d, m, n, slot):
             suf_hi[i] = suf_hi[i + 1] + hi[i]
         if suf_hi[0] < band_lo or suf_lo[0] > band_hi:
             continue
+        genus1, genus2 = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
         a = [0] * s
 
-        # Depth-first walk over slot values with running-total pruning;
-        # orbit is the orbit size of a[:idx], run and tie are the position
-        # of a[idx - 1] in its run and how often it repeats at the run's end.
-        def walk(idx, acc, orbit, run, tie):
+        # Depth-first walk over slot values with running-total pruning; g1
+        # and g2 are the adjunction sums of a[:idx] and (m - a)[:idx], orbit
+        # is the orbit size of a[:idx], run and tie are the position of
+        # a[idx - 1] in its run and how often it repeats at the run's end.
+        def walk(idx, acc, g1, g2, orbit, run, tie):
             nonlocal total
             if idx == s:
                 n1 = band_hi - acc
@@ -380,17 +386,24 @@ def _split_sum(d, m, n, slot):
                 return
             # inside a run a is non-increasing: a[idx] <= a[idx - 1]
             top, run = (a[idx - 1], run + 1) if tied[idx] else (hi[idx], 1)
+            mi = m[idx]
             for ai in range(lo[idx], top + 1):
                 nxt = acc + ai
                 if nxt + suf_hi[idx + 1] < band_lo:
                     continue
                 if nxt + suf_lo[idx + 1] > band_hi:
                     break
+                h1 = g1 + ai * (ai - 1)
+                if h1 > genus1:
+                    break
+                h2 = g2 + (mi - ai) * (mi - ai - 1)
+                if h2 > genus2:
+                    continue
                 a[idx] = ai
                 t = tie + 1 if tied[idx] and ai == top else 1
-                walk(idx + 1, nxt, orbit * run // t, run, t)
+                walk(idx + 1, nxt, h1, h2, orbit * run // t, run, t)
 
-        walk(0, 0, 1, 0, 0)
+        walk(0, 0, 0, 0, 1, 0, 0)
     return total
 
 

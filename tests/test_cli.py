@@ -104,17 +104,36 @@ def test_table_key_too_large_is_usage_error(capsys):
                            "most 255")
 
 
-def test_module_entry_point_runs_without_warnings():
+def cli_env():
+    """The environment for a `python -m tangentcount.cli` child process."""
     src = os.path.dirname(os.path.dirname(tangentcount.__file__))
     env = {k: v for k, v in os.environ.items() if k != "TANGENTCOUNT_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_runs_without_warnings():
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "tangentcount.cli", "compute",
          "-d", "3", "-c", "(8)"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=cli_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "4\n"
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # about 300 kB of csv, more than a pipe holds, so the writer meets the
+    # closed read end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tangentcount.cli", "matrix", "-k", "18",
+         "--format", "csv"],
+        env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"row,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_compute_quadric(capsys):
@@ -235,6 +254,23 @@ def test_matrix_output(capsys):
     assert payload["entries"] == [[3, 0, 0, 0], [1, 0, 2, 0],
                                   [0, 1, 0, 1], [0, 0, 1, 1]]
     assert payload["det"] == "-6"
+
+
+def test_matrix_weight_limit(capsys, monkeypatch):
+    # past the bound nothing is built: a usage error, exit 2
+    monkeypatch.setattr("tangentcount.cli.move_matrix", None)
+    with pytest.raises(SystemExit) as info:
+        main(["matrix", "-k", "40"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "tangentcount: error: the move matrix needs weight 2 <= k <= 24")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "matrix", "-k", "6", "--det")
+    assert code == 0
+    assert out.splitlines()[-1] == "det = -120"
+    code, out, _ = run(capsys, "verify", "--max-d", "1", "--no-cache")
+    assert code == 0
+    assert "PASS move-matrix determinant law, weights 2..14\n" in out
 
 
 def test_verify_small(capsys):

@@ -3,6 +3,7 @@ multiplicities, the standard quadratic move, and class bookkeeping."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -155,9 +156,9 @@ def test_quadratic_move_invariance_of_counts():
         checked += 1
 
 
-def _ordered_split_sum(d, m, n, slot):
-    """_split_sum's definition, summed over every ordered vector a."""
-    total = 0
+def _ordered_terms(d, m, n, slot):
+    """_split_sum's terms over every ordered vector a, as
+    ((d1, a), (d2, m - a), term)."""
     for d1 in range(1, d):
         d2 = d - d1
         for a in itertools.product(*(range(mi + 1) for mi in m)):
@@ -168,9 +169,19 @@ def _ordered_split_sum(d, m, n, slot):
             bracket = (a[slot] * d1 * rest[slot] * d2
                        - a[slot] * a[slot] * d2 * d2)
             pairing = d1 * d2 - sum(ai * ri for ai, ri in zip(a, rest))
-            total += (comb(n, n1) * pairing * bracket
-                      * gw._value(d1, a) * gw._value(d2, rest))
-    return total
+            yield (d1, a), (d2, rest), (comb(n, n1) * pairing * bracket
+                                        * gw._value(d1, a)
+                                        * gw._value(d2, rest))
+
+
+def _ordered_split_sum(d, m, n, slot):
+    """_split_sum's definition, summed over every ordered vector a."""
+    return sum(term for _, _, term in _ordered_terms(d, m, n, slot))
+
+
+def _genus_excess(d, a):
+    """sum a(a-1) - (d-1)(d-2): a piece above 0 fails adjunction."""
+    return sum(x * (x - 1) for x in a) - (d - 1) * (d - 2)
 
 
 @st.composite
@@ -198,4 +209,38 @@ def split_sum_args(draw):
 @given(split_sum_args())
 def test_split_sum_matches_ordered_enumeration(args):
     # the orbit walk must equal the sum over every ordered splitting
+    assert gw._split_sum(*args) == _ordered_split_sum(*args)
+
+
+def test_split_sum_never_asks_for_a_piece_past_adjunction(monkeypatch):
+    # spy on the pieces the walk asks for, at every depth of a cold run
+    asked = []
+    value = gw._value
+
+    def spy(d, mults):
+        if sys._getframe(1).f_code.co_name == "walk":
+            asked.append((d, mults))
+        return value(d, mults)
+
+    monkeypatch.setattr(gw, "_value", spy)
+    gw.reset()
+    for d, m in [(5, (2,) * 4 + (1,) * 6), (6, (3, 2, 2) + (1,) * 10),
+                 (6, (2,) * 8 + (1,)), (4, (2, 2, 2) + (1,) * 5)]:
+        assert gw.gw_blowup(d, m) > 0
+    assert asked
+    assert not [p for p in asked if _genus_excess(*p) > 0]
+    # pieces exactly on the bound are still asked for
+    assert [p for p in asked if max(p[1]) >= 2 and _genus_excess(*p) == 0]
+
+
+@pytest.mark.parametrize("args", [
+    (4, (2, 2, 2), 4, 0), (5, (3, 2, 2), 6, 0), (5, (2, 2, 2, 2), 5, 0),
+    (6, (4, 2, 2), 8, 0), (4, (2, 2, 1), 0, 2), (5, (3, 2, 1), 0, 2),
+    (5, (3, 2, 2, 1), 0, 3)])
+def test_split_sum_keeps_pieces_on_the_adjunction_bound(args):
+    # some nonzero term has a deep piece with sum a(a-1) == (d-1)(d-2),
+    # so cutting at the bound itself would change the sum
+    assert [term for p1, p2, term in _ordered_terms(*args)
+            if term and any(max(a) >= 2 and _genus_excess(d, a) == 0
+                            for d, a in (p1, p2))]
     assert gw._split_sum(*args) == _ordered_split_sum(*args)
