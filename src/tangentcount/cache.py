@@ -4,15 +4,16 @@ File format: one record per line, ``ht:key<TAB>value``: a tangency
 invariant in the ordered-branch normalization, keyed by the canonical text
 of its arguments (engine.encode_key), with a decimal integer value.
 Damaged or unrecognized lines, including the ``gw:`` blowup records of
-older files, are skipped on load and dropped at the next compaction, so a
-truncated append never poisons a cache file.  The loaded records are the
-only copy: the engine looks a key's text up in them on a memo miss.
+older files, are skipped on load and dropped at the next write, so a
+damaged line never poisons a cache file.  The loaded records are the only
+copy: the engine looks a key's text up in them on a memo miss.
 
-New results are appended as they are harvested; a clean close rewrites the
-whole file atomically (temp file in the same directory, then rename) with
-one sorted record per key.  Concurrent runs are serialized by an advisory
-lock on the cache file itself; when the lock cannot be taken the cache
-opens read-only and says so on stderr.
+Harvesting merges a run's new results into the loaded records; the file is
+written once, at a clean close, atomically (temp file in the same
+directory, fsync, then rename) with one sorted record per key, so a run
+that raises leaves it as it was.  Concurrent runs are serialized by an
+advisory lock on the cache file itself; when the lock cannot be taken the
+cache opens read-only and says so on stderr.
 """
 
 import fcntl
@@ -21,8 +22,8 @@ import sys
 
 
 class CountCache:
-    """One cache file: load at open, append as results arrive, compact at
-    close.  Usable as a context manager."""
+    """One cache file: load at open, merge results as they are harvested,
+    write at close.  Usable as a context manager."""
 
     def __init__(self, path):
         self.path = path
@@ -79,20 +80,14 @@ class CountCache:
         return len(self.entries)
 
     def harvest(self, engine):
-        """Append any results the run produced that the file lacks."""
-        fresh = []
+        """Merge the run's results that the records lack into entries, for
+        close to write; returns how many there were."""
+        size = len(self.entries)
         for key, value in engine.memo_items():
-            if key not in self.entries:
-                self.entries[key] = value
-                fresh.append((key, value))
-        if not fresh or self.read_only:
-            return len(fresh)
-        self._handle.seek(0, os.SEEK_END)
-        for key, value in fresh:
-            self._handle.write("ht:%s\t%d\n" % (key, value))
-        self._handle.flush()
-        self._dirty = True
-        return len(fresh)
+            self.entries.setdefault(key, value)
+        added = len(self.entries) - size
+        self._dirty = self._dirty or added > 0
+        return added
 
     def close(self, compact=True):
         """Release the file, rewriting it deduplicated and sorted if this
@@ -102,8 +97,8 @@ class CountCache:
         if compact and self._dirty and not self.read_only:
             tmp = "%s.%d.tmp" % (self.path, os.getpid())
             with open(tmp, "w") as out:
-                for key, value in sorted(self.entries.items()):
-                    out.write("ht:%s\t%d\n" % (key, value))
+                out.writelines("ht:%s\t%d\n" % (key, self.entries[key])
+                               for key in sorted(self.entries))
                 out.flush()
                 os.fsync(out.fileno())
             os.replace(tmp, self.path)

@@ -352,8 +352,9 @@ def _session(args):
     """A fresh Engine reading the cache file's records, if there is one.
 
     Yields (engine, cache), cache None without a file.  On a clean exit
-    the run's results are harvested into the file and, with --stats, the
-    work counters go to stderr; an exception skips both.
+    the run's results are harvested, for the cache to write as it closes,
+    and with --stats the work counters go to stderr; an exception skips
+    both, and the file is left as it was.
     """
     path = None if args.no_cache else (
         args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))

@@ -31,7 +31,8 @@ plus its index in partitions_of(w), the blocks of p(w) codes laid out in
 increasing weight.  So (1,)*w codes as _first[w], descending codes are the
 canonical key order, a key is a descending tuple of codes, and code c is
 entry c - _first[k] - 1 of a weight-k solve vector.  Block offsets come
-from partition counts; other diagrams are listed with their solve_plan.
+from partition counts; a weight's other diagrams are listed (by
+partition_list, as its solve_plan lists them) once one of them is coded.
 """
 
 from bisect import bisect_right
@@ -44,7 +45,7 @@ from . import gw
 from .errors import InconsistencyError
 from .matrices import solve_plan, solve_split_system
 from .partitions import (as_diagram, aut_order, diagram_text, multinomial,
-                         partitions_of, weight)
+                         partition_list, partitions_of, weight)
 from .star import star
 
 
@@ -96,9 +97,11 @@ def _offset(w):
 
 @lru_cache(maxsize=None)
 def _listed(k):
-    """{diagram: code} over weight k's diagrams but (1,)*k; fills _LEVEL."""
+    """{diagram: code} over weight k's diagrams but (1,)*k; fills _LEVEL.
+    Listing a weight costs far less than its solve_plan, which a key
+    answered by a stored record never needs."""
     lo = _offset(k)
-    codes = {q: lo + j for j, q in enumerate(solve_plan(k).parts) if j}
+    codes = {q: lo + j for j, q in enumerate(partition_list(k)) if j}
     _LEVEL.update(dict.fromkeys(codes.values(), k))
     return codes
 
@@ -112,7 +115,13 @@ def _code(q):
 def _diagram(c):
     """The diagram of a code."""
     w = bisect_right(_first, c) - 1
-    return solve_plan(w).parts[c - _first[w]] if c in _LEVEL else (1,) * w
+    return partition_list(w)[c - _first[w]] if c in _LEVEL else (1,) * w
+
+
+@lru_cache(maxsize=None)
+def _text(c):
+    """The printed diagram of a code."""
+    return diagram_text(_diagram(c))
 
 
 @lru_cache(maxsize=None)
@@ -304,20 +313,37 @@ class Engine:
 
     def memo_items(self):
         """Each memoized key once, as (key text, value) pairs; a vector's
-        key is yielded by the first vector, in target order, holding it."""
+        key is yielded by the first vector, in target order, holding it,
+        so only vectors beside rest's own larger targets can come first.
+        A vector's key texts share the text of rest around the target's."""
         for key, value in self._values.items():
             k = _rank(map(_LEVEL.get, key[2]))[0]
             if next(self._holders(*key, k), None) is None:
                 yield encode_key(*_decoded(key)), value
         for (space, degree), vectors in self._vectors.items():
             on_shell = gw.chern_number(space, degree) - 1
+            head = encode_key(space, degree, ())
             for rest, vector in vectors.items():
                 k = on_shell - sum(map(weight, map(_diagram, rest)))
-                for q, value in enumerate(vector, _first[k] + 1):
-                    key = space, degree, tuple(sorted(rest + (q,),
-                                                      reverse=True))
-                    if next(self._holders(*key, k))[0] == q:
-                        yield encode_key(*_decoded(key)), value
+                lo, hi = _first[k], _first[k + 1]
+                # rest (descending) is: codes above every target, its own
+                # targets, then codes at or below (1,)*k; target q's text
+                # goes after the codes of rest above q
+                targets = [c for c in rest if lo < c < hi]
+                texts = list(map(_text, rest))
+                top = sum(c >= hi for c in rest)
+                ends = [(head + "".join(t + "|" for t in texts[:i]),
+                         "".join("|" + t for t in texts[i:]))
+                        for i in range(top, top + len(targets) + 1)]
+                for q, value in enumerate(vector, lo + 1):
+                    above = [c for c in targets if c > q] if targets else ()
+                    if above and any(  # a vector beside c holds q's key first
+                            tuple(sorted(rest[:i] + rest[i + 1:] + (q,),
+                                         reverse=True)) in vectors
+                            for i in map(rest.index, above)):
+                        continue
+                    pre, post = ends[len(above)]
+                    yield pre + _text(q) + post, value
 
 
 KEY_LIMIT = 255  # usage guard: no on-shell key this large is feasible

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InconsistencyError
-from .partitions import as_diagram, partitions_of
+from .partitions import as_diagram, partition_list
 
 
 def merge_top_into(y, i):
@@ -91,7 +91,7 @@ def solve_plan(k):
     once: the partitions of k in increasing order, the split pair (top
     row, rest) of every non-horizontal diagram, and per row the unknowns
     of its merge targets, one per lower row (unknown j is parts[j + 1])."""
-    parts = tuple(partitions_of(k))
+    parts = partition_list(k)
     pos = {q: j for j, q in enumerate(parts)}
     rows = parts[:-1]
     return SolvePlan(

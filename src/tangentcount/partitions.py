@@ -63,11 +63,18 @@ def partitions_of(k, max_part=None):
     At fixed weight this row-by-row comparison is plain lexicographic
     comparison of the tuples.
     """
-    if k == 0:
-        return [()]
     top = k if max_part is None else min(k, max_part)
+    if k == 0 or top == 1:  # only () or (1,...,1): no call per row
+        return [(1,) * k]
     return [(first,) + rest for first in range(1, top + 1)
             for rest in partitions_of(k - first, max_part=first)]
+
+
+@lru_cache(maxsize=None)
+def partition_list(k):
+    """partitions_of(k) as a tuple, listed once per weight and shared by
+    the solve plans and the engine's diagram codes."""
+    return tuple(partitions_of(k))
 
 
 def dual(p):

@@ -1,10 +1,15 @@
-"""The persistent cache: load/append/compact cycle, damage tolerance, and
-the advisory lock."""
+"""The persistent cache: load/harvest/write cycle, the pinned file format,
+damage tolerance, and the advisory lock."""
 
+import argparse
+import hashlib
 import os
+
+import pytest
 
 from tangentcount import gw
 from tangentcount.cache import CountCache
+from tangentcount.cli import _session, main
 from tangentcount.engine import Engine
 
 
@@ -140,3 +145,43 @@ def test_blowup_records_are_not_read(tmp_path):
         assert engine.hat_invariant("cp2", 3, key) == 2
     assert Engine().hat_invariant("cp2", 3, key) == 2
     gw.reset()
+
+
+def build_d4_file(path, capsys):
+    assert main(["table", "--max-d", "4", "--cache-file", str(path)]) == 0
+    capsys.readouterr()
+    return path.read_bytes()
+
+
+def test_cold_table_file_is_pinned(tmp_path, capsys):
+    # the sorted one-record-per-key format, byte for byte
+    data = build_d4_file(tmp_path / "counts.txt", capsys)
+    assert data.count(b"\n") == 1737
+    assert len(data) == 54343
+    assert hashlib.sha256(data).hexdigest() == (
+        "82b905db6d08d46a1a1051b44e21fc02f0094a16e8e9dbe908d67fd3b8a99886")
+
+
+def test_a_cached_compute_leaves_the_file_as_it_was(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    before = build_d4_file(path, capsys)
+    inode = os.stat(path).st_ino
+    assert main(["compute", "-d", "4", "-c", "(11)",
+                 "--cache-file", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "26"
+    assert path.read_bytes() == before
+    assert os.stat(path).st_ino == inode  # not even rewritten
+
+
+def test_a_session_that_raises_leaves_the_file_as_it_was(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    before = build_d4_file(path, capsys)
+    args = argparse.Namespace(no_cache=False, cache_file=str(path),
+                              stats=False)
+    with pytest.raises(RuntimeError, match="stop"):
+        with _session(args) as (engine, cache):
+            engine.invariant("cp2", 5, ((14,),))
+            assert any(key not in cache.entries
+                       for key, _ in engine.memo_items())
+            raise RuntimeError("stop")
+    assert path.read_bytes() == before

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tangentcount
-from tangentcount import gw
+from tangentcount import engine as engine_module, gw, matrices
 from tangentcount.cli import main, parse_constraints, parse_degree
 from tangentcount.partitions import partitions_of
 
@@ -392,6 +392,28 @@ def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
     assert all(line.startswith("ht:") for line in records)
     gw.reset()
 
+
+
+def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
+                                                        monkeypatch):
+    # coding (47) lists its p(47) = 124,754 diagrams, but a key answered
+    # by a record needs no solve, so no weight-47 merge table is built
+    path = tmp_path / "counts.txt"
+    path.write_text("ht:cp2;16;(47)\t5\n")
+    planned = []
+    real = matrices.solve_plan
+
+    def recording(k):
+        planned.append(k)
+        return real(k)
+
+    for module in (matrices, engine_module):
+        monkeypatch.setattr(module, "solve_plan", recording)
+    code, out, _ = run(capsys, "compute", "-d", "16", "-c", "(47)",
+                       "--cache-file", str(path))
+    assert (code, out) == (0, "5\n")
+    assert 47 not in planned
+    assert path.read_text() == "ht:cp2;16;(47)\t5\n"
 
 # Random command lines from the grammar of parse_degree/parse_constraints,
 # with garbage mixed in.  Valid degrees stay at most 5 (bidegrees at most

@@ -15,7 +15,6 @@ from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import solve_plan
 from tangentcount.partitions import partitions_of, weight
 from tangentcount import (engine as engine_module, gw,
-                          matrices as matrices_module,
                           partitions as partitions_module)
 
 
@@ -82,7 +81,8 @@ def test_all_ones_keys_list_no_diagrams(monkeypatch):
         listed.append(k)
         return real(k, max_part)
 
-    for module in (partitions_module, matrices_module, engine_module):
+    # solve plans and diagram codes list through partitions.partition_list
+    for module in (partitions_module, engine_module):
         monkeypatch.setattr(module, "partitions_of", recording)
     assert Engine().invariant("cp2", 14, ((1,) * 41,)) == 0
     assert max(listed, default=0) < 41
@@ -347,3 +347,50 @@ def test_memo_items_are_distinct_and_reproducible():
         cs = parse_constraints(ptext.replace("|", ";"))
         assert fresh.hat_invariant(
             space, parse_degree(dtext, space), cs) == value, text
+
+
+def per_key_memo_items(e):
+    """memo_items spelled out key by key, as an independent reference:
+    each vector entry's key is sorted, decoded and checked against every
+    vector holding it through _holders."""
+    m = engine_module
+    for key, value in e._values.items():
+        k = m._rank(map(m._LEVEL.get, key[2]))[0]
+        if next(e._holders(*key, k), None) is None:
+            yield encode_key(*m._decoded(key)), value
+    for (space, degree), vectors in e._vectors.items():
+        on_shell = gw.chern_number(space, degree) - 1
+        for rest, vector in vectors.items():
+            k = on_shell - sum(map(weight, map(m._diagram, rest)))
+            for q, value in enumerate(vector, m._first[k] + 1):
+                key = space, degree, tuple(sorted(rest + (q,), reverse=True))
+                if next(e._holders(*key, k))[0] == q:
+                    yield encode_key(*m._decoded(key)), value
+
+
+def cold_column(e):
+    for d in range(1, 7):
+        e.invariant("cp2", d, ((3 * d - 1,),))
+
+
+def quadric_table(e):
+    e.full_table("p1xp1", (4, 3))
+
+
+def shared_top_weight(e):
+    # two constraints of the top weight with a branch >= 2: the rest of
+    # each top solve holds another target, and some keys sit in two vectors
+    for degree, cs in [(3, ((3,), (3,), (2,))), (3, ((2, 1), (2, 1), (2,))),
+                       (4, ((4,), (4,), (3,))), (4, ((3, 1), (2, 2), (3,)))]:
+        e.hat_invariant("cp2", degree, cs)
+    held = sum(len(vector) for vectors in e._vectors.values()
+               for vector in vectors.values())
+    assert held + len(e._values) > sum(1 for _ in e.memo_items())
+
+
+@pytest.mark.parametrize("work", [cold_column, quadric_table,
+                                  shared_top_weight])
+def test_memo_items_match_the_per_key_enumeration(work):
+    e = Engine()
+    work(e)
+    assert sorted(e.memo_items()) == sorted(per_key_memo_items(e))
