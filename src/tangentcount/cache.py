@@ -2,38 +2,132 @@
 
 File format: one record per line, ``ht:key<TAB>value``: a tangency
 invariant in the ordered-branch normalization, keyed by the canonical text
-of its arguments (engine.encode_key), with a decimal integer value.
-Damaged or unrecognized lines, including the ``gw:`` blowup records of
-older files, are skipped on load and dropped at the next write, so a
-damaged line never poisons a cache file.  The loaded records are the only
-copy: the engine looks a key's text up in them on a memo miss.
+of its arguments (engine.encode_key), with a decimal integer value.  The
+cache writes the file sorted, one line per key, and that order is its read
+index.  A load reads the lines as bytes and sorts them (linear on a sorted
+file); a lookup bisects them for ``ht:key<TAB>`` and parses the value of
+the one line it finds.  No record is parsed before a key is asked for.
 
-Harvesting merges a run's new results into the loaded records; the file is
-written once, at a clean close, atomically (temp file in the same
-directory, fsync, then rename) with one sorted record per key, so a run
-that raises leaves it as it was.  Concurrent runs are serialized by an
-advisory lock on the cache file itself; when the lock cannot be taken the
-cache opens read-only and says so on stderr.
+Damaged or unrecognized lines (no ``ht:`` prefix, no tab, a value that
+int() rejects, bytes that are not UTF-8), including the ``gw:`` blowup
+records of older files, are counted and skipped on load and dropped at the
+next write, so a damaged line never poisons a cache file.  The load looks
+at each line once: a run of lines that are all canonical records is kept
+as it is, and only a line that is not one is read on its own, as the text
+it holds (a value like ``007`` or a CRLF ending is written canonically; a
+last line without its newline is still a line).  Where a key has several
+lines, the later one in the file wins; only then is a dict of the lines
+built, to pick them.
+
+Harvesting formats the run's results as sorted lines and keeps those whose
+key no line holds; the file is written once, at a clean close, atomically
+(temp file in the same directory, fsync, then rename) as one streaming
+merge of the loaded and the new lines, so a run that raises leaves it as
+it was.  Concurrent runs are serialized by an advisory lock on the cache
+file itself; when the lock cannot be taken the cache opens read-only and
+says so on stderr.
 """
 
 import fcntl
+import heapq
 import os
+import re
 import sys
+from bisect import bisect_left
+from collections.abc import Mapping
+
+# Canonical lines, no two neighbours of one key; and lines with that second
+# property alone.  Matched on _CHUNK lines at a time joined, with one line
+# of overlap, which is sound because every line ends in its only newline;
+# the file is never held as one bytes object beside its lines.
+_CANONICAL = re.compile(rb"(?:(ht:[ -~]*+\t)(?:0|-?[1-9][0-9]*+)\n(?!\1))*+")
+_KEYS_ONCE = re.compile(rb"(?:([^\t]*+)\t[^\n]*+\n(?!\1\t))*+")
+_CHUNK = 1024
+
+
+def _records(line):
+    """The canonical lines a line holds, and how many damaged ones: itself
+    if it is canonical, else what the text reader the file format began
+    with would read in it."""
+    if _CANONICAL.fullmatch(line):
+        return [line], 0
+    try:
+        text = line.decode()
+    except UnicodeDecodeError:
+        return [], 1
+    out, bad = [], 0
+    for part in text.replace("\r", "\n").split("\n"):
+        if not part:
+            continue
+        head, sep, tail = part.partition("\t")
+        if not sep or not head.startswith("ht:"):
+            bad += 1
+            continue
+        try:
+            out.append(("%s\t%d\n" % (head, int(tail))).encode())
+        except ValueError:
+            bad += 1
+    return out, bad
+
+
+class Records(Mapping):
+    """Read-only {key text: value} over two lists of sorted canonical
+    lines, no key in both: the file's (old) and the run's (new)."""
+
+    def __init__(self):
+        self.old, self.new = [], []
+
+    def get(self, key, default=None):
+        # the engine's lookup, mostly misses: no KeyError raised per miss
+        head = b"ht:%s\t" % key.encode()
+        for lines in (self.old, self.new):
+            i = bisect_left(lines, head)
+            if i < len(lines) and lines[i].startswith(head):
+                return int(lines[i][len(head):])
+        return default
+
+    def __getitem__(self, key):
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __len__(self):
+        return len(self.old) + len(self.new)
+
+    def __iter__(self):
+        for line in heapq.merge(self.old, self.new):
+            yield line[3:line.index(b"\t")].decode()
+
+
+def _unheld(lines, held):
+    """The sorted lines whose key no line of sorted held has, in one pass
+    over both."""
+    if not held:
+        return lines
+    out, i = [], 0
+    for line in lines:
+        head = line[:line.index(b"\t") + 1]
+        i = bisect_left(held, head, i)
+        if i == len(held) or not held[i].startswith(head):
+            out.append(line)
+    return out
 
 
 class CountCache:
-    """One cache file: load at open, merge results as they are harvested,
-    write at close.  Usable as a context manager."""
+    """One cache file: its lines read and sorted at open, for entries to
+    bisect by key; the run's new lines kept beside them as they are
+    harvested; the merge of both written at close.  Usable as a context
+    manager."""
 
     def __init__(self, path):
         self.path = path
-        self.entries = {}
+        self.entries = Records()
         self.read_only = False
         self._handle = None
-        self._dirty = False
         try:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            self._handle = open(path, "a+")
+            self._handle = open(path, "a+b")
         except OSError as exc:
             print("cache %s unavailable (%s); running without persistence"
                   % (path, exc), file=sys.stderr)
@@ -48,23 +142,33 @@ class CountCache:
         self._load()
 
     def _load(self):
-        bad = 0
         self._handle.seek(0)
-        for line in self._handle:
-            line = line.rstrip("\n")
-            if not line:
+        lines = self._handle.readlines()
+        if lines and not lines[-1].endswith(b"\n"):
+            lines[-1] += b"\n"
+        kept, bad, clean = [], 0, True
+        for i in range(0, len(lines), _CHUNK):
+            part = lines[i:i + _CHUNK]
+            if _CANONICAL.fullmatch(b"".join(lines[i:i + _CHUNK + 1])):
+                kept += part
                 continue
-            head, sep, tail = line.partition("\t")
-            if not sep or not head.startswith("ht:"):
-                bad += 1
-                continue
-            try:
-                self.entries[head[3:]] = int(tail)
-            except ValueError:
-                bad += 1
+            clean = False
+            for line in part:
+                out, damaged = _records(line)
+                kept += out
+                bad += damaged
         if bad:
             print("cache %s: skipped %d unreadable line(s)"
                   % (self.path, bad), file=sys.stderr)
+        lines = sorted(kept)
+        # a clean file in sorted order has no two lines of a key
+        if not (clean and lines == kept) and not all(
+                _KEYS_ONCE.fullmatch(b"".join(lines[i:i + _CHUNK + 1]))
+                for i in range(0, len(lines), _CHUNK)):
+            # the last line of each key in file order
+            lines = sorted({line[:line.index(b"\t")]: line
+                            for line in kept}.values())
+        self.entries.old = lines
 
     def __enter__(self):
         return self
@@ -80,25 +184,27 @@ class CountCache:
         return len(self.entries)
 
     def harvest(self, engine):
-        """Merge the run's results that the records lack into entries, for
-        close to write; returns how many there were."""
-        size = len(self.entries)
-        for key, value in engine.memo_items():
-            self.entries.setdefault(key, value)
-        added = len(self.entries) - size
-        self._dirty = self._dirty or added > 0
+        """Format the run's results as sorted lines and keep, for close to
+        write, those whose key no record holds; returns how many."""
+        lines = sorted(b"ht:%s\t%d\n" % (key.encode(), value)
+                       for key, value in engine.memo_items())
+        lines = _unheld(_unheld(lines, self.entries.old), self.entries.new)
+        added = len(lines)
+        lines += self.entries.new
+        lines.sort()  # two sorted runs: one linear merge
+        self.entries.new = lines
         return added
 
     def close(self, compact=True):
-        """Release the file, rewriting it deduplicated and sorted if this
-        run added anything and exited cleanly."""
+        """Release the file, rewriting it as the merge of its lines and the
+        new ones if this run added any and exited cleanly."""
         if self._handle is None:
             return
-        if compact and self._dirty and not self.read_only:
+        if compact and self.entries.new and not self.read_only:
             tmp = "%s.%d.tmp" % (self.path, os.getpid())
-            with open(tmp, "w") as out:
-                out.writelines("ht:%s\t%d\n" % (key, self.entries[key])
-                               for key in sorted(self.entries))
+            with open(tmp, "wb") as out:
+                out.writelines(heapq.merge(self.entries.old,
+                                           self.entries.new))
                 out.flush()
                 os.fsync(out.fileno())
             os.replace(tmp, self.path)

@@ -349,12 +349,13 @@ def cmd_verify(args, parser):
 
 @contextmanager
 def _session(args):
-    """A fresh Engine reading the cache file's records, if there is one.
+    """A fresh Engine that looks its memo misses up in the cache file's
+    sorted lines, if there is one.
 
     Yields (engine, cache), cache None without a file.  On a clean exit
-    the run's results are harvested, for the cache to write as it closes,
-    and with --stats the work counters go to stderr; an exception skips
-    both, and the file is left as it was.
+    the run's new results are harvested, for the cache to merge into the
+    file as it closes, and with --stats the work counters go to stderr;
+    an exception skips both, and the file is left as it was.
     """
     path = None if args.no_cache else (
         args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))
@@ -374,8 +375,9 @@ def _session(args):
 
 
 def _was_cached(cache, key):
-    """Whether the file held the invariant key text when it was opened
-    (valid until the session harvests)."""
+    """Whether the file held the invariant key text when it was opened, by
+    one bisection of its sorted lines (valid until the session harvests,
+    which adds the run's new records)."""
     return cache is not None and key in cache.entries
 
 

@@ -3,7 +3,9 @@ damage tolerance, and the advisory lock."""
 
 import argparse
 import hashlib
+import json
 import os
+import random
 
 import pytest
 
@@ -185,3 +187,96 @@ def test_a_session_that_raises_leaves_the_file_as_it_was(tmp_path, capsys):
                        for key, _ in engine.memo_items())
             raise RuntimeError("stop")
     assert path.read_bytes() == before
+
+
+def test_a_shuffled_file_is_read_like_the_sorted_one(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    lines = build_d4_file(path, capsys).splitlines(keepends=True)
+    with CountCache(str(path)) as cache:
+        built = dict(cache.entries)
+    random.Random(4).shuffle(lines)
+    path.write_bytes(b"".join(lines))
+    with CountCache(str(path)) as cache:
+        assert cache.entries == built
+        assert cache.entries.old == sorted(lines)
+    assert main(["compute", "-d", "4", "-c", "(11)", "--cache-file",
+                 str(path), "--format", "json", "--stats"]) == 0
+    out, err = capsys.readouterr()
+    record, = json.loads(out)
+    assert (record["value"], record["provenance"]) == (26, "cached")
+    assert " solves=0 " in err
+    assert "unreadable" not in err
+
+
+def test_a_damaged_line_between_records_is_skipped(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    lines = build_d4_file(path, capsys).splitlines(keepends=True)
+    m = len(lines) // 2
+    before, after = (line.decode().rstrip("\n").partition("\t")
+                     for line in (lines[m - 1], lines[m + 1]))
+    lines[m] = lines[m].replace(b"\t", b" ")  # no tab: damaged
+    path.write_bytes(b"".join(lines))
+    with CountCache(str(path)) as cache:
+        assert len(cache.entries) == len(lines) - 1
+        for head, _, value in (before, after):
+            assert cache.entries[head[3:]] == int(value)
+    assert "skipped 1 unreadable" in capsys.readouterr().err
+
+
+def test_a_last_line_without_its_newline_is_one_line(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    data = build_d4_file(path, capsys)
+    lines = data.splitlines(keepends=True)
+    path.write_bytes(data[:-1])  # the last record is whole
+    with CountCache(str(path)) as cache:
+        assert cache.entries.old == lines
+    assert "unreadable" not in capsys.readouterr().err
+    # a record cut off before its tab as it was appended, sorting in front
+    # of the whole record of its key
+    head = lines[len(lines) // 2].partition(b"\t")[0]
+    path.write_bytes(data + head)
+    with CountCache(str(path)) as cache:
+        assert cache.entries.old == lines
+    assert "skipped 1 unreadable" in capsys.readouterr().err
+    assert main(["verify", "--max-d", "4", "--cache-file", str(path)]) == 0
+    assert main(["compute", "-d", "5", "-c", "(14)",
+                 "--cache-file", str(path)]) == 0
+    assert "skipped 1 unreadable" in capsys.readouterr().err
+    written = path.read_bytes().splitlines(keepends=True)
+    assert set(lines) < set(written)
+    assert all(line.count(b"ht:") == 1 and line.count(b"\t") == 1
+               for line in written)
+
+
+def test_a_write_merges_into_the_file_like_one_session(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    build_d4_file(path, capsys)
+    assert main(["compute", "-d", "5", "-c", "(14)",
+                 "--cache-file", str(path)]) == 0
+    assert capsys.readouterr().out == "217\n"
+    one = tmp_path / "one.txt"
+    args = argparse.Namespace(no_cache=False, cache_file=str(one),
+                              stats=False)
+    with _session(args) as (engine, _):
+        for d in range(1, 5):
+            engine.invariant("cp2", d, ((3 * d - 1,),))
+        engine.invariant("cp2", 5, ((14,),))
+    assert path.read_bytes() == one.read_bytes()
+
+
+@pytest.mark.parametrize("values, right_last", [
+    (["5", "4"], True), (["4", "5"], False),
+    # a line read on its own (not canonical) keeps its place in file order
+    (["5", "+4\r"], True), (["+4\r", "5"], False), (["005", "4"], True)])
+def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right_last):
+    path = tmp_path / "counts.txt"
+    path.write_text("".join("ht:cp2;3;(8)\t%s\n" % v for v in values),
+                    newline="")
+    with CountCache(str(path)) as cache:
+        assert cache.entries == {"cp2;3;(8)": int(values[-1])}
+        assert cache.entries.old == [b"ht:cp2;3;(8)\t%d\n" % int(values[-1])]
+    assert main(["verify", "--max-d", "3", "--cache-file", str(path)]) \
+        == (0 if right_last else 1)
+    out, err = capsys.readouterr()
+    assert ("cp2;3;(8) stored 5 computed 4" in out) != right_last
+    assert "unreadable" not in err

@@ -131,7 +131,8 @@ def test_closed_stdout_ends_the_run_quietly():
         env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.read(100).startswith(b"row,")
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0
     assert err == b""
 
@@ -391,6 +392,15 @@ def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
     assert not any(line.endswith("\t14") for line in records)
     assert all(line.startswith("ht:") for line in records)
     gw.reset()
+
+
+def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    path.write_bytes(b"ht:cp2;1;(2)\t1\n\xff\xfe garbage\n")
+    code, out, err = run(capsys, "compute", "-d", "1", "-c", "(2)",
+                         "--cache-file", str(path))
+    assert (code, out) == (0, "1\n")
+    assert "skipped 1 unreadable" in err
 
 
 
