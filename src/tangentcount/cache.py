@@ -86,6 +86,15 @@ class Records(Mapping):
                 return int(lines[i][len(head):])
         return default
 
+    def has_prefix(self, prefix):
+        """Whether some key text starting with prefix has a line."""
+        head = b"ht:%s" % prefix.encode()
+        for lines in (self.old, self.new):
+            i = bisect_left(lines, head)
+            if i < len(lines) and lines[i].startswith(head):
+                return True
+        return False
+
     def __getitem__(self, key):
         value = self.get(key)
         if value is None:

@@ -35,6 +35,7 @@ from partition counts; a weight's other diagrams are listed (by
 partition_list, as its solve_plan lists them) once one of them is coded.
 """
 
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
@@ -135,17 +136,31 @@ def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
     return key[:2] + (tuple(map(_diagram, key[2])),)
 
 
+def _packed(values):
+    """A solve's values as the narrowest int array holding them: typecode
+    'i', else 'q', else (past int64) a tuple of the ints."""
+    for typecode in "iq":
+        try:
+            return array(typecode, values)
+        except OverflowError:
+            pass
+    return tuple(values)
+
+
 class Engine:
     """Memoizing evaluator for tangency invariants over one process.
 
     The memo keeps one vector per solve, plus base case values and records
     read from ``stored``; a key of level k is answered by any weight-k
-    vector beside one of its targets.  Instances share only the diagram
+    vector beside one of its targets.  A vector is the solve's list, in
+    solve_plan(k).parts[1:] order, packed into the narrowest int array
+    that holds it (a tuple past int64).  Instances share only the diagram
     codes and the blowup backend memo, both pure functions of their keys,
     so results are independent of evaluation order.  ``stored`` maps key
-    text (encode_key) to hat-H records kept outside the engine, such as a
-    cache file's: a memo miss is looked up there, and every solved value
-    is checked against it.
+    text (encode_key) to hat-H records kept outside the engine and says
+    which classes it has lines for (has_prefix), as a cache file's Records
+    does: in those classes a memo miss is looked up there, and every
+    solved value is checked against it.
     """
 
     def __init__(self):
@@ -154,6 +169,15 @@ class Engine:
         self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0}
+
+    @property
+    def stored(self):
+        return self._stored
+
+    @stored.setter
+    def stored(self, records):
+        self._stored = records
+        self._held = {}  # (space, degree) -> whether records has a line
 
     # ------------------------------------------------------------- public API
 
@@ -241,8 +265,8 @@ class Engine:
                 if vector is not None:
                     hit = vector[c - lo - 1]
                     break
-        if hit is None and self.stored:
-            hit = self.stored.get(encode_key(*_decoded(key)))
+        if hit is None and self._holds(space, degree):
+            hit = self._stored.get(encode_key(*_decoded(key)))
             if hit is not None:
                 self._values[key] = hit
         if hit is not None:
@@ -272,6 +296,15 @@ class Engine:
             if vector is not None:
                 yield c, vector[c - lo - 1]
 
+    def _holds(self, space, degree):
+        """Whether stored has a line of the class, asked of it once per
+        class: a class it has none for needs no key text."""
+        held = self._held.get((space, degree))
+        if held is None:
+            held = self._held[space, degree] = bool(self._stored) and (
+                self._stored.has_prefix(encode_key(space, degree, ())))
+        return held
+
     def _base_case(self, space, degree, cs):
         """All-ones constraints: branch orders 1 everywhere, so the count is
         a blowup invariant with one multiplicity-b_i point per constraint,
@@ -293,21 +326,21 @@ class Engine:
                   for codes in _solve_inputs(k)]
         solved = solve_split_system(k, values[:-1], values[-1])
         self.counters["solves"] += 1
-        vector = tuple(solved.values())
-        if self.stored or rank[1] > 1:  # else no other vector holds a key
-            for q, value in enumerate(vector, _first[k] + 1):
+        held = self._holds(space, degree)
+        if held or rank[1] > 1:  # else no other vector holds a key
+            for q, value in enumerate(solved, _first[k] + 1):
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
                 olds = [old for _, old in self._holders(*key, k)]
-                if self.stored:
+                if held:
                     olds.append(
-                        self.stored.get(encode_key(*_decoded(key)), value))
+                        self._stored.get(encode_key(*_decoded(key)), value))
                 for old in olds:
                     if old != value:
                         raise InconsistencyError(
                             "conflicting values %d and %d for %s"
                             % (old, value, _decoded(key)))
-        self._vectors[space, degree][rest] = vector
-        return vector
+        self._vectors[space, degree][rest] = _packed(solved)
+        return solved
 
     # --------------------------------------------------------- cache plumbing
 

@@ -111,9 +111,10 @@ def solve_split_system(k, split_values, all_ones_value):
 
         split_values = all_ones_value * e_1 + A * unknowns
 
-    exactly and returns {y: invariant} for every y except the single column.
-    All results must come out integral; anything else means the inputs were
-    inconsistent and raises InconsistencyError.
+    exactly and returns the list of invariants of every y except the single
+    column, in solve_plan(k).parts[1:] order.  All results must come out
+    integral; anything else means the inputs were inconsistent and raises
+    InconsistencyError.
     """
     parts, _, merges = solve_plan(k)
     t = len(parts)
@@ -121,7 +122,7 @@ def solve_split_system(k, split_values, all_ones_value):
         raise ValueError("expected %d split values for weight %d, got %d"
                          % (t - 1, k, len(split_values)))
     if t == 1:  # weight 1: nothing to solve
-        return {}
+        return []
     # Unknown j is const[j] + coef[j] * top, top being the last unknown, the
     # single row (k); merge targets sit later in the order than their row.
     const, coef = [0] * (t - 1), [0] * (t - 2) + [1]
@@ -149,4 +150,4 @@ def solve_split_system(k, split_values, all_ones_value):
                 raise InconsistencyError(
                     "non-integral invariant %s for constraint %s at weight %d"
                     % (value, parts[j + 1], k))
-    return {parts[j + 1]: const[j] + coef[j] * top for j in range(t - 1)}
+    return [c + b * top for c, b in zip(const, coef)]

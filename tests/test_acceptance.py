@@ -2,9 +2,10 @@
 
 Each test prints one PASS line (visible with -s or -rA; the test name
 itself carries the verdict under -v).  Timed criteria assert their stated
-budget.  The extended tier of criterion 1 (degrees 8 and 9, a separate
-one-hour budget) runs only when TANGENTCOUNT_EXTENDED=1 is set, since it
-adds about one minute and 410 MB to an otherwise fast suite.
+budget.  The extended tier of criterion 1 (degrees 9 and 10 and the
+degree-10 sum identity, a separate one-hour budget) runs only when
+TANGENTCOUNT_EXTENDED=1 is set, since it adds about five minutes and
+1 GB to an otherwise fast suite.
 
 The frozen numbers below are deliberately restated literally rather than
 imported from the package, so an accidental edit of packaged data cannot
@@ -25,8 +26,10 @@ from tangentcount.partitions import (dual, local_double_points, multinomial,
                                      partitions_of, weight)
 from tangentcount.star import star, star_oracle
 
-TANGENCY_MAX = {1: 1, 2: 1, 3: 4, 4: 26, 5: 217, 6: 2110, 7: 22744}
-TANGENCY_MAX_EXTENDED = {8: 264057, 9: 3242395}
+TANGENCY_MAX = {1: 1, 2: 1, 3: 4, 4: 26, 5: 217, 6: 2110, 7: 22744,
+                8: 264057}
+TANGENCY_MAX_EXTENDED = {9: 3242395, 10: 41596252}
+N_10 = 40739017561997799680  # rational degree-10 curves through 29 points
 
 PLANE_COUNTS = {3: 12, 4: 620, 5: 87304, 6: 26312976, 7: 14616808192}
 
@@ -65,24 +68,25 @@ def test_criterion_01_full_tangency_counts_cold():
     elapsed = time.monotonic() - start
     assert got == TANGENCY_MAX
     assert elapsed < 300, "budget is five minutes, took %.1fs" % elapsed
-    print("PASS criterion 1: T_1..T_7 exact, cold cache, %.1fs "
+    print("PASS criterion 1: T_1..T_8 exact, cold cache, %.1fs "
           "(budget 300s)" % elapsed)
 
 
-def test_criterion_01_extended_degrees_eight_and_nine():
+def test_criterion_01_extended_degrees_nine_and_ten():
     if os.environ.get("TANGENTCOUNT_EXTENDED") != "1":
         print("SKIP criterion 1 extended: set TANGENTCOUNT_EXTENDED=1 to "
-              "run degrees 8 and 9 (about one minute, budget one hour)")
+              "run degrees 9 and 10 (about five minutes, budget one hour)")
         pytest.skip("extended tier disabled (TANGENTCOUNT_EXTENDED != 1)")
     engine = Engine()
     start = time.monotonic()
     got = {d: engine.invariant("cp2", d, ((3 * d - 1,),))
            for d in TANGENCY_MAX_EXTENDED}
-    elapsed = time.monotonic() - start
     assert got == TANGENCY_MAX_EXTENDED
+    assert engine.sum_identity("cp2", 10) == (N_10, N_10)
+    elapsed = time.monotonic() - start
     assert elapsed < 3600, "budget is one hour, took %.1fs" % elapsed
-    print("PASS criterion 1 extended: T_8, T_9 exact, %.1fs "
-          "(budget 3600s)" % elapsed)
+    print("PASS criterion 1 extended: T_9, T_10 and the degree-10 sum "
+          "identity exact, %.1fs (budget 3600s)" % elapsed)
 
 
 def test_criterion_02_single_point_tables():

@@ -280,3 +280,31 @@ def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right_last):
     out, err = capsys.readouterr()
     assert ("cp2;3;(8) stored 5 computed 4" in out) != right_last
     assert "unreadable" not in err
+
+
+def test_a_class_the_file_has_no_line_for_is_not_looked_up(tmp_path,
+                                                           monkeypatch):
+    # the engine asks the file whether it holds a class once, and builds
+    # no key text for a class it does not; handing it a file resets what
+    # it remembered, so a class seen before the file still reads from it
+    path = str(tmp_path / "counts.txt")
+    builder = fresh_state()
+    builder.invariant("cp2", 3, ((8,),))
+    with CountCache(path) as cache:
+        cache.harvest(builder)
+    engine = Engine()
+    assert engine.hat_invariant("cp2", 3, ((1,),) * 8) == 12
+    with CountCache(path) as cache:
+        assert cache.entries.has_prefix("cp2;3;")
+        assert not cache.entries.has_prefix("cp2;4;")
+        assert not cache.entries.has_prefix("cp2;3;(9")
+        asked, get = [], cache.entries.get
+        monkeypatch.setattr(cache.entries, "get", lambda key, default=None:
+                            asked.append(key) or get(key, default))
+        cache.preload(engine)
+        assert engine.invariant("cp2", 4, ((11,),)) == 26
+        assert asked == []
+        solves = engine.counters["solves"]
+        assert engine.invariant("cp2", 3, ((8,),)) == 4
+        assert asked == ["cp2;3;(8)"]
+        assert engine.counters["solves"] == solves

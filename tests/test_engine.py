@@ -3,6 +3,7 @@ tables, the point-count identity, the product expansion cross-check, and
 the quadric surface cases."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,10 +306,73 @@ def test_cold_column_work_is_pinned():
     assert sum(1 for _ in gw.memo_items()) == 268
 
 
-def test_overlapping_solve_vectors_are_cross_checked(monkeypatch):
-    # ((3,), (2, 1), (2,)) is held by two weight-3 solve vectors: the one
-    # next to ((3,), (2,)) and the one next to ((2, 1), (2,)).  Corrupt its
-    # entry in the first; the second solve re-derives it and must refuse
+def column_to_seven(e):
+    for d in range(1, 8):
+        e.invariant("cp2", d, ((3 * d - 1,),))
+
+
+def quadric_tables(e):
+    for bidegree in [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]:
+        e.full_table("p1xp1", bidegree)
+        e.sum_identity("p1xp1", bidegree)
+
+
+@pytest.mark.parametrize("work, pins", [
+    (column_to_seven, (29617, 30763, 385065, 1146, 371946, 631)),
+    (quadric_tables, (10508, 11314, 98581, 806, 95697, 915))])
+def test_cold_work_is_pinned(work, pins):
+    # the work of the benchmark's two in-process passes, counted: how the
+    # memo stores its vectors must not change what is solved or kept
+    gw.reset()
+    e = Engine()
+    work(e)
+    c = e.counters
+    assert (c["solves"], c["evaluations"], c["memo_hits"], c["base_cases"],
+            sum(1 for _ in e.memo_items()),
+            sum(1 for _ in gw.memo_items())) == pins
+
+
+def test_vectors_are_the_narrowest_int_arrays(monkeypatch):
+    # ((3,), (1,) * m) takes one weight-3 solve, beside all-ones points, on
+    # top of a weight-2 one; shifting the top solve's values past int32 and
+    # past int64 stores that vector as 'q' and as a tuple, and every value
+    # still reads back exactly
+    m = {2: 2, 3: 5, 4: 8}
+    clean = Engine()
+    for d in m:
+        clean.hat_invariant("cp2", d, ((3,),) + ((1,),) * m[d])
+    shifts = {2: 0, 3: 2**40, 4: 2**70}
+    real, shift = engine_module.solve_split_system, [0]
+
+    def shifted(k, split_values, all_ones_value):
+        solved = real(k, split_values, all_ones_value)
+        return [v + shift[0] for v in solved] if k == 3 else solved
+
+    monkeypatch.setattr(engine_module, "solve_split_system", shifted)
+    e = Engine()
+    for d in m:
+        shift[0] = shifts[d]
+        e.hat_invariant("cp2", d, ((3,),) + ((1,),) * m[d])
+    kinds = {d: sorted(getattr(v, "typecode", "tuple")
+                       for v in vectors.values())
+             for (_, d), vectors in e._vectors.items()}
+    assert kinds == {2: ["i", "i"], 3: ["i", "q"], 4: ["i", "tuple"]}
+    for d in m:
+        for top in [(3,), (2, 1)]:
+            key = (top,) + ((1,),) * m[d]
+            assert (e.hat_invariant("cp2", d, key)
+                    == clean.hat_invariant("cp2", d, key) + shifts[d])
+    expected = dict(clean.memo_items())
+    for text, value in e.memo_items():
+        d = int(text.split(";")[1])
+        top = text.split(";")[2].split("|")[0] in ("(3)", "(2,1)")
+        assert value == expected[text] + (shifts[d] if top else 0), text
+
+
+def corrupt_top_solve(monkeypatch, by):
+    """An Engine holding ((3,), (3,), (2,)) at degree 3 whose last solve,
+    the one next to ((3,), (2,)), stored its (2, 1) entry plus by, and the
+    true value of that entry's key ((3,), (2, 1), (2,))."""
     top = ((3,), (3,), (2,))
     clean = Engine()
     clean.hat_invariant("cp2", 3, top)
@@ -320,15 +384,34 @@ def test_overlapping_solve_vectors_are_cross_checked(monkeypatch):
         solved = real(k, split_values, all_ones_value)
         calls.append(k)
         if len(calls) == last:
-            solved[(2, 1)] += 1
+            solved[solve_plan(3).parts.index((2, 1)) - 1] += by
         return solved
 
     monkeypatch.setattr(engine_module, "solve_split_system", corrupt_last)
     e = Engine()
     e.hat_invariant("cp2", 3, top)
+    return e, clean.hat_invariant("cp2", 3, ((3,), (2, 1), (2,)))
+
+
+def test_overlapping_solve_vectors_are_cross_checked(monkeypatch):
+    # ((3,), (2, 1), (2,)) is held by two weight-3 solve vectors: the one
+    # next to ((3,), (2,)) and the one next to ((2, 1), (2,)).  Corrupt its
+    # entry in the first; the second solve re-derives it and must refuse
+    e, _ = corrupt_top_solve(monkeypatch, 1)
     with pytest.raises(InconsistencyError,
                        match=r"conflicting values \d+ and \d+ for "
                              r"\('cp2', 3, \(\(3,\), \(2, 1\), \(2,\)\)\)"):
+        e.hat_invariant("cp2", 3, ((2, 1), (2, 1), (2,)))
+
+
+def test_an_array_and_a_tuple_that_conflict_are_refused(monkeypatch):
+    # the same corruption past int64: the corrupt vector is a tuple, the
+    # one that re-derives the entry an int array, and both values are exact
+    e, value = corrupt_top_solve(monkeypatch, 2**70)
+    kinds = [type(v) for v in e._vectors["cp2", 3].values()]
+    assert kinds.count(tuple) == 1 and kinds.count(array) == len(kinds) - 1
+    with pytest.raises(InconsistencyError, match=r"conflicting values %d and "
+                       r"%d for " % (value + 2**70, value)):
         e.hat_invariant("cp2", 3, ((2, 1), (2, 1), (2,)))
 
 
