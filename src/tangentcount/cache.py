@@ -6,7 +6,8 @@ of its arguments (engine.encode_key), with a decimal integer value.  The
 cache writes the file sorted, one line per key, and that order is its read
 index.  A load reads the lines as bytes and sorts them (linear on a sorted
 file); a lookup bisects them for ``ht:key<TAB>`` and parses the value of
-the one line it finds.  No record is parsed before a key is asked for.
+the one line it finds.  The engine looks up only the keys its callers ask
+for, never a key of its recursion, so no record enters a solve.
 
 Damaged or unrecognized lines (no ``ht:`` prefix, no tab, a value that
 int() rejects, bytes that are not UTF-8), including the ``gw:`` blowup
@@ -20,12 +21,13 @@ lines, the later one in the file wins; only then is a dict of the lines
 built, to pick them.
 
 Harvesting formats the run's results as sorted lines and keeps those whose
-key no line holds; the file is written once, at a clean close, atomically
-(temp file in the same directory, fsync, then rename) as one streaming
-merge of the loaded and the new lines, so a run that raises leaves it as
-it was.  Concurrent runs are serialized by an advisory lock on the cache
-file itself; when the lock cannot be taken the cache opens read-only and
-says so on stderr.
+key no line holds; a line holding the key must be the same line, or the
+harvest raises InconsistencyError.  The file is written once, at a clean
+close, atomically (temp file in the same directory, fsync, then rename) as
+one streaming merge of the loaded and the new lines, so a run that raises,
+or a write that fails (said on stderr), leaves it as it was.  Concurrent
+runs are serialized by an advisory lock on the cache file itself; when the
+lock cannot be taken the cache opens read-only and says so on stderr.
 """
 
 import fcntl
@@ -35,6 +37,9 @@ import re
 import sys
 from bisect import bisect_left
 from collections.abc import Mapping
+from contextlib import suppress
+
+from .errors import InconsistencyError
 
 # Canonical lines, no two neighbours of one key; and lines with that second
 # property alone.  Matched on _CHUNK lines at a time joined, with one line
@@ -77,29 +82,13 @@ class Records(Mapping):
     def __init__(self):
         self.old, self.new = [], []
 
-    def get(self, key, default=None):
-        # the engine's lookup, mostly misses: no KeyError raised per miss
+    def __getitem__(self, key):
         head = b"ht:%s\t" % key.encode()
         for lines in (self.old, self.new):
             i = bisect_left(lines, head)
             if i < len(lines) and lines[i].startswith(head):
                 return int(lines[i][len(head):])
-        return default
-
-    def has_prefix(self, prefix):
-        """Whether some key text starting with prefix has a line."""
-        head = b"ht:%s" % prefix.encode()
-        for lines in (self.old, self.new):
-            i = bisect_left(lines, head)
-            if i < len(lines) and lines[i].startswith(head):
-                return True
-        return False
-
-    def __getitem__(self, key):
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
+        raise KeyError(key)
 
     def __len__(self):
         return len(self.old) + len(self.new)
@@ -111,7 +100,7 @@ class Records(Mapping):
 
 def _unheld(lines, held):
     """The sorted lines whose key no line of sorted held has, in one pass
-    over both."""
+    over both; a line whose key held has must be held's line."""
     if not held:
         return lines
     out, i = [], 0
@@ -120,6 +109,11 @@ def _unheld(lines, held):
         i = bisect_left(held, head, i)
         if i == len(held) or not held[i].startswith(head):
             out.append(line)
+        elif held[i] != line:
+            raise InconsistencyError(
+                "conflicting values %s (cache) and %s (computed) for %s"
+                % (held[i][len(head):-1].decode(),
+                   line[len(head):-1].decode(), head[3:-1].decode()))
     return out
 
 
@@ -187,14 +181,15 @@ class CountCache:
         return False
 
     def preload(self, engine):
-        """Hand the engine the stored records, which it reads by key text
-        on a memo miss; returns how many there are."""
+        """Hand the engine the stored records, which answer the keys it is
+        asked for by their text; returns how many there are."""
         engine.stored = self.entries
         return len(self.entries)
 
     def harvest(self, engine):
         """Format the run's results as sorted lines and keep, for close to
-        write, those whose key no record holds; returns how many."""
+        write, those whose key no record holds; returns how many.  Raises
+        InconsistencyError where a record holds a key with another value."""
         lines = sorted(b"ht:%s\t%d\n" % (key.encode(), value)
                        for key, value in engine.memo_items())
         lines = _unheld(_unheld(lines, self.entries.old), self.entries.new)
@@ -206,17 +201,25 @@ class CountCache:
 
     def close(self, compact=True):
         """Release the file, rewriting it as the merge of its lines and the
-        new ones if this run added any and exited cleanly."""
+        new ones if this run added any and exited cleanly.  A write that
+        fails leaves the file as it was and is reported on stderr."""
         if self._handle is None:
             return
         if compact and self.entries.new and not self.read_only:
-            tmp = "%s.%d.tmp" % (self.path, os.getpid())
-            with open(tmp, "wb") as out:
-                out.writelines(heapq.merge(self.entries.old,
-                                           self.entries.new))
-                out.flush()
-                os.fsync(out.fileno())
-            os.replace(tmp, self.path)
+            tmp, out = "%s.%d.tmp" % (self.path, os.getpid()), None
+            try:
+                with open(tmp, "wb") as out:
+                    out.writelines(heapq.merge(self.entries.old,
+                                               self.entries.new))
+                    out.flush()
+                    os.fsync(out.fileno())
+                os.replace(tmp, self.path)
+            except OSError as exc:
+                print("cache %s not written (%s)" % (self.path, exc),
+                      file=sys.stderr)
+                if out is not None:  # this run made tmp
+                    with suppress(OSError):
+                        os.remove(tmp)
         try:
             fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
         except OSError:

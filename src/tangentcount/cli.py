@@ -349,13 +349,14 @@ def cmd_verify(args, parser):
 
 @contextmanager
 def _session(args):
-    """A fresh Engine that looks its memo misses up in the cache file's
-    sorted lines, if there is one.
+    """A fresh Engine that looks each key it is asked for up in the cache
+    file's sorted lines, if there is one, and computes the rest.
 
     Yields (engine, cache), cache None without a file.  On a clean exit
     the run's new results are harvested, for the cache to merge into the
-    file as it closes, and with --stats the work counters go to stderr;
-    an exception skips both, and the file is left as it was.
+    file as it closes (a computed value that a record contradicts raises
+    InconsistencyError there), and with --stats the work counters go to
+    stderr; an exception skips both, and the file is left as it was.
     """
     path = None if args.no_cache else (
         args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))

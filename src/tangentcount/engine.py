@@ -99,8 +99,7 @@ def _offset(w):
 @lru_cache(maxsize=None)
 def _listed(k):
     """{diagram: code} over weight k's diagrams but (1,)*k; fills _LEVEL.
-    Listing a weight costs far less than its solve_plan, which a key
-    answered by a stored record never needs."""
+    Listing a weight costs far less than its solve_plan."""
     lo = _offset(k)
     codes = {q: lo + j for j, q in enumerate(partition_list(k)) if j}
     _LEVEL.update(dict.fromkeys(codes.values(), k))
@@ -150,42 +149,38 @@ def _packed(values):
 class Engine:
     """Memoizing evaluator for tangency invariants over one process.
 
-    The memo keeps one vector per solve, plus base case values and records
-    read from ``stored``; a key of level k is answered by any weight-k
-    vector beside one of its targets.  A vector is the solve's list, in
-    solve_plan(k).parts[1:] order, packed into the narrowest int array
-    that holds it (a tuple past int64).  Instances share only the diagram
-    codes and the blowup backend memo, both pure functions of their keys,
-    so results are independent of evaluation order.  ``stored`` maps key
-    text (encode_key) to hat-H records kept outside the engine and says
-    which classes it has lines for (has_prefix), as a cache file's Records
-    does: in those classes a memo miss is looked up there, and every
-    solved value is checked against it.
+    The memo keeps one vector per solve, plus base case values; a key of
+    level k is answered by any weight-k vector beside one of its targets.
+    A vector is the solve's list, in solve_plan(k).parts[1:] order, packed
+    into the narrowest int array that holds it (a tuple past int64).
+    Instances share only the diagram codes and the blowup backend memo,
+    both pure functions of their keys, so results are independent of
+    evaluation order.  ``stored`` maps key text (encode_key) to hat-H
+    records kept outside the engine, as a cache file's Records does: it
+    answers a key hat_invariant is asked for, counted as a memo hit, but
+    never a key of the recursion, so nothing read from it enters a solve
+    or the memo.
     """
 
     def __init__(self):
         self._vectors = defaultdict(dict)  # {(space, degree): {rest: vector}}
-        self._values = {}  # all-ones base cases and records read
+        self._values = {}  # all-ones base cases
         self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0}
 
-    @property
-    def stored(self):
-        return self._stored
-
-    @stored.setter
-    def stored(self, records):
-        self._stored = records
-        self._held = {}  # (space, degree) -> whether records has a line
-
     # ------------------------------------------------------------- public API
 
     def hat_invariant(self, space, degree, constraints):
-        """The ordered-branch invariant hat-H for the given key (0 off-shell)."""
+        """The ordered-branch invariant hat-H for the given key (0 off-shell):
+        its record in stored if there is one, else computed."""
         cs = canonical_constraints(constraints)
         if sum(map(weight, cs)) != gw.chern_number(space, degree) - 1:
             return 0
+        hit = self.stored.get(encode_key(space, degree, cs))
+        if hit is not None:
+            self.counters["memo_hits"] += 1
+            return hit
         return self._eval(space, degree, tuple(map(_code, cs)), None)
 
     def invariant(self, space, degree, constraints):
@@ -265,10 +260,6 @@ class Engine:
                 if vector is not None:
                     hit = vector[c - lo - 1]
                     break
-        if hit is None and self._holds(space, degree):
-            hit = self._stored.get(encode_key(*_decoded(key)))
-            if hit is not None:
-                self._values[key] = hit
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
@@ -296,15 +287,6 @@ class Engine:
             if vector is not None:
                 yield c, vector[c - lo - 1]
 
-    def _holds(self, space, degree):
-        """Whether stored has a line of the class, asked of it once per
-        class: a class it has none for needs no key text."""
-        held = self._held.get((space, degree))
-        if held is None:
-            held = self._held[space, degree] = bool(self._stored) and (
-                self._stored.has_prefix(encode_key(space, degree, ())))
-        return held
-
     def _base_case(self, space, degree, cs):
         """All-ones constraints: branch orders 1 everywhere, so the count is
         a blowup invariant with one multiplicity-b_i point per constraint,
@@ -320,21 +302,16 @@ class Engine:
     def _solve_at(self, space, degree, rest, k, rank):
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
-        against every other vector and stored record holding its key."""
+        against every other vector holding its key."""
         values = [self._eval(space, degree,
                              tuple(sorted(rest + codes, reverse=True)), rank)
                   for codes in _solve_inputs(k)]
         solved = solve_split_system(k, values[:-1], values[-1])
         self.counters["solves"] += 1
-        held = self._holds(space, degree)
-        if held or rank[1] > 1:  # else no other vector holds a key
+        if rank[1] > 1:  # else no other vector holds a key
             for q, value in enumerate(solved, _first[k] + 1):
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
-                olds = [old for _, old in self._holders(*key, k)]
-                if held:
-                    olds.append(
-                        self._stored.get(encode_key(*_decoded(key)), value))
-                for old in olds:
+                for _, old in self._holders(*key, k):
                     if old != value:
                         raise InconsistencyError(
                             "conflicting values %d and %d for %s"
@@ -349,10 +326,8 @@ class Engine:
         key is yielded by the first vector, in target order, holding it,
         so only vectors beside rest's own larger targets can come first.
         A vector's key texts share the text of rest around the target's."""
-        for key, value in self._values.items():
-            k = _rank(map(_LEVEL.get, key[2]))[0]
-            if next(self._holders(*key, k), None) is None:
-                yield encode_key(*_decoded(key)), value
+        for key, value in self._values.items():  # all-ones: in no vector
+            yield encode_key(*_decoded(key)), value
         for (space, degree), vectors in self._vectors.items():
             on_shell = gw.chern_number(space, degree) - 1
             head = encode_key(space, degree, ())

@@ -11,8 +11,9 @@ import pytest
 
 from tangentcount import gw
 from tangentcount.cache import CountCache
-from tangentcount.cli import _session, main
-from tangentcount.engine import Engine
+from tangentcount.cli import _session, main, parse_constraints
+from tangentcount.engine import Engine, encode_key
+from tangentcount.partitions import diagram_text, partitions_of
 
 
 def fresh_state():
@@ -117,8 +118,8 @@ def test_append_then_compact_keeps_everything(tmp_path):
 
 
 def test_a_read_copies_only_the_key_it_asks_for(tmp_path):
-    # the file's records are the only copy: a cached read memoises the one
-    # record it needs, and so has nothing to append
+    # the file's records are the only copy: a cached read answers from the
+    # one record it needs, memoises nothing, and so has nothing to append
     path = str(tmp_path / "counts.txt")
     builder = fresh_state()
     for d in range(1, 5):
@@ -129,7 +130,7 @@ def test_a_read_copies_only_the_key_it_asks_for(tmp_path):
     with CountCache(path) as cache:
         assert cache.preload(engine) == len(cache.entries) > 1000
         assert engine.hat_invariant("cp2", 4, ((11,),)) == 26
-        assert list(engine.memo_items()) == [("cp2;4;(11)", 26)]
+        assert list(engine.memo_items()) == []
         assert cache.harvest(engine) == 0
 
 
@@ -282,11 +283,11 @@ def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right_last):
     assert "unreadable" not in err
 
 
-def test_a_class_the_file_has_no_line_for_is_not_looked_up(tmp_path,
-                                                           monkeypatch):
-    # the engine asks the file whether it holds a class once, and builds
-    # no key text for a class it does not; handing it a file resets what
-    # it remembered, so a class seen before the file still reads from it
+def test_only_asked_keys_are_looked_up(tmp_path, monkeypatch):
+    # the engine looks up the key it is asked for, once, and no key of its
+    # recursion: a key the file lacks is computed without reading it, and
+    # a key it holds is answered with no solve, also by an engine that
+    # computed before the file was handed to it
     path = str(tmp_path / "counts.txt")
     builder = fresh_state()
     builder.invariant("cp2", 3, ((8,),))
@@ -295,16 +296,111 @@ def test_a_class_the_file_has_no_line_for_is_not_looked_up(tmp_path,
     engine = Engine()
     assert engine.hat_invariant("cp2", 3, ((1,),) * 8) == 12
     with CountCache(path) as cache:
-        assert cache.entries.has_prefix("cp2;3;")
-        assert not cache.entries.has_prefix("cp2;4;")
-        assert not cache.entries.has_prefix("cp2;3;(9")
         asked, get = [], cache.entries.get
         monkeypatch.setattr(cache.entries, "get", lambda key, default=None:
                             asked.append(key) or get(key, default))
         cache.preload(engine)
         assert engine.invariant("cp2", 4, ((11,),)) == 26
-        assert asked == []
+        assert asked == ["cp2;4;(11)"]
+        del asked[:]
         solves = engine.counters["solves"]
         assert engine.invariant("cp2", 3, ((8,),)) == 4
         assert asked == ["cp2;3;(8)"]
         assert engine.counters["solves"] == solves
+
+
+def test_a_failed_write_at_close_is_reported_and_releases_the_lock(
+        tmp_path, capsys, monkeypatch):
+    # in process, so that os.getpid() names the temp file close writes
+    path = tmp_path / "counts.txt"
+    blocker = tmp_path / ("counts.txt.%d.tmp" % os.getpid())
+    blocker.mkdir()
+    assert main(["compute", "-d", "3", "-c", "(8)",
+                 "--cache-file", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "4\n"
+    assert err.count("\n") == 1 and "not written" in err
+    assert "Traceback" not in err
+    assert path.read_bytes() == b""
+    assert blocker.is_dir()  # not this run's to remove
+    with CountCache(str(path)) as cache:
+        assert not cache.read_only  # the lock was released
+    assert sorted(os.listdir(tmp_path)) == ["counts.txt", blocker.name]
+    # a temp file this run wrote is removed when the rename fails
+    blocker.rmdir()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["compute", "-d", "3", "-c", "(8)",
+                 "--cache-file", str(path)]) == 0
+    assert "rename refused" in capsys.readouterr().err
+    assert path.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["counts.txt"]
+
+
+def on_shell_keys(d):
+    """Every on-shell plane key of degree d, as canonical constraints."""
+    diagrams = sorted(((w, p) for w in range(1, 3 * d)
+                       for p in partitions_of(w)), reverse=True)
+
+    def keys(left, start):
+        if not left:
+            yield ()
+        for j in range(start, len(diagrams)):
+            w, p = diagrams[j]
+            if w <= left:
+                yield from ((p,) + rest for rest in keys(left - w, j))
+    return list(keys(3 * d - 1, 0))
+
+
+def test_a_wrong_record_never_spreads(tmp_path, capsys):
+    # one record of a cold d <= 4 file is made wrong, then a key is asked
+    # for, most often one the file lacks, whose computation meets the
+    # wrong record: the run prints the true value unless it asked for the
+    # wrong record itself, and it writes no line but true ones, refusing
+    # with exit 3 where a value it computed contradicts the record
+    path = tmp_path / "counts.txt"
+    lines = build_d4_file(path, capsys).decode().splitlines()
+    held = {line[3:line.index("\t")] for line in lines}
+    everything = [(d, cs) for d in range(1, 5) for cs in on_shell_keys(d)]
+    absent = [(d, cs) for d, cs in everything
+              if encode_key("cp2", d, cs) not in held]
+    truth, known = Engine(), {}
+
+    def true_value(text):
+        if text not in known:
+            space, dtext, ctext = text.split(";")
+            known[text] = truth.hat_invariant(
+                space, int(dtext), parse_constraints(ctext.replace("|", ";")))
+        return known[text]
+
+    rng = random.Random(12)
+    refused = 0
+    for _ in range(25):
+        d, cs = rng.choice(absent if rng.random() < 0.7 else everything)
+        fresh = Engine()
+        fresh.hat_invariant("cp2", d, cs)
+        met = {text for text, _ in fresh.memo_items()}
+        near = [i for i, line in enumerate(lines)
+                if line[3:line.index("\t")] in met]
+        i = rng.choice(near if near and rng.random() < 0.8
+                       else range(len(lines)))
+        head, value = lines[i].split("\t")
+        wrong = "%s\t%d" % (head, int(value) + rng.choice((-7, -1, 1, 999)))
+        path.write_text("\n".join(lines[:i] + [wrong] + lines[i + 1:]) + "\n")
+        code = main(["compute", "-d", str(d), "-c",
+                     ";".join(map(diagram_text, cs)), "--hat",
+                     "--cache-file", str(path)])
+        out = capsys.readouterr().out
+        assert code in (0, 3)
+        refused += code == 3
+        key = encode_key("cp2", d, cs)
+        if key != head[3:]:
+            assert out == "%d\n" % true_value(key)
+        for line in path.read_text().splitlines():
+            if line != wrong:
+                text, value = line[3:].split("\t")
+                assert int(value) == true_value(text), line
+    assert refused  # some runs met the wrong record

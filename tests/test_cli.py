@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tangentcount
-from tangentcount import engine as engine_module, gw, matrices
+from tangentcount import engine as engine_module, gw, matrices, partitions
 from tangentcount.cli import main, parse_constraints, parse_degree
 from tangentcount.partitions import partitions_of
 
@@ -406,24 +406,45 @@ def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
 
 def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
                                                         monkeypatch):
-    # coding (47) lists its p(47) = 124,754 diagrams, but a key answered
-    # by a record needs no solve, so no weight-47 merge table is built
+    # a key answered by a record is looked up before it is coded, so
+    # neither its p(47) = 124,754 diagrams are listed nor a weight-47
+    # merge table is built
     path = tmp_path / "counts.txt"
     path.write_text("ht:cp2;16;(47)\t5\n")
-    planned = []
-    real = matrices.solve_plan
+    planned, listed = [], []
+    real_plan, real_list = matrices.solve_plan, partitions.partition_list
 
-    def recording(k):
+    def planning(k):
         planned.append(k)
-        return real(k)
+        return real_plan(k)
+
+    def listing(k):
+        listed.append(k)
+        return real_list(k)
 
     for module in (matrices, engine_module):
-        monkeypatch.setattr(module, "solve_plan", recording)
+        monkeypatch.setattr(module, "solve_plan", planning)
+        monkeypatch.setattr(module, "partition_list", listing)
     code, out, _ = run(capsys, "compute", "-d", "16", "-c", "(47)",
                        "--cache-file", str(path))
     assert (code, out) == (0, "5\n")
     assert 47 not in planned
+    assert 47 not in listed
     assert path.read_text() == "ht:cp2;16;(47)\t5\n"
+
+
+def test_a_wrong_record_is_not_read_into_a_computation(tmp_path, capsys):
+    # (7)|(1) is 5, and T_3 = 4 is computed through it: the record is not
+    # read, the computed value is printed, and the harvest that meets the
+    # record refuses it, leaving the file as it was
+    path = tmp_path / "counts.txt"
+    path.write_text("ht:cp2;3;(7)|(1)\t999\n")
+    before = path.read_bytes()
+    code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
+                         "--cache-file", str(path))
+    assert (code, out) == (3, "4\n")
+    assert "cp2;3;(7)|(1)" in err
+    assert path.read_bytes() == before
 
 # Random command lines from the grammar of parse_degree/parse_constraints,
 # with garbage mixed in.  Valid degrees stay at most 5 (bidegrees at most

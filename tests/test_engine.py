@@ -269,28 +269,34 @@ def test_absorbed_values_are_used(tmp_path):
 
 def test_inconsistent_preload_is_detected(tmp_path):
     # corrupt a key that the splitting solve will re-derive: the solve at
-    # weight 3 recomputes every weight-3 diagram next to (2), compares
-    # against the stored value, and must refuse to continue
+    # weight 3 recomputes every weight-3 diagram next to (2) without
+    # reading the record, and the harvest, which compares every computed
+    # value with the file, must refuse it
     path = str(tmp_path / "counts.txt")
     write_cache(path, ["ht:cp2;2;(2,1)|(2)\t777"])
     e = Engine()
     with CountCache(path) as cache:
         cache.preload(e)
-        with pytest.raises(InconsistencyError):
-            e.hat_invariant("cp2", 2, ((3,), (2,)))
+        assert e.hat_invariant("cp2", 2, ((3,), (2,))) == \
+            Engine().hat_invariant("cp2", 2, ((3,), (2,)))
+        with pytest.raises(InconsistencyError, match=r"cp2;2;\(2,1\)\|\(2\)"):
+            cache.harvest(e)
 
 
 def test_inconsistent_record_read_before_the_solve_is_detected(tmp_path):
     # the same corrupt record, read directly first: it is returned as
-    # stored, and the solve that re-derives it later still refuses it
+    # stored, the solve that re-derives it later does not use it, and the
+    # harvest still refuses it
     path = str(tmp_path / "counts.txt")
     write_cache(path, ["ht:cp2;2;(2,1)|(2)\t777"])
     e = Engine()
     with CountCache(path) as cache:
         cache.preload(e)
         assert e.hat_invariant("cp2", 2, ((2, 1), (2,))) == 777
-        with pytest.raises(InconsistencyError):
-            e.hat_invariant("cp2", 2, ((3,), (2,)))
+        assert e.hat_invariant("cp2", 2, ((3,), (2,))) == \
+            Engine().hat_invariant("cp2", 2, ((3,), (2,)))
+        with pytest.raises(InconsistencyError, match=r"cp2;2;\(2,1\)\|\(2\)"):
+            cache.harvest(e)
 
 
 def test_cold_column_work_is_pinned():
