@@ -9,29 +9,27 @@ file); a lookup bisects them for ``ht:key<TAB>`` and parses the value of
 the one line it finds.  The engine looks up only the keys its callers ask
 for, never a key of its recursion, so no record enters a solve.
 
-Damaged or unrecognized lines (no ``ht:`` prefix, no tab, a value that
-int() rejects, bytes that are not UTF-8), including the ``gw:`` blowup
-records of older files, are counted and skipped on load and dropped at the
-next write, so a damaged line never poisons a cache file.  The load looks
-at each line once: a run of lines that are all canonical records is kept
-as it is, and only a line that is not one is read on its own, as the text
-it holds (a value like ``007`` or a CRLF ending is written canonically; a
-last line without its newline is still a line).  Where a key has several
-lines, the later one in the file wins; only then is a dict of the lines
-built, to pick them.
+A line is a record only in the exact form the cache writes: ``ht:``, a
+printable ASCII key, a tab, a value of at most 640 digits with no leading
+zero or ``+`` (640 is the least limit int() can be set to, so a record
+always parses), and a newline.  Any other line (``007``, a CRLF ending, no
+tab, bytes that are not UTF-8, the ``gw:`` blowup records of older files)
+is counted and skipped on load and dropped at the next write, so a damaged
+line never poisons a cache file; a last line without its newline is still
+a line.  Where a key has several lines, the later one in the file wins;
+only then is a dict of the lines built, to pick them.
 
-Harvesting formats the run's results as sorted lines and keeps those whose
-key no line holds; a line holding the key must be the same line, or the
-harvest raises InconsistencyError.  The file is written once, at a clean
-close, atomically (temp file in the same directory, fsync, then rename) as
-one streaming merge of the loaded and the new lines, so a run that raises,
-or a write that fails (said on stderr), leaves it as it was.  Concurrent
-runs are serialized by an advisory lock on the cache file itself; when the
-lock cannot be taken the cache opens read-only and says so on stderr.
+Harvesting merges into the sorted records the run's results whose key no
+record holds; a record holding the key must be the same line, or the
+harvest raises InconsistencyError.  A clean close after a harvest that
+added records writes them all, atomically (temp file in the same
+directory, fsync, then rename), so a run that raises, or a write that
+fails (said on stderr), leaves the file as it was.  Concurrent runs are
+serialized by an advisory lock on the cache file itself; when the lock
+cannot be taken the cache opens read-only and says so on stderr.
 """
 
 import fcntl
-import heapq
 import os
 import re
 import sys
@@ -44,57 +42,33 @@ from .errors import InconsistencyError
 # Canonical lines, no two neighbours of one key; and lines with that second
 # property alone.  Matched on _CHUNK lines at a time joined, with one line
 # of overlap, which is sound because every line ends in its only newline;
-# the file is never held as one bytes object beside its lines.
-_CANONICAL = re.compile(rb"(?:(ht:[ -~]*+\t)(?:0|-?[1-9][0-9]*+)\n(?!\1))*+")
+# the file is never held as one bytes object beside its lines.  A chunk of
+# the file that fails is matched again one line at a time.
+_CANONICAL = re.compile(
+    rb"(?:(ht:[ -~]*+\t)(?:0|-?[1-9][0-9]{0,639}+)\n(?!\1))*+")
 _KEYS_ONCE = re.compile(rb"(?:([^\t]*+)\t[^\n]*+\n(?!\1\t))*+")
 _CHUNK = 1024
 
 
-def _records(line):
-    """The canonical lines a line holds, and how many damaged ones: itself
-    if it is canonical, else what the text reader the file format began
-    with would read in it."""
-    if _CANONICAL.fullmatch(line):
-        return [line], 0
-    try:
-        text = line.decode()
-    except UnicodeDecodeError:
-        return [], 1
-    out, bad = [], 0
-    for part in text.replace("\r", "\n").split("\n"):
-        if not part:
-            continue
-        head, sep, tail = part.partition("\t")
-        if not sep or not head.startswith("ht:"):
-            bad += 1
-            continue
-        try:
-            out.append(("%s\t%d\n" % (head, int(tail))).encode())
-        except ValueError:
-            bad += 1
-    return out, bad
-
-
 class Records(Mapping):
-    """Read-only {key text: value} over two lists of sorted canonical
-    lines, no key in both: the file's (old) and the run's (new)."""
+    """Read-only {key text: value} over one sorted list of canonical lines,
+    one per key."""
 
     def __init__(self):
-        self.old, self.new = [], []
+        self.lines = []
 
     def __getitem__(self, key):
         head = b"ht:%s\t" % key.encode()
-        for lines in (self.old, self.new):
-            i = bisect_left(lines, head)
-            if i < len(lines) and lines[i].startswith(head):
-                return int(lines[i][len(head):])
+        i = bisect_left(self.lines, head)
+        if i < len(self.lines) and self.lines[i].startswith(head):
+            return int(self.lines[i][len(head):])
         raise KeyError(key)
 
     def __len__(self):
-        return len(self.old) + len(self.new)
+        return len(self.lines)
 
     def __iter__(self):
-        for line in heapq.merge(self.old, self.new):
+        for line in self.lines:
             yield line[3:line.index(b"\t")].decode()
 
 
@@ -118,15 +92,16 @@ def _unheld(lines, held):
 
 
 class CountCache:
-    """One cache file: its lines read and sorted at open, for entries to
-    bisect by key; the run's new lines kept beside them as they are
-    harvested; the merge of both written at close.  Usable as a context
+    """One cache file: its records read and sorted at open, for entries to
+    bisect by key; the run's new records merged into them as they are
+    harvested; all of them written at close.  Usable as a context
     manager."""
 
     def __init__(self, path):
         self.path = path
         self.entries = Records()
         self.read_only = False
+        self._added = False
         self._handle = None
         try:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -149,20 +124,17 @@ class CountCache:
         lines = self._handle.readlines()
         if lines and not lines[-1].endswith(b"\n"):
             lines[-1] += b"\n"
-        kept, bad, clean = [], 0, True
+        kept, clean = [], True
         for i in range(0, len(lines), _CHUNK):
             part = lines[i:i + _CHUNK]
             if _CANONICAL.fullmatch(b"".join(lines[i:i + _CHUNK + 1])):
                 kept += part
-                continue
-            clean = False
-            for line in part:
-                out, damaged = _records(line)
-                kept += out
-                bad += damaged
-        if bad:
+            else:
+                clean = False
+                kept += filter(_CANONICAL.fullmatch, part)
+        if len(kept) < len(lines):
             print("cache %s: skipped %d unreadable line(s)"
-                  % (self.path, bad), file=sys.stderr)
+                  % (self.path, len(lines) - len(kept)), file=sys.stderr)
         lines = sorted(kept)
         # a clean file in sorted order has no two lines of a key
         if not (clean and lines == kept) and not all(
@@ -171,7 +143,7 @@ class CountCache:
             # the last line of each key in file order
             lines = sorted({line[:line.index(b"\t")]: line
                             for line in kept}.values())
-        self.entries.old = lines
+        self.entries.lines = lines
 
     def __enter__(self):
         return self
@@ -187,30 +159,30 @@ class CountCache:
         return len(self.entries)
 
     def harvest(self, engine):
-        """Format the run's results as sorted lines and keep, for close to
-        write, those whose key no record holds; returns how many.  Raises
+        """Merge into the records, for close to write, the run's results
+        whose key no record holds; returns how many.  Raises
         InconsistencyError where a record holds a key with another value."""
-        lines = sorted(b"ht:%s\t%d\n" % (key.encode(), value)
-                       for key, value in engine.memo_items())
-        lines = _unheld(_unheld(lines, self.entries.old), self.entries.new)
+        lines = _unheld(sorted(b"ht:%s\t%d\n" % (key.encode(), value)
+                               for key, value in engine.memo_items()),
+                        self.entries.lines)
         added = len(lines)
-        lines += self.entries.new
-        lines.sort()  # two sorted runs: one linear merge
-        self.entries.new = lines
+        if added:
+            lines += self.entries.lines
+            lines.sort()  # two sorted runs: one linear merge
+            self.entries.lines, self._added = lines, True
         return added
 
     def close(self, compact=True):
-        """Release the file, rewriting it as the merge of its lines and the
-        new ones if this run added any and exited cleanly.  A write that
-        fails leaves the file as it was and is reported on stderr."""
+        """Release the file, rewriting it as the sorted records if this run
+        added any and exited cleanly.  A write that fails leaves the file
+        as it was and is reported on stderr."""
         if self._handle is None:
             return
-        if compact and self.entries.new and not self.read_only:
+        if compact and self._added and not self.read_only:
             tmp, out = "%s.%d.tmp" % (self.path, os.getpid()), None
             try:
                 with open(tmp, "wb") as out:
-                    out.writelines(heapq.merge(self.entries.old,
-                                               self.entries.new))
+                    out.writelines(self.entries.lines)
                     out.flush()
                     os.fsync(out.fileno())
                 os.replace(tmp, self.path)

@@ -148,7 +148,7 @@ def cmd_compute(args, parser):
     else:
         _check_key_size(parser, args.space, degree, cs)
     with _session(args) as (engine, cache):
-        cached = total == needed and _was_cached(cache, key)
+        cached = total == needed and cache is not None and key in cache.entries
         if args.hat:
             value = engine.hat_invariant(args.space, degree, constraints)
         else:
@@ -193,16 +193,15 @@ def cmd_table(args, parser):
         else:
             fields = ["key", "value", "provenance"]
             for d in range(low, high + 1):
-                for p in partitions_of(3 * d - 1):
-                    n = engine.invariant("cp2", d, (p,))
-                    if n:
-                        key = encode_key("cp2", d, (p,))
-                        records.append({
-                            "key": key,
-                            "value": n,
-                            "provenance": "cached"
-                            if _was_cached(cache, key) else "computed",
-                        })
+                for p, n in engine.full_table("cp2", d).items():
+                    key = encode_key("cp2", d, (p,))
+                    records.append({
+                        "key": key,
+                        "value": n,
+                        "provenance": "cached"
+                        if cache is not None and key in cache.entries
+                        else "computed",
+                    })
         emit_records(records, fields, args.format, sys.stdout)
     return 0
 
@@ -373,13 +372,6 @@ def _session(args):
             if cache:
                 pairs.append("cache_entries=%d" % len(cache.entries))
             print("stats: " + " ".join(pairs), file=sys.stderr)
-
-
-def _was_cached(cache, key):
-    """Whether the file held the invariant key text when it was opened, by
-    one bisection of its sorted lines (valid until the session harvests,
-    which adds the run's new records)."""
-    return cache is not None and key in cache.entries
 
 
 def _check_key_size(parser, space, degree, cs):

@@ -166,20 +166,23 @@ def cremona_move(degree, mults=()):
             tuple(sorted(new + m[3:], reverse=True)))
 
 
-def is_exceptional(degree, mults=(), max_steps=200):
+CREMONA_STEPS = 200  # bound on the Cremona moves is_exceptional makes
+
+
+def is_exceptional(degree, mults=()):
     """Whether the class is that of an exceptional sphere (count always 1).
 
     Requires self-intersection -1 and Chern pairing 1, then tries to reduce
     the class to a single blowup generator E_i by repeated Cremona moves.
-    The reduction is bounded at max_steps; a class that is still unresolved
-    then is reported False (undetermined) rather than guessed at.
+    The reduction is bounded at CREMONA_STEPS; a class that is still
+    unresolved then is reported False (undetermined) rather than guessed at.
     """
     if chern_number("cp2", degree, mults) != 1:
         return False
     if self_intersection("cp2", degree, mults) != -1:
         return False
     d, m = degree, tuple(mults)
-    for _ in range(max_steps):
+    for _ in range(CREMONA_STEPS):
         if d < 0:
             return False
         if d == 0:

@@ -2,12 +2,17 @@
 damage tolerance, and the advisory lock."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tangentcount import gw
 from tangentcount.cache import CountCache
@@ -199,7 +204,7 @@ def test_a_shuffled_file_is_read_like_the_sorted_one(tmp_path, capsys):
     path.write_bytes(b"".join(lines))
     with CountCache(str(path)) as cache:
         assert cache.entries == built
-        assert cache.entries.old == sorted(lines)
+        assert cache.entries.lines == sorted(lines)
     assert main(["compute", "-d", "4", "-c", "(11)", "--cache-file",
                  str(path), "--format", "json", "--stats"]) == 0
     out, err = capsys.readouterr()
@@ -230,14 +235,14 @@ def test_a_last_line_without_its_newline_is_one_line(tmp_path, capsys):
     lines = data.splitlines(keepends=True)
     path.write_bytes(data[:-1])  # the last record is whole
     with CountCache(str(path)) as cache:
-        assert cache.entries.old == lines
+        assert cache.entries.lines == lines
     assert "unreadable" not in capsys.readouterr().err
     # a record cut off before its tab as it was appended, sorting in front
     # of the whole record of its key
     head = lines[len(lines) // 2].partition(b"\t")[0]
     path.write_bytes(data + head)
     with CountCache(str(path)) as cache:
-        assert cache.entries.old == lines
+        assert cache.entries.lines == lines
     assert "skipped 1 unreadable" in capsys.readouterr().err
     assert main(["verify", "--max-d", "4", "--cache-file", str(path)]) == 0
     assert main(["compute", "-d", "5", "-c", "(14)",
@@ -265,22 +270,26 @@ def test_a_write_merges_into_the_file_like_one_session(tmp_path, capsys):
     assert path.read_bytes() == one.read_bytes()
 
 
-@pytest.mark.parametrize("values, right_last", [
+@pytest.mark.parametrize("values, right", [
     (["5", "4"], True), (["4", "5"], False),
-    # a line read on its own (not canonical) keeps its place in file order
-    (["5", "+4\r"], True), (["+4\r", "5"], False), (["005", "4"], True)])
-def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right_last):
+    # a line not in the written form is unreadable, wherever it stands
+    (["4", "+5\r"], True), (["+4\r", "5"], False), (["005", "4"], True)])
+def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right):
     path = tmp_path / "counts.txt"
     path.write_text("".join("ht:cp2;3;(8)\t%s\n" % v for v in values),
                     newline="")
+    readable = [v for v in values if v == str(int(v))]
     with CountCache(str(path)) as cache:
-        assert cache.entries == {"cp2;3;(8)": int(values[-1])}
-        assert cache.entries.old == [b"ht:cp2;3;(8)\t%d\n" % int(values[-1])]
+        assert cache.entries == {"cp2;3;(8)": int(readable[-1])}
+        assert cache.entries.lines == [b"ht:cp2;3;(8)\t%s\n"
+                                       % readable[-1].encode()]
     assert main(["verify", "--max-d", "3", "--cache-file", str(path)]) \
-        == (0 if right_last else 1)
+        == (0 if right else 1)
     out, err = capsys.readouterr()
-    assert ("cp2;3;(8) stored 5 computed 4" in out) != right_last
-    assert "unreadable" not in err
+    assert ("cp2;3;(8) stored 5 computed 4" in out) != right
+    skipped = len(values) - len(readable)
+    assert ("skipped %d unreadable" % skipped in err if skipped
+            else "unreadable" not in err)
 
 
 def test_only_asked_keys_are_looked_up(tmp_path, monkeypatch):
@@ -404,3 +413,78 @@ def test_a_wrong_record_never_spreads(tmp_path, capsys):
                 text, value = line[3:].split("\t")
                 assert int(value) == true_value(text), line
     assert refused  # some runs met the wrong record
+
+
+def read_by_hand(data):
+    """{key: value} and the number of unreadable lines of a cache file, by
+    plain bytes operations: a record is ht:, printable ASCII, a tab, and a
+    value of at most 640 digits with no leading zero or plus; the later
+    line of a key wins."""
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the file, or an empty file
+    entries, bad = {}, 0
+    for line in lines:
+        head, tab, value = line.partition(b"\t")
+        digits = value[1:] if value.startswith(b"-") else value
+        if (head.startswith(b"ht:") and tab
+                and all(32 <= c < 127 for c in head)
+                and digits.isdigit() and len(digits) <= 640
+                and (value == b"0" or not digits.startswith(b"0"))):
+            entries[head[3:].decode()] = int(value)
+        else:
+            bad += 1
+    return entries, bad
+
+
+def computed_d2():
+    engine = Engine()
+    engine.invariant("cp2", 2, ((5,),))
+    return engine
+
+
+TRUE_LINES = [b"ht:%s\t%d" % (key.encode(), value)
+              for key, value in computed_d2().memo_items()]
+KEYS = st.sampled_from([b"cp2;3;(8)", b"cp2;3;(7,1)", b"cp2;1;(2)", b"a",
+                        b""])
+NUMBERS = st.integers(-10 ** 20, 10 ** 20)
+LINES = st.one_of(
+    st.builds(b"ht:%s\t%d".__mod__, st.tuples(KEYS, NUMBERS)),
+    st.sampled_from(TRUE_LINES),
+    st.builds(b"ht:%s\t%s".__mod__, st.tuples(KEYS, st.sampled_from(
+        [b"007", b"+4", b"-0", b"4\r", b"", b"9" * 640, b"9" * 641,
+         b"9" * 5000]))),
+    st.builds(b"ht:%s %d".__mod__, st.tuples(KEYS, NUMBERS)),  # no tab
+    st.just(b"ht:cp2;\xff\t1"),  # not UTF-8
+    st.just(b"gw:3;2\t7"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(LINES, max_size=12), chunk=st.sampled_from([2, 3]),
+       cut=st.one_of(st.none(), st.integers(0, 40)))
+def test_the_load_reads_what_a_plain_reader_reads(lines, chunk, cut):
+    # shuffled, repeated, damaged and cut-off lines, with tiny chunks so
+    # that lines of every kind fall on chunk edges; one harvest then
+    # writes the sorted records, one line per key
+    data = b"".join(line + b"\n" for line in lines)
+    if cut is not None and lines:
+        data = data[:len(data) - len(lines[-1]) - 1 + cut]
+    entries, bad = read_by_hand(data)
+    engine = computed_d2()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("tangentcount.cache._CHUNK", chunk), \
+            contextlib.redirect_stderr(err):
+        path = os.path.join(tmp, "counts.txt")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with CountCache(path) as cache:
+            assert cache.entries == entries
+            cache.harvest(engine)
+        with open(path, "rb") as handle:
+            written = handle.read()
+    assert (("skipped %d unreadable" % bad) in err.getvalue() if bad
+            else "unreadable" not in err.getvalue())
+    entries.update(engine.memo_items())
+    assert written == b"".join(sorted(b"ht:%s\t%d\n" % (key.encode(), value)
+                                      for key, value in entries.items()))

@@ -403,6 +403,21 @@ def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
     assert "skipped 1 unreadable" in err
 
 
+def test_a_value_too_long_for_int_is_skipped(tmp_path, capsys):
+    # more digits than int() parses at its default limit: never a record,
+    # so never parsed
+    path = tmp_path / "counts.txt"
+    bad = "ht:cp2;3;(8)\t" + "9" * 5000
+    for argv, expected in ((["compute", "-d", "3", "-c", "(8)"], "4\n"),
+                           (["table", "--max-d", "3"], None),
+                           (["verify", "--max-d", "3"], None)):
+        path.write_text(bad)
+        code, out, err = run(capsys, *argv, "--cache-file", str(path))
+        assert code == 0
+        assert expected in (None, out)
+        assert "skipped 1 unreadable" in err
+        assert "Traceback" not in err
+
 
 def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
                                                         monkeypatch):
