@@ -27,8 +27,9 @@ The computation runs entirely over exact integers:
     it visits one splitting per orbit, weighted by the orbit's size, and
     none with a piece past the adjunction bound;
   * index-zero classes with no points left are handled by the quadratic
-    Cremona move while the three deepest multiplicities exceed the degree,
-    and once the move no longer applies, by running the same associativity
+    Cremona move, repeated while the three deepest multiplicities exceed the
+    degree (an exceptional class ends at a generator E_i, which counts 1),
+    and where the move does not apply, by running the same associativity
     relation on the class plus one extra point at a multiplicity-2 slot,
     from which the stuck count is isolated.  The slot bookkeeping
     guarantees each step shrinks (degree, slot count, point count)
@@ -146,7 +147,7 @@ def vanishing_filter(space, degree, diagram):
     return local_double_points(diagram) > double_point_count(space, degree)
 
 
-# -------------------------------------------------- Cremona moves, exceptional
+# ------------------------------------------------------------- Cremona moves
 
 def cremona_move(degree, mults=()):
     """Quadratic Cremona move on the three deepest multiplicities.
@@ -164,34 +165,6 @@ def cremona_move(degree, mults=()):
     new = [d - m2 - m3, d - m1 - m3, d - m1 - m2]
     return (2 * d - m1 - m2 - m3,
             tuple(sorted(new + m[3:], reverse=True)))
-
-
-CREMONA_STEPS = 200  # bound on the Cremona moves is_exceptional makes
-
-
-def is_exceptional(degree, mults=()):
-    """Whether the class is that of an exceptional sphere (count always 1).
-
-    Requires self-intersection -1 and Chern pairing 1, then tries to reduce
-    the class to a single blowup generator E_i by repeated Cremona moves.
-    The reduction is bounded at CREMONA_STEPS; a class that is still
-    unresolved then is reported False (undetermined) rather than guessed at.
-    """
-    if chern_number("cp2", degree, mults) != 1:
-        return False
-    if self_intersection("cp2", degree, mults) != -1:
-        return False
-    d, m = degree, tuple(mults)
-    for _ in range(CREMONA_STEPS):
-        if d < 0:
-            return False
-        if d == 0:
-            return m.count(-1) == 1 and all(x in (0, -1) for x in m)
-        if sum(sorted(m, reverse=True)[:3]) <= d:
-            return False
-        counters["cremona_steps"] += 1
-        d, m = cremona_move(d, m)
-    return False
 
 
 # ------------------------------------------------------------ blowup invariants
@@ -250,12 +223,11 @@ def _value(d, mults):
     npts = 3 * d - sum(deep) - 1
     if npts > 0:
         value = _wdvv_solve(d, deep, npts)
-    elif d * d - sum(m * m for m in deep) == -1 and is_exceptional(d, deep):
-        counters["gw_exceptional"] += 1
-        value = 1
     elif sum(deep[:3]) > d:
-        counters["gw_cremona_reductions"] += 1
-        nd, nm = cremona_move(d, deep)
+        nd, nm = d, deep  # each move lowers the degree, so the loop ends
+        while nd > 0 and sum(nm[:3]) > nd:
+            counters["gw_cremona_reductions"] += 1
+            nd, nm = cremona_move(nd, nm)
         value = _value(nd, nm)
     elif deep[-1] == 2:
         value = _point_free_solve(d, deep)

@@ -324,18 +324,23 @@ def quadric_tables(e):
 
 
 @pytest.mark.parametrize("work, pins", [
-    (column_to_seven, (29617, 30763, 385065, 1146, 371946, 631)),
-    (quadric_tables, (10508, 11314, 98581, 806, 95697, 915))])
+    (column_to_seven, (29617, 30763, 385065, 1146, 371946, 631,
+                       118, 1, 10, 2503)),
+    (quadric_tables, (10508, 11314, 98581, 806, 95697, 915,
+                      248, 0, 21, 7656))])
 def test_cold_work_is_pinned(work, pins):
     # the work of the benchmark's two in-process passes, counted: how the
-    # memo stores its vectors must not change what is solved or kept
+    # memo stores its vectors must not change what is solved or kept, nor
+    # what the blowup recursion solves and reduces
     gw.reset()
     e = Engine()
     work(e)
-    c = e.counters
+    c, g = e.counters, gw.counters
     assert (c["solves"], c["evaluations"], c["memo_hits"], c["base_cases"],
             sum(1 for _ in e.memo_items()),
-            sum(1 for _ in gw.memo_items())) == pins
+            sum(1 for _ in gw.memo_items()),
+            g["gw_wdvv_solves"], g["gw_point_free_solves"],
+            g["gw_cremona_reductions"], g["gw_memo_hits"]) == pins
 
 
 def test_vectors_are_the_narrowest_int_arrays(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tangentcount import gw
+from tangentcount.errors import InconsistencyError
 
 
 def test_plane_counts():
@@ -83,13 +84,19 @@ def test_quadratic_move_preserves_intersection_numbers():
 
 
 def test_exceptional_class_detection():
-    assert gw.is_exceptional(0, (-1,))
-    assert gw.is_exceptional(1, (1, 1))
-    assert gw.is_exceptional(2, (1, 1, 1, 1, 1))
-    assert gw.is_exceptional(4, (3, 1, 1, 1, 1, 1, 1, 1, 1))
-    assert not gw.is_exceptional(3, (1,) * 8)
-    assert not gw.is_exceptional(1, (1,))
-    assert not gw.is_exceptional(0, (0,))
+    # exceptional classes count 1; the point-free ones reach a generator E_i
+    # by Cremona moves
+    assert gw.gw_blowup(1, (1, 1)) == 1
+    assert gw.gw_blowup(2, (1, 1, 1, 1, 1)) == 1
+    assert gw.gw_blowup(4, (3, 1, 1, 1, 1, 1, 1, 1, 1)) == 1
+    assert gw.gw_blowup(6, (3,) + (2,) * 7) == 1
+    assert gw.gw_blowup(9, (6, 3, 3) + (2,) * 7) == 1
+    # self-intersection -1 alone is not enough: the line through the two
+    # 5-fold points meets this class in 9 - 10 < 0
+    assert gw.gw_blowup(9, (5, 5) + (2,) * 8) == 0
+    assert gw.gw_blowup(3, (1,) * 8) == 12
+    assert gw.gw_blowup(1, (1,)) == 0
+    assert gw.gw_blowup(0, (0,)) == 0
 
 
 def test_anchor_values():
@@ -103,8 +110,44 @@ def test_anchor_values():
 def test_exceptional_family():
     for d in range(2, 7):
         mults = (d - 1,) + (1,) * (2 * d)
-        assert gw.is_exceptional(d, mults)
         assert gw.gw_blowup(d, mults) == 1
+
+
+def test_a_deep_exceptional_class_reduces_without_a_solve():
+    # the Cremona moves run to the end in one loop; stopping after one move
+    # would land on classes with simple points and solve near degree 700
+    gw.reset()
+    m = (360, 348, 337, 194, 161, 157, 144, 131, 130, 78, 70, 55)
+    assert gw.gw_blowup(722, m) == 1
+    assert gw.counters["gw_wdvv_solves"] == 0
+
+
+def _point_free(total, top):
+    """Non-increasing tuples of entries in 2..top summing to total."""
+    if total == 0:
+        yield ()
+    for m in range(min(top, total), 1, -1):
+        for rest in _point_free(total - m, m):
+            yield (m,) + rest
+
+
+def test_point_free_minus_one_classes():
+    # every (d; m) with all m_i in 2..d, sum m = 3d - 1, sum m^2 = d^2 + 1
+    gw.reset()
+    values = [gw.gw_blowup(d, m) for d in range(2, 17)
+              for m in _point_free(3 * d - 1, d)
+              if sum(x * x for x in m) == d * d + 1]
+    assert len(values) == 232
+    assert set(values) == {0, 1}
+    assert values.count(1) == 141
+
+
+@pytest.mark.xfail(raises=InconsistencyError, strict=True)
+def test_point_free_class_past_the_reductions():
+    # the Cremona move does not apply and no slot has multiplicity 2, so
+    # neither reduction reaches this degree-11 class
+    gw.reset()
+    assert isinstance(gw.gw_blowup(11, (5,) + (3,) * 9), int)
 
 
 def test_all_ones_folds_to_plane_count():
