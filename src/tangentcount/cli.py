@@ -167,10 +167,7 @@ def cmd_table(args, parser):
     if args.space != "cp2":
         parser.error("table mode is defined for --space cp2 only")
     if args.degree is not None:
-        try:
-            low = high = int(args.degree)
-        except ValueError:
-            parser.error("bad degree %r" % (args.degree,))
+        low = high = args.degree
     elif args.max_d is not None:
         low, high = 1, args.max_d
     else:
@@ -263,7 +260,7 @@ def cmd_matrix(args, parser):
 
 
 def cmd_verify(args, parser):
-    max_d = args.max_d if args.max_d is not None else 5
+    max_d = args.max_d
     if max_d < 1:
         parser.error("--max-d must be at least 1")
     failures = []
@@ -417,14 +414,14 @@ def build_parser():
     p.add_argument("--space", choices=("cp2", "p1xp1"), default="cp2")
     p.add_argument("--mode", choices=("tangency-max", "full"),
                    default="tangency-max")
-    p.add_argument("-d", "--degree", help="single degree")
+    p.add_argument("-d", "--degree", type=int, help="single degree")
     p.add_argument("--max-d", type=int, help="degrees 1..N")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", parents=[cache_flags],
                        help="self-checks against published values")
-    p.add_argument("--max-d", type=int,
+    p.add_argument("--max-d", type=int, default=5,
                    help="largest degree checked (default 5)")
     p.set_defaults(func=cmd_verify)
 

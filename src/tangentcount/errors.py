@@ -1,8 +1,8 @@
 """Shared exception for violated internal invariants.
 
 Raised when an exact computation produces something structurally impossible
-(a non-integer curve count, a singular splitting system, an unreducible
-class the recursion cannot classify).  The command-line driver maps it to
+(a non-integer curve count, a singular splitting system, a computed value
+that contradicts its cache record).  The command-line driver maps it to
 exit status 3.
 """
 

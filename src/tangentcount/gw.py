@@ -20,20 +20,18 @@ The computation runs entirely over exact integers:
   * classes with no deep multiplicities reduce to Kontsevich's recursion;
   * everything else is solved from the associativity (WDVV) relation of the
     quantum product, instantiated on the divisor quadruple (E, L, E, L)
-    where E sits over the deepest multiplicity.  The relation expresses
-    (d^2 - m_1^2) times the wanted count through counts with either smaller
-    degree, fewer implied points, or fewer multiplicity slots.  Its sum
-    over splittings is invariant under permuting equal multiplicities, so
-    it visits one splitting per orbit, weighted by the orbit's size, and
-    none with a piece past the adjunction bound;
-  * index-zero classes with no points left are handled by the quadratic
-    Cremona move, repeated while the three deepest multiplicities exceed the
-    degree (an exceptional class ends at a generator E_i, which counts 1),
-    and where the move does not apply, by running the same associativity
-    relation on the class plus one extra point at a multiplicity-2 slot,
-    from which the stuck count is isolated.  The slot bookkeeping
-    guarantees each step shrinks (degree, slot count, point count)
-    lexicographically, so the recursion terminates.
+    where E sits over one slot s (see _relation).  It ties the count for
+    (d; m) to the count with m_s one higher, through counts of smaller
+    degree.  Its sum over splittings is invariant under permuting equal
+    multiplicities, so it visits one splitting per orbit, weighted by the
+    orbit's size, and none with a piece past the adjunction bound;
+  * a class with free points solves the relation at its deepest slot.  A
+    point-free class (index zero, no points left) takes the quadratic
+    Cremona move, repeated while the three deepest multiplicities exceed
+    the degree (an exceptional class ends at a generator E_i, which counts
+    1); otherwise it is the higher count in the relation of the class with
+    its shallowest slot lowered by one.  _point_free_solve says why the
+    recursion ends.
 """
 
 from collections import Counter
@@ -229,64 +227,58 @@ def _value(d, mults):
             counters["gw_cremona_reductions"] += 1
             nd, nm = cremona_move(nd, nm)
         value = _value(nd, nm)
-    elif deep[-1] == 2:
-        value = _point_free_solve(d, deep)
     else:
-        raise InconsistencyError(
-            "no reduction applies to the point-free class (%d; %s)"
-            % (d, ",".join(map(str, deep))))
+        value = _point_free_solve(d, deep)
     _values[key] = value
     return value
 
 
 def _wdvv_solve(d, m, npts):
-    """Solve the associativity relation for the class (d; m), npts >= 1.
-
-    The relation comes from the four divisors (E, L, E, L) with E over the
-    deepest multiplicity m_1 and n = npts - 1 extra point insertions.  Its
-    classical part multiplies the wanted count by d^2 - m_1^2 (nonzero:
-    m_1 = d dies in the adjunction filter), the only surviving
-    degree-preserving boundary term moves one point onto the E-slot, and
-    the remaining terms factor over splittings into two lower-degree
-    classes.
+    """Solve the relation for the class (d; m), npts >= 1, at the deepest
+    slot with n = npts - 1; m_1 = d died in the adjunction filter, so a > 0.
     """
     counters["gw_wdvv_solves"] += 1
-    n = npts - 1
-    bumped = (m[0] + 1,) + m[1:]
-    known = -d * d * (m[0] + 1) * _value(d, bumped)
-    known += _split_sum(d, m, n, 0)
-    coeff = d * d - m[0] * m[0]
-    if coeff <= 0:
-        raise InconsistencyError(
-            "degenerate relation for class (%d; %s)" % (d, m))
-    value = Fraction(-known, coeff)
-    if value.denominator != 1:
-        raise InconsistencyError(
-            "associativity relation gave non-integer %s for (%d; %s)"
-            % (value, d, m))
-    return int(value)
+    return _relation(d, m, npts - 1, 0, bumped_unknown=False)
 
 
 def _point_free_solve(d, m):
-    """Isolate a point-free count from the relation for the class plus a point.
+    """Solve for the point-free class X = (d; m) from the relation of
+    X - E_s, s the shallowest slot: that class has one free point, so n = 0.
 
-    For an index-zero class X = (d; m) with a multiplicity-2 slot, run the
-    same associativity relation for the class X' = X - E at that slot (one
-    multiplicity lowered to 1, hence one generic point and n = 0).  In that
-    relation the term moving the point back onto the slot is 2 d^2 times
-    the count for X, while every other term involves either the class with
-    the slot dropped entirely or smaller degrees.
+    The recursion ends.  X - E_s is a WDVV solve that bumps its deepest
+    slot, giving the point-free class X - E_s + E_1, whose sum m^2 is larger
+    by 2(m_1 - m_s) + 2 >= 2; every other class asked for has smaller
+    degree.  At one degree sum m = 3d - 1 and adjunction bounds sum m^2 by
+    d^2 + 1, so the chain of point-free classes is finite.
     """
     counters["gw_point_free_solves"] += 1
-    slot = len(m) - 1  # deepest-sorted, so the trailing slot is the 2
-    lowered = m[:-1] + (1,)
-    known = (d * d - 1) * _value(d, m[:-1])
-    known += _split_sum(d, lowered, 0, slot)
-    value = Fraction(known, 2 * d * d)
+    s = len(m) - 1  # deepest-sorted, so the trailing slot is the shallowest
+    return _relation(d, m[:s] + (m[s] - 1,), 0, s, bumped_unknown=True)
+
+
+def _relation(d, m, n, s, bumped_unknown):
+    """Solve the (E, L, E, L) relation, E over slot s of (d; m) with n extra
+    points, for N(d; m + e_s) if bumped_unknown, else for N(d; m):
+
+        a N(d; m) + b N(d; m + e_s) + known = 0,
+        a = d^2 - m_s^2,  b = -d^2 (m_s + 1),  known = _split_sum(d, m, n, s).
+
+    a is the classical part, b the one degree-preserving boundary term
+    (a point moved onto the E-slot), known the splittings into two pieces.
+    """
+    bumped = m[:s] + (m[s] + 1,) + m[s + 1:]
+    a, b = d * d - m[s] * m[s], -d * d * (m[s] + 1)
+    coeff, unknown, other, given = ((b, bumped, a, m) if bumped_unknown
+                                    else (a, m, b, bumped))
+    known = other * _value(d, given) + _split_sum(d, m, n, s)
+    name = "(%d; %s)" % (d, ",".join(map(str, unknown)))
+    if not coeff:
+        raise InconsistencyError("degenerate relation for class " + name)
+    value = Fraction(-known, coeff)
     if value.denominator != 1:
         raise InconsistencyError(
-            "point-free reduction gave non-integer %s for (%d; %s)"
-            % (value, d, m))
+            "associativity relation gave non-integer %s for %s"
+            % (value, name))
     return int(value)
 
 

@@ -2,8 +2,10 @@
 multiplicities, the standard quadratic move, and class bookkeeping."""
 
 import itertools
+import os
 import random
 import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -142,12 +144,116 @@ def test_point_free_minus_one_classes():
     assert values.count(1) == 141
 
 
-@pytest.mark.xfail(raises=InconsistencyError, strict=True)
+def _lowered_route(d, m, j):
+    """N(d; m) from a cold memo, solved from the relation of (d; m) with
+    slot j lowered by one, in place of the shallowest slot."""
+    gw.reset()
+    return gw._relation(d, m[:j] + (m[j] - 1,) + m[j + 1:], 0, j,
+                        bumped_unknown=True)
+
+
 def test_point_free_class_past_the_reductions():
     # the Cremona move does not apply and no slot has multiplicity 2, so
-    # neither reduction reaches this degree-11 class
+    # the point-free solve lowers a slot of multiplicity 3
+    for m, value in [((5,) + (3,) * 9, 707328),
+                     ((4, 4) + (3,) * 8, 2350228),
+                     ((3,) * 10 + (2,), 750237120)]:
+        gw.reset()
+        start = time.perf_counter()
+        assert gw.gw_blowup(11, m) == value
+        assert time.perf_counter() - start < 0.35, m
+    # a second route: lowering a 4 goes through (11; 5,3^9); lowering the
+    # unique deepest slot would not count, as WDVV bumps it straight back
+    assert _lowered_route(11, (4, 4) + (3,) * 8, 0) == 2350228
+    assert _lowered_route(11, (3,) * 10 + (2,), 0) == 750237120
+
+
+def test_point_free_classes_up_to_degree_ten_are_pinned():
+    # every (d; m) with all m_i in 2..d and sum m = 3d - 1, d <= 10; up to
+    # degree 10 every point-free solve lowers a slot of multiplicity 2
     gw.reset()
-    assert isinstance(gw.gw_blowup(11, (5,) + (3,) * 9), int)
+    values = [gw.gw_blowup(d, m) for d in range(2, 11)
+              for m in _point_free(3 * d - 1, d)]
+    assert len(values) == 975
+    assert sum(1 for v in values if v) == 74
+    assert sum(values) == 762639406728
+
+
+@pytest.mark.parametrize("wrong, asked", [
+    ((5, (3, 2)), (5, (2, 2))),        # WDVV solve: a = 21, b = -75
+    ((7, (2,) * 9), (7, (2,) * 10))])  # point-free solve: a = 48, b = -98
+def test_relation_rejects_a_non_integer_count(wrong, asked):
+    # one off in the class the relation is given makes the unknown a
+    # fraction, which must raise, not be rounded
+    gw.reset()
+    true = gw._value(*wrong)
+    gw.reset()
+    gw._values[wrong] = true + 1
+    name = r"\(%d; %s\)$" % (asked[0], ",".join(map(str, asked[1])))
+    with pytest.raises(InconsistencyError, match="non-integer .* " + name):
+        gw._value(*asked)
+
+
+# The point-free classes of degree 2..13 whose evaluation needs a point-free
+# solve at a slot of multiplicity 3 or more, by degree, with x^k for k slots
+# of multiplicity x.
+_NEW_POINT_FREE = """
+11: 5 3^9 | 4^2 3^8 | 3^10 2
+12: 6 3^9 2 | 5 4^3 3^6 | 5 4 3^8 2 | 5 3^10 | 4^8 3 | 4^5 3^5 | 4^3 3^7 2
+    | 4^2 3^9 | 4 3^9 2^2 | 3^11 2
+13: 7 4 3^9 | 7 3^9 2^2 | 6 5 3^9 | 6 4^5 3^4 | 6 4^3 3^6 2 | 6 4^2 3^8
+    | 6 4 3^8 2^2 | 6 3^10 2 | 5^4 3^6 | 5^3 4^2 3^5 | 5^3 3^7 2 | 5^2 4^7
+    | 5^2 4^4 3^4 | 5^2 4^2 3^6 2 | 5^2 4 3^8 | 5^2 3^8 2^2 | 5 4^7 3 2
+    | 5 4^6 3^3 | 5 4^4 3^5 2 | 5 4^3 3^7 | 5 4^2 3^7 2^2 | 5 4 3^9 2
+    | 5 3^11 | 5 3^9 2^3 | 4^9 2 | 4^8 3^2 | 4^6 3^4 2 | 4^5 3^6
+    | 4^4 3^6 2^2 | 4^3 3^8 2 | 4^2 3^10 | 4^2 3^8 2^3 | 4 3^10 2^2
+    | 3^12 2 | 3^10 2^4
+"""
+
+
+def _new_point_free():
+    for line in _NEW_POINT_FREE.replace("\n    |", " |").strip().split("\n"):
+        d, classes = line.split(":")
+        for text in classes.split("|"):
+            m = ()
+            for run in text.split():
+                x, _, k = run.partition("^")
+                m += (int(x),) * int(k or 1)
+            yield int(d), m
+
+
+@pytest.mark.skipif(os.environ.get("TANGENTCOUNT_EXTENDED") != "1",
+                    reason="extended tier disabled "
+                           "(TANGENTCOUNT_EXTENDED != 1)")
+def test_extended_point_free_classes_up_to_degree_thirteen():
+    # about two minutes: the sweep, then every lowered slot of each class
+    # the general point-free solve newly reaches, from a cold memo
+    new = dict.fromkeys(_new_point_free())
+    assert len(new) == 48
+    gw.reset()
+    old = []
+    for d in range(2, 14):
+        for m in _point_free(3 * d - 1, d):
+            value = gw.gw_blowup(d, m)
+            if (d, m) in new:
+                new[d, m] = value
+            else:
+                old.append(value)
+    assert len(old) == 6304
+    assert sum(1 for v in old if v) == 702
+    assert sum(old) == 13709366100205500948095
+    assert all(v > 0 for v in new.values())
+    routes, second_routes = 0, 0
+    for (d, m), value in new.items():
+        for x in set(m):
+            j = m.index(x)
+            assert _lowered_route(d, m, j) == value, (d, m, x)
+            routes += 1
+        # a second route besides the shallowest slot that is not the
+        # unique deepest one
+        second_routes += any(x != m[-1] and (x != m[0] or m.count(x) > 1)
+                       for x in set(m))
+    assert (routes, second_routes) == (135, 45)
 
 
 def test_all_ones_folds_to_plane_count():
