@@ -1,37 +1,32 @@
 """Persistent cache of computed counts.
 
-File format: one record per line, ``ht:key<TAB>value``: a tangency
-invariant in the ordered-branch normalization, keyed by the canonical text
-of its arguments (engine.encode_key), with a decimal integer value.  The
-cache writes the file sorted, one line per key, and that order is its read
-index.  A load reads the lines as bytes and sorts them (linear on a sorted
-file); a lookup bisects them for ``ht:key<TAB>`` and parses the value of
-the one line it finds.  The engine looks up only the keys its callers ask
+A cache file is a header line, naming the format version and the sha256 of
+every byte after it, then the records ``ht:key<TAB>value``: tangency
+invariants in the ordered-branch normalization, keyed by the canonical text
+of their arguments (engine.encode_key), sorted, one line per key.  That
+order is the read index: a lookup bisects for ``ht:key<TAB>`` and parses
+the one value it finds.  The engine looks up only the keys its callers ask
 for, never a key of its recursion, so no record enters a solve.
 
-A line is a record only in the exact form the cache writes: ``ht:``, a
-printable ASCII key, a tab, a value of at most 640 digits with no leading
-zero or ``+`` (640 is the least limit int() can be set to, so a record
-always parses), and a newline.  Any other line (``007``, a CRLF ending, no
-tab, bytes that are not UTF-8, the ``gw:`` blowup records of older files)
-is counted and skipped on load and dropped at the next write, so a damaged
-line never poisons a cache file; a last line without its newline is still
-a line.  Where a key has several lines, the later one in the file wins;
-only then is a dict of the lines built, to pick them.
+A file is read only if this program wrote it: one with no header or a wrong
+digest (damaged, edited by hand, or older than the header) opens with no
+records, said in one line on stderr, and is replaced at the next clean
+close that adds records.  An empty file is a new one.  The digest guards
+against damage, not against someone who recomputes it; ``verify
+--cache-file`` recomputes every record.
 
-Harvesting merges into the sorted records the run's results whose key no
-record holds; a record holding the key must be the same line, or the
-harvest raises InconsistencyError.  A clean close after a harvest that
-added records writes them all, atomically (temp file in the same
-directory, fsync, then rename), so a run that raises, or a write that
-fails (said on stderr), leaves the file as it was.  Concurrent runs are
-serialized by an advisory lock on the cache file itself; when the lock
-cannot be taken the cache opens read-only and says so on stderr.
+Harvesting merges in the run's results whose key no record holds; a record
+holding the key must be the same line, or the harvest raises
+InconsistencyError.  A clean close after a harvest that added records
+rewrites the file atomically (temp file in the same directory, fsync,
+rename), so a run that raises, or a write that fails (said on stderr),
+leaves the file as it was.  An advisory lock on the file serializes runs;
+a run that cannot take it opens the file read-only and says so on stderr.
 """
 
 import fcntl
+import hashlib
 import os
-import re
 import sys
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -39,15 +34,20 @@ from contextlib import suppress
 
 from .errors import InconsistencyError
 
-# Canonical lines, no two neighbours of one key; and lines with that second
-# property alone.  Matched on _CHUNK lines at a time joined, with one line
-# of overlap, which is sound because every line ends in its only newline;
-# the file is never held as one bytes object beside its lines.  A chunk of
-# the file that fails is matched again one line at a time.
-_CANONICAL = re.compile(
-    rb"(?:(ht:[ -~]*+\t)(?:0|-?[1-9][0-9]{0,639}+)\n(?!\1))*+")
-_KEYS_ONCE = re.compile(rb"(?:([^\t]*+)\t[^\n]*+\n(?!\1\t))*+")
-_CHUNK = 1024
+_MAGIC = b"tangentcount cache v1 sha256 "
+
+
+def _header(digest):
+    return _MAGIC + digest.hexdigest().encode() + b"\n"
+
+
+def header(lines):
+    """The first line of a cache file whose other lines are lines (bytes,
+    each ending in its newline): the format version and their sha256."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line)
+    return _header(digest)
 
 
 class Records(Mapping):
@@ -92,15 +92,15 @@ def _unheld(lines, held):
 
 
 class CountCache:
-    """One cache file: its records read and sorted at open, for entries to
-    bisect by key; the run's new records merged into them as they are
-    harvested; all of them written at close.  Usable as a context
-    manager."""
+    """One cache file: its records read at open, for entries to bisect by
+    key; the run's new records merged into them as they are harvested; all
+    of them written at close.  Usable as a context manager."""
 
     def __init__(self, path):
         self.path = path
         self.entries = Records()
         self.read_only = False
+        self.rejected = None  # why the file was not read, if it was not
         self._added = False
         self._handle = None
         try:
@@ -121,29 +121,19 @@ class CountCache:
 
     def _load(self):
         self._handle.seek(0)
-        lines = self._handle.readlines()
-        if lines and not lines[-1].endswith(b"\n"):
-            lines[-1] += b"\n"
-        kept, clean = [], True
-        for i in range(0, len(lines), _CHUNK):
-            part = lines[i:i + _CHUNK]
-            if _CANONICAL.fullmatch(b"".join(lines[i:i + _CHUNK + 1])):
-                kept += part
-            else:
-                clean = False
-                kept += filter(_CANONICAL.fullmatch, part)
-        if len(kept) < len(lines):
-            print("cache %s: skipped %d unreadable line(s)"
-                  % (self.path, len(lines) - len(kept)), file=sys.stderr)
-        lines = sorted(kept)
-        # a clean file in sorted order has no two lines of a key
-        if not (clean and lines == kept) and not all(
-                _KEYS_ONCE.fullmatch(b"".join(lines[i:i + _CHUNK + 1]))
-                for i in range(0, len(lines), _CHUNK)):
-            # the last line of each key in file order
-            lines = sorted({line[:line.index(b"\t")]: line
-                            for line in kept}.values())
-        self.entries.lines = lines
+        head = self._handle.readline(len(header(())))
+        if not head:
+            return  # a new file
+        if not head.startswith(_MAGIC):
+            self.rejected = "no header"
+        elif head != _header(hashlib.file_digest(self._handle, "sha256")):
+            self.rejected = "digest mismatch"
+        else:
+            self._handle.seek(len(head))
+            self.entries.lines = self._handle.readlines()
+            return
+        print("cache %s not read (%s); replaced at the next write"
+              % (self.path, self.rejected), file=sys.stderr)
 
     def __enter__(self):
         return self
@@ -173,15 +163,16 @@ class CountCache:
         return added
 
     def close(self, compact=True):
-        """Release the file, rewriting it as the sorted records if this run
-        added any and exited cleanly.  A write that fails leaves the file
-        as it was and is reported on stderr."""
+        """Release the file, rewriting it as the header and the sorted
+        records if this run added any and exited cleanly.  A write that
+        fails leaves the file as it was and is reported on stderr."""
         if self._handle is None:
             return
         if compact and self._added and not self.read_only:
             tmp, out = "%s.%d.tmp" % (self.path, os.getpid()), None
             try:
                 with open(tmp, "wb") as out:
+                    out.write(header(self.entries.lines))
                     out.writelines(self.entries.lines)
                     out.flush()
                     os.fsync(out.fileno())
@@ -192,9 +183,7 @@ class CountCache:
                 if out is not None:  # this run made tmp
                     with suppress(OSError):
                         os.remove(tmp)
-        try:
+        with suppress(OSError):
             fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            pass
         self._handle.close()
         self._handle = None

@@ -28,7 +28,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial, perm
 
 from . import gw
 from .cache import CountCache
@@ -42,6 +43,8 @@ from .star import star, star_oracle
 # Largest weight `matrix` builds: the dense (p(k)-1)^2 matrix takes about
 # 114 MB at k = 24 and grows like p(k)^2, about 1.4 GB at k = 30.
 MATRIX_LIMIT = 24
+# Most row matchings `star` walks: 1,441,729 for (1^8) * (1^8), about 5 s.
+STAR_LIMIT = 2_000_000
 
 # Published values used by `verify` as regression targets.  T_d is the
 # degree-d count with one full-tangency point; the per-degree dicts list
@@ -209,6 +212,11 @@ def cmd_star(args, parser):
         p2 = parse_diagram(args.second)
     except ValueError as exc:
         parser.error(str(exc))
+    b1, b2 = len(p1), len(p2)
+    if any(total > STAR_LIMIT for total in accumulate(
+            comb(b1, n) * perm(b2, n) for n in range(min(b1, b2) + 1))):
+        parser.error("diagrams of %d and %d rows have more than %d row "
+                     "matchings to walk" % (b1, b2, STAR_LIMIT))
     expansion = sorted(star(p1, p2).items())
     records = [{"key": diagram_text(q), "value": c, "provenance": "computed"}
                for q, c in expansion]
@@ -274,7 +282,10 @@ def cmd_verify(args, parser):
             failures.append(name)
 
     with _session(args) as (engine, cache):
-        if cache:  # recompute the records of degree <= max_d afresh
+        if cache and cache.rejected:  # no records to recompute
+            report("cache records of degree at most %d" % max_d, False,
+                   "file not read (%s)" % cache.rejected)
+        elif cache:  # recompute the records of degree <= max_d afresh
             fresh, bad = Engine(), []
             for key, stored in sorted(cache.entries.items()):
                 try:

@@ -156,10 +156,10 @@ class Engine:
     Instances share only the diagram codes and the blowup backend memo,
     both pure functions of their keys, so results are independent of
     evaluation order.  ``stored`` maps key text (encode_key) to hat-H
-    records kept outside the engine, as a cache file's Records does: it
-    answers a key hat_invariant is asked for, counted as a memo hit, but
-    never a key of the recursion, so nothing read from it enters a solve
-    or the memo.
+    records kept outside the engine, as the Records of a cache file whose
+    digest matches do.  A record answers, as stored and counted as a memo
+    hit, a key hat_invariant is asked for, but never a key of the
+    recursion, so nothing read from it enters a solve or the memo.
     """
 
     def __init__(self):

@@ -1,21 +1,22 @@
 """The persistent cache: load/harvest/write cycle, the pinned file format,
-damage tolerance, and the advisory lock."""
+the digest that keeps a file the program did not write from being read,
+and the advisory lock."""
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
 import random
 import tempfile
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tangentcount import gw
-from tangentcount.cache import CountCache
+from tangentcount.cache import CountCache, header
 from tangentcount.cli import _session, main, parse_constraints
 from tangentcount.engine import Engine, encode_key
 from tangentcount.partitions import diagram_text, partitions_of
@@ -24,6 +25,23 @@ from tangentcount.partitions import diagram_text, partitions_of
 def fresh_state():
     gw.reset()
     return Engine()
+
+
+def signed(lines):
+    """A cache file holding lines (bytes, each ending in its newline) with
+    a valid digest, as if the program had written it."""
+    return header(lines) + b"".join(lines)
+
+
+def rejected(path, reason, capsys):
+    """Open the cache file at path and check that it is not read, and said
+    so in one line on stderr."""
+    with CountCache(str(path)) as cache:
+        assert cache.rejected == reason
+        assert len(cache.entries) == 0
+    assert capsys.readouterr().err == (
+        "cache %s not read (%s); replaced at the next write\n"
+        % (path, reason))
 
 
 def test_round_trip(tmp_path):
@@ -49,45 +67,53 @@ def test_file_is_compacted_sorted_and_unique(tmp_path):
     engine.invariant("cp2", 2, ((5,),))
     with CountCache(path) as cache:
         cache.harvest(engine)
-    with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
+    with open(path, "rb") as handle:
+        head, *lines = handle.readlines()
+    assert head == header(lines)
     assert lines == sorted(lines)
-    assert len(lines) == len(set(lines))
-    assert all("\t" in line and line.startswith("ht:") for line in lines)
+    assert len({line.partition(b"\t")[0] for line in lines}) == len(lines)
+    assert all(line.count(b"\t") == 1 and line.startswith(b"ht:")
+               for line in lines)
 
 
 def test_damaged_lines_are_skipped(tmp_path, capsys):
-    path = str(tmp_path / "counts.txt")
-    with open(path, "w") as handle:
-        handle.write("ht:cp2;1;(2)\t1\n")
-        handle.write("garbage line\n")
-        handle.write("ht:cp2;1;(1)|(1)\tnotanumber\n")
-        handle.write("zz:cp2;1;(2)\t9\n")
-        handle.write("gw:1;\t1\n")
-    cache = CountCache(path)
-    assert cache.entries == {"cp2;1;(2)": 1}
-    cache.close()
-    assert "skipped 4 unreadable" in capsys.readouterr().err
+    # with the whole file: damaged lines without a header, or damaged since
+    # the digest was taken, and the file is said on stderr in one line
+    path = tmp_path / "counts.txt"
+    good = [b"ht:cp2;1;(2)\t1\n"]
+    lines = good + [b"garbage line\n", b"ht:cp2;1;(1)|(1)\tnotanumber\n",
+                    b"zz:cp2;1;(2)\t9\n", b"gw:1;\t1\n"]
+    for data, reason in ((b"".join(lines), "no header"),
+                         (header(good) + b"".join(lines), "digest mismatch")):
+        path.write_bytes(data)
+        rejected(path, reason, capsys)
+        assert path.read_bytes() == data  # nothing added, nothing written
+    path.write_bytes(signed(good))
+    with CountCache(str(path)) as cache:
+        assert cache.entries == {"cp2;1;(2)": 1}
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_entries_do_not_poison_engines(tmp_path):
-    # a record is read only through the canonical text of a key the engine
-    # asks for, so text encode_key never writes is never read
-    path = str(tmp_path / "counts.txt")
-    with open(path, "w") as handle:
-        handle.write("ht:nowhere;3;(2)\t7\n")   # unknown space
-        handle.write("gw:0;\t7\n")              # blowup record
-        handle.write("ht:cp2;3;(1,7)\t5\n")     # rows out of order
-        handle.write("ht:cp2;3;(1)|(7)\t9\n")   # diagrams out of order
-        handle.write("ht:cp2;03;(8)\t9\n")      # leading zero
-        handle.write("ht:cp2;3; (8)\t9\n")      # space
-    engine = fresh_state()
-    with CountCache(path) as cache:
-        assert cache.preload(engine) == 5
-        assert engine.invariant("cp2", 1, ((2,),)) == 1
-        assert engine.invariant("cp2", 3, ((7, 1),)) == 1
-        assert engine.hat_invariant("cp2", 3, ((7,), (1,))) == 5
-        assert engine.invariant("cp2", 3, ((8,),)) == 4
+    # a file the program did not write is not read; and even with a valid
+    # digest a record is read only through the canonical text of a key the
+    # engine asks for, so text encode_key never writes is never read
+    path = tmp_path / "counts.txt"
+    lines = [b"ht:nowhere;3;(2)\t7\n",   # unknown space
+             b"gw:0;\t7\n",              # blowup record
+             b"ht:cp2;3;(1,7)\t5\n",     # rows out of order
+             b"ht:cp2;3;(1)|(7)\t9\n",   # diagrams out of order
+             b"ht:cp2;03;(8)\t9\n",      # leading zero
+             b"ht:cp2;3; (8)\t9\n"]      # space
+    for data, held in ((b"".join(lines), 0), (signed(sorted(lines)), 6)):
+        path.write_bytes(data)
+        engine = fresh_state()
+        with CountCache(str(path)) as cache:
+            assert cache.preload(engine) == held
+            assert engine.invariant("cp2", 1, ((2,),)) == 1
+            assert engine.invariant("cp2", 3, ((7, 1),)) == 1
+            assert engine.hat_invariant("cp2", 3, ((7,), (1,))) == 5
+            assert engine.invariant("cp2", 3, ((8,),)) == 4
 
 
 def test_second_open_is_read_only(tmp_path, capsys):
@@ -140,18 +166,19 @@ def test_a_read_copies_only_the_key_it_asks_for(tmp_path):
 
 
 def test_blowup_records_are_not_read(tmp_path):
-    # a gw: line is skipped like any unknown section, so a wrong blowup
-    # count reaches neither the engine that opened the file nor a later
-    # engine in the same process
-    path = str(tmp_path / "counts.txt")
-    with open(path, "w") as handle:
-        handle.write("gw:3;2\t7\n")
+    # a gw: line of an older file is not read, and under a valid digest it
+    # is an unknown section no key is looked up in, so a wrong blowup count
+    # reaches neither the engine that opened the file nor a later engine in
+    # the same process
+    path = tmp_path / "counts.txt"
     key = ((1, 1),) + ((1,),) * 6
-    engine = fresh_state()
-    with CountCache(path) as cache:
-        cache.preload(engine)
-        assert engine.hat_invariant("cp2", 3, key) == 2
-    assert Engine().hat_invariant("cp2", 3, key) == 2
+    for data in (b"gw:3;2\t7\n", signed([b"gw:3;2\t7\n"])):
+        path.write_bytes(data)
+        engine = fresh_state()
+        with CountCache(str(path)) as cache:
+            cache.preload(engine)
+            assert engine.hat_invariant("cp2", 3, key) == 2
+        assert Engine().hat_invariant("cp2", 3, key) == 2
     gw.reset()
 
 
@@ -161,12 +188,21 @@ def build_d4_file(path, capsys):
     return path.read_bytes()
 
 
+def split_header(data):
+    """The header line of a cache file's bytes and its record lines."""
+    head, *lines = data.splitlines(keepends=True)
+    return head, lines
+
+
 def test_cold_table_file_is_pinned(tmp_path, capsys):
-    # the sorted one-record-per-key format, byte for byte
+    # the header, then the sorted one-record-per-key lines, byte for byte
     data = build_d4_file(tmp_path / "counts.txt", capsys)
-    assert data.count(b"\n") == 1737
-    assert len(data) == 54343
-    assert hashlib.sha256(data).hexdigest() == (
+    head, lines = split_header(data)
+    body = data[len(head):]
+    assert head == header(lines)
+    assert body.count(b"\n") == len(lines) == 1737
+    assert len(body) == 54343
+    assert hashlib.sha256(body).hexdigest() == (
         "82b905db6d08d46a1a1051b44e21fc02f0094a16e8e9dbe908d67fd3b8a99886")
 
 
@@ -195,63 +231,68 @@ def test_a_session_that_raises_leaves_the_file_as_it_was(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
-def test_a_shuffled_file_is_read_like_the_sorted_one(tmp_path, capsys):
+def test_a_shuffled_file_is_not_read(tmp_path, capsys):
+    # the lines of a written file in another order no longer match its
+    # digest: the key is computed, and the write puts back sorted lines
     path = tmp_path / "counts.txt"
-    lines = build_d4_file(path, capsys).splitlines(keepends=True)
-    with CountCache(str(path)) as cache:
-        built = dict(cache.entries)
-    random.Random(4).shuffle(lines)
-    path.write_bytes(b"".join(lines))
-    with CountCache(str(path)) as cache:
-        assert cache.entries == built
-        assert cache.entries.lines == sorted(lines)
+    head, lines = split_header(build_d4_file(path, capsys))
+    shuffled = lines[:]
+    random.Random(4).shuffle(shuffled)
+    path.write_bytes(head + b"".join(shuffled))
+    rejected(path, "digest mismatch", capsys)
     assert main(["compute", "-d", "4", "-c", "(11)", "--cache-file",
                  str(path), "--format", "json", "--stats"]) == 0
     out, err = capsys.readouterr()
     record, = json.loads(out)
-    assert (record["value"], record["provenance"]) == (26, "cached")
-    assert " solves=0 " in err
-    assert "unreadable" not in err
+    assert (record["value"], record["provenance"]) == (26, "computed")
+    assert " solves=0 " not in err
+    assert "not read (digest mismatch)" in err
+    head, written = split_header(path.read_bytes())
+    assert head == header(written)
+    assert written == sorted(written) and set(written) < set(lines)
 
 
 def test_a_damaged_line_between_records_is_skipped(tmp_path, capsys):
-    path = tmp_path / "counts.txt"
-    lines = build_d4_file(path, capsys).splitlines(keepends=True)
-    m = len(lines) // 2
-    before, after = (line.decode().rstrip("\n").partition("\t")
-                     for line in (lines[m - 1], lines[m + 1]))
-    lines[m] = lines[m].replace(b"\t", b" ")  # no tab: damaged
-    path.write_bytes(b"".join(lines))
-    with CountCache(str(path)) as cache:
-        assert len(cache.entries) == len(lines) - 1
-        for head, _, value in (before, after):
-            assert cache.entries[head[3:]] == int(value)
-    assert "skipped 1 unreadable" in capsys.readouterr().err
-
-
-def test_a_last_line_without_its_newline_is_one_line(tmp_path, capsys):
+    # with the whole file, which the next run that adds records replaces:
+    # a cold table of the same degrees writes the file anew
     path = tmp_path / "counts.txt"
     data = build_d4_file(path, capsys)
-    lines = data.splitlines(keepends=True)
-    path.write_bytes(data[:-1])  # the last record is whole
-    with CountCache(str(path)) as cache:
-        assert cache.entries.lines == lines
-    assert "unreadable" not in capsys.readouterr().err
-    # a record cut off before its tab as it was appended, sorting in front
-    # of the whole record of its key
-    head = lines[len(lines) // 2].partition(b"\t")[0]
-    path.write_bytes(data + head)
-    with CountCache(str(path)) as cache:
-        assert cache.entries.lines == lines
-    assert "skipped 1 unreadable" in capsys.readouterr().err
-    assert main(["verify", "--max-d", "4", "--cache-file", str(path)]) == 0
-    assert main(["compute", "-d", "5", "-c", "(14)",
-                 "--cache-file", str(path)]) == 0
-    assert "skipped 1 unreadable" in capsys.readouterr().err
-    written = path.read_bytes().splitlines(keepends=True)
-    assert set(lines) < set(written)
-    assert all(line.count(b"ht:") == 1 and line.count(b"\t") == 1
-               for line in written)
+    head, lines = split_header(data)
+    m = len(lines) // 2
+    lines[m] = lines[m].replace(b"\t", b" ")  # no tab: damaged
+    path.write_bytes(head + b"".join(lines))
+    rejected(path, "digest mismatch", capsys)
+    assert main(["table", "--max-d", "4", "--cache-file", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].split()[:2] == ["4", "26"]
+    assert err.count("\n") == 1 and "not read" in err
+    assert path.read_bytes() == data
+
+
+def test_a_file_cut_short_is_not_read(tmp_path, capsys):
+    # a file that lost its last newline, or gained part of a record after
+    # it, is not read; verify says so and fails, and its write is a valid
+    # file that agrees with the cold one
+    path = tmp_path / "counts.txt"
+    data = build_d4_file(path, capsys)
+    _, lines = split_header(data)
+    cut = lines[len(lines) // 2].partition(b"\t")[0]
+    for damaged in (data[:-1], data + cut):
+        path.write_bytes(damaged)
+        rejected(path, "digest mismatch", capsys)
+        assert main(["verify", "--max-d", "4",
+                     "--cache-file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == ("FAIL cache records of degree at "
+                                       "most 4: file not read (digest "
+                                       "mismatch)")
+        assert all(line.startswith("PASS") for line in out.splitlines()[1:])
+        assert err.count("\n") == 1
+        head, written = split_header(path.read_bytes())
+        assert head == header(written)
+        cold = {line.partition(b"\t")[0]: line for line in lines}
+        assert all(cold.get(line.partition(b"\t")[0], line) == line
+                   for line in written)
 
 
 def test_a_write_merges_into_the_file_like_one_session(tmp_path, capsys):
@@ -272,24 +313,29 @@ def test_a_write_merges_into_the_file_like_one_session(tmp_path, capsys):
 
 @pytest.mark.parametrize("values, right", [
     (["5", "4"], True), (["4", "5"], False),
-    # a line not in the written form is unreadable, wherever it stands
     (["4", "+5\r"], True), (["+4\r", "5"], False), (["005", "4"], True)])
 def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right):
+    # where a file holds two lines of a key, the line the next write makes
+    # wins: a file the program did not write is not read, whether or not
+    # its later readable line was the true one (right); verify fails on the
+    # file, compute prints the computed value, and its write holds the one
+    # true line of the key
     path = tmp_path / "counts.txt"
-    path.write_text("".join("ht:cp2;3;(8)\t%s\n" % v for v in values),
-                    newline="")
-    readable = [v for v in values if v == str(int(v))]
-    with CountCache(str(path)) as cache:
-        assert cache.entries == {"cp2;3;(8)": int(readable[-1])}
-        assert cache.entries.lines == [b"ht:cp2;3;(8)\t%s\n"
-                                       % readable[-1].encode()]
-    assert main(["verify", "--max-d", "3", "--cache-file", str(path)]) \
-        == (0 if right else 1)
+    data = "".join("ht:cp2;3;(8)\t%s\n" % v for v in values).encode()
+    path.write_bytes(data)
+    rejected(path, "no header", capsys)
+    assert main(["verify", "--max-d", "3", "--cache-file", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert ("cp2;3;(8) stored 5 computed 4" in out) != right
-    skipped = len(values) - len(readable)
-    assert ("skipped %d unreadable" % skipped in err if skipped
-            else "unreadable" not in err)
+    assert out.splitlines()[0] == ("FAIL cache records of degree at most 3: "
+                                   "file not read (no header)")
+    assert "not read (no header)" in err
+    path.write_bytes(data)
+    assert main(["compute", "-d", "3", "-c", "(8)",
+                 "--cache-file", str(path)]) == 0
+    assert capsys.readouterr().out == "4\n"
+    _, written = split_header(path.read_bytes())
+    assert [line for line in written if line.startswith(b"ht:cp2;3;(8)\t")] \
+        == [b"ht:cp2;3;(8)\t4\n"]
 
 
 def test_only_asked_keys_are_looked_up(tmp_path, monkeypatch):
@@ -367,11 +413,14 @@ def on_shell_keys(d):
 def test_a_wrong_record_never_spreads(tmp_path, capsys):
     # one record of a cold d <= 4 file is made wrong, then a key is asked
     # for, most often one the file lacks, whose computation meets the
-    # wrong record: the run prints the true value unless it asked for the
-    # wrong record itself, and it writes no line but true ones, refusing
-    # with exit 3 where a value it computed contradicts the record
+    # wrong record.  Edited by hand, the file is not read: the run prints
+    # the true value and its write holds only true lines.  With a forged
+    # digest the run prints the true value unless it asked for the wrong
+    # record itself, and it writes no line but true ones, refusing with
+    # exit 3 where a value it computed contradicts the record
     path = tmp_path / "counts.txt"
-    lines = build_d4_file(path, capsys).decode().splitlines()
+    head, lines = split_header(build_d4_file(path, capsys))
+    lines = [line.decode().rstrip("\n") for line in lines]
     held = {line[3:line.index("\t")] for line in lines}
     everything = [(d, cs) for d in range(1, 5) for cs in on_shell_keys(d)]
     absent = [(d, cs) for d, cs in everything
@@ -385,6 +434,10 @@ def test_a_wrong_record_never_spreads(tmp_path, capsys):
                 space, int(dtext), parse_constraints(ctext.replace("|", ";")))
         return known[text]
 
+    def written_lines():
+        return [line.decode().rstrip("\n")
+                for line in split_header(path.read_bytes())[1]]
+
     rng = random.Random(12)
     refused = 0
     for _ in range(25):
@@ -396,95 +449,78 @@ def test_a_wrong_record_never_spreads(tmp_path, capsys):
                 if line[3:line.index("\t")] in met]
         i = rng.choice(near if near and rng.random() < 0.8
                        else range(len(lines)))
-        head, value = lines[i].split("\t")
-        wrong = "%s\t%d" % (head, int(value) + rng.choice((-7, -1, 1, 999)))
-        path.write_text("\n".join(lines[:i] + [wrong] + lines[i + 1:]) + "\n")
-        code = main(["compute", "-d", str(d), "-c",
-                     ";".join(map(diagram_text, cs)), "--hat",
-                     "--cache-file", str(path)])
+        text, value = lines[i].split("\t")
+        wrong = "%s\t%d" % (text, int(value) + rng.choice((-7, -1, 1, 999)))
+        body = [(line + "\n").encode()
+                for line in lines[:i] + [wrong] + lines[i + 1:]]
+        key = encode_key("cp2", d, cs)
+        argv = ["compute", "-d", str(d), "-c", ";".join(map(diagram_text, cs)),
+                "--hat", "--cache-file", str(path)]
+        path.write_bytes(head + b"".join(body))
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "%d\n" % true_value(key)
+        assert "not read (digest mismatch)" in err
+        for line in written_lines():
+            text, value = line[3:].split("\t")
+            assert int(value) == true_value(text), line
+        path.write_bytes(signed(body))
+        code = main(argv)
         out = capsys.readouterr().out
         assert code in (0, 3)
         refused += code == 3
-        key = encode_key("cp2", d, cs)
-        if key != head[3:]:
+        if key != wrong[3:wrong.index("\t")]:
             assert out == "%d\n" % true_value(key)
-        for line in path.read_text().splitlines():
+        for line in written_lines():
             if line != wrong:
                 text, value = line[3:].split("\t")
                 assert int(value) == true_value(text), line
     assert refused  # some runs met the wrong record
 
 
-def read_by_hand(data):
-    """{key: value} and the number of unreadable lines of a cache file, by
-    plain bytes operations: a record is ht:, printable ASCII, a tab, and a
-    value of at most 640 digits with no leading zero or plus; the later
-    line of a key wins."""
-    lines = data.split(b"\n")
-    if not lines[-1]:
-        lines.pop()  # the newline that ends the file, or an empty file
-    entries, bad = {}, 0
-    for line in lines:
-        head, tab, value = line.partition(b"\t")
-        digits = value[1:] if value.startswith(b"-") else value
-        if (head.startswith(b"ht:") and tab
-                and all(32 <= c < 127 for c in head)
-                and digits.isdigit() and len(digits) <= 640
-                and (value == b"0" or not digits.startswith(b"0"))):
-            entries[head[3:].decode()] = int(value)
-        else:
-            bad += 1
-    return entries, bad
+@functools.lru_cache(maxsize=None)
+def cold_d4_file():
+    """The bytes of a cold table --max-d 4 cache file and its records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.txt")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["table", "--max-d", "4", "--cache-file", path]) == 0
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return data, dict(line.decode()[3:].rstrip("\n").split("\t")
+                      for line in split_header(data)[1])
 
 
-def computed_d2():
-    engine = Engine()
-    engine.invariant("cp2", 2, ((5,),))
-    return engine
-
-
-TRUE_LINES = [b"ht:%s\t%d" % (key.encode(), value)
-              for key, value in computed_d2().memo_items()]
-KEYS = st.sampled_from([b"cp2;3;(8)", b"cp2;3;(7,1)", b"cp2;1;(2)", b"a",
-                        b""])
-NUMBERS = st.integers(-10 ** 20, 10 ** 20)
-LINES = st.one_of(
-    st.builds(b"ht:%s\t%d".__mod__, st.tuples(KEYS, NUMBERS)),
-    st.sampled_from(TRUE_LINES),
-    st.builds(b"ht:%s\t%s".__mod__, st.tuples(KEYS, st.sampled_from(
-        [b"007", b"+4", b"-0", b"4\r", b"", b"9" * 640, b"9" * 641,
-         b"9" * 5000]))),
-    st.builds(b"ht:%s %d".__mod__, st.tuples(KEYS, NUMBERS)),  # no tab
-    st.just(b"ht:cp2;\xff\t1"),  # not UTF-8
-    st.just(b"gw:3;2\t7"))
-
-
-@settings(max_examples=300, deadline=None)
-@given(lines=st.lists(LINES, max_size=12), chunk=st.sampled_from([2, 3]),
-       cut=st.one_of(st.none(), st.integers(0, 40)))
-def test_the_load_reads_what_a_plain_reader_reads(lines, chunk, cut):
-    # shuffled, repeated, damaged and cut-off lines, with tiny chunks so
-    # that lines of every kind fall on chunk edges; one harvest then
-    # writes the sorted records, one line per key
-    data = b"".join(line + b"\n" for line in lines)
-    if cut is not None and lines:
-        data = data[:len(data) - len(lines[-1]) - 1 + cut]
-    entries, bad = read_by_hand(data)
-    engine = computed_d2()
-    err = io.StringIO()
+@settings(max_examples=150, deadline=None)
+@given(edit=st.sampled_from(["flip", "insert", "delete"]),
+       where=st.floats(0, 1, exclude_max=True), byte=st.integers(0, 255),
+       pick=st.integers(0, 1736))
+def test_a_changed_byte_rejects_the_file(edit, where, byte, pick):
+    # one byte flipped, inserted or deleted anywhere in a cold d <= 4 file,
+    # header included: the file is not read, and compute prints the true
+    # value of a key the file held
+    data, records = cold_d4_file()
+    i = int(where * len(data))
+    if edit == "flip":
+        changed = data[:i] + bytes([data[i] ^ (byte or 1)]) + data[i + 1:]
+    elif edit == "insert":
+        changed = data[:i] + bytes([byte]) + data[i:]
+    else:
+        changed = data[:i] + data[i + 1:]
+    key = sorted(records)[pick]
+    space, degree, diagrams = key.split(";")
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch("tangentcount.cache._CHUNK", chunk), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         path = os.path.join(tmp, "counts.txt")
         with open(path, "wb") as handle:
-            handle.write(data)
+            handle.write(changed)
         with CountCache(path) as cache:
-            assert cache.entries == entries
-            cache.harvest(engine)
-        with open(path, "rb") as handle:
-            written = handle.read()
-    assert (("skipped %d unreadable" % bad) in err.getvalue() if bad
-            else "unreadable" not in err.getvalue())
-    entries.update(engine.memo_items())
-    assert written == b"".join(sorted(b"ht:%s\t%d\n" % (key.encode(), value)
-                                      for key, value in entries.items()))
+            assert cache.rejected in ("no header", "digest mismatch")
+            assert len(cache.entries) == 0
+        code = main(["compute", "--space", space, "-d", degree, "-c",
+                     diagrams.replace("|", ";"), "--hat",
+                     "--cache-file", path])
+    assert code == 0
+    assert out.getvalue() == records[key] + "\n"
+    assert err.getvalue().count("not read") == 2

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import tangentcount
 from tangentcount import engine as engine_module, gw, matrices, partitions
+from tangentcount.cache import header
 from tangentcount.cli import main, parse_constraints, parse_degree
 from tangentcount.partitions import partitions_of
 
@@ -23,6 +24,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def signed(*lines):
+    """The bytes of a cache file holding the text lines with a valid
+    digest, as if the program had written it."""
+    lines = [(line + "\n").encode() for line in lines]
+    return header(lines) + b"".join(lines)
+
+
+def written_records(path):
+    """The record lines of a cache file the program wrote, text without
+    newlines; checks its header."""
+    head, *lines = path.read_bytes().splitlines(keepends=True)
+    assert head == header(lines)
+    return [line.decode().rstrip("\n") for line in lines]
 
 
 def test_parse_degree():
@@ -257,6 +273,19 @@ def test_matrix_output(capsys):
     assert payload["det"] == "-6"
 
 
+def test_star_past_its_bound_is_usage_error(capsys, monkeypatch):
+    # two 20-row diagrams have about 2e19 row matchings: a usage error,
+    # exit 2, before any walk
+    monkeypatch.setattr("tangentcount.cli.star", None)
+    ones = "(%s)" % ",".join(["1"] * 20)
+    with pytest.raises(SystemExit) as info:
+        main(["star", ones, ones])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "tangentcount: error: diagrams of 20 and 20 rows have more than "
+        "2000000 row matchings to walk")
+
+
 def test_matrix_weight_limit(capsys, monkeypatch):
     # past the bound nothing is built: a usage error, exit 2
     monkeypatch.setattr("tangentcount.cli.move_matrix", None)
@@ -282,10 +311,11 @@ def test_verify_small(capsys):
 
 
 def test_verify_recomputes_cache_records(tmp_path, capsys):
-    # a wrong record that no check re-derives on its own is caught, named
-    # with both values, and the published checks still run
+    # a wrong record under a forged digest, which no check re-derives on
+    # its own, is caught, named with both values, and the published checks
+    # still run
     path = tmp_path / "bad.txt"
-    path.write_text("ht:cp2;3;(8)\t5\n")
+    path.write_bytes(signed("ht:cp2;3;(8)\t5"))
     code, out, _ = run(capsys, "verify", "--max-d", "3",
                        "--cache-file", str(path))
     assert code == 1
@@ -300,6 +330,25 @@ def test_verify_recomputes_cache_records(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "PASS cache records of degree at most 4"
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_verify_fails_on_a_file_it_does_not_read(tmp_path, capsys):
+    # no records are read, so none can pass: the check fails saying why,
+    # and the published checks still run
+    path = tmp_path / "bad.txt"
+    for data, reason in ((b"ht:cp2;3;(8)\t5\n", "no header"),
+                         (signed("ht:cp2;3;(8)\t4")[:-2] + b"5\n",
+                          "digest mismatch")):
+        path.write_bytes(data)
+        code, out, err = run(capsys, "verify", "--max-d", "3",
+                             "--cache-file", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == ("FAIL cache records of degree at most 3: "
+                            "file not read (%s)" % reason)
+        assert all(line.startswith("PASS") for line in lines[1:])
+        assert err == ("cache %s not read (%s); replaced at the next write\n"
+                       % (path, reason))
 
 
 def parse_stats(err):
@@ -341,24 +390,26 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
 
 
 def test_plane_counts_in_a_cache_file_are_ignored(tmp_path, capsys):
-    # a plane count is recomputed, never read back: a poisoned record
-    # neither changes the answer nor gets copied into the ht: section
-    gw.reset()
-    path = tmp_path / "counts.txt"
-    path.write_text("gw:5;\t999\n")
-    code, out, _ = run(capsys, "compute", "-d", "5", "-c", ";".join(
-        ["(1)"] * 14), "--cache-file", str(path))
-    assert (code, out) == (0, "87304\n")
-    records = path.read_text().splitlines()
-    assert "ht:cp2;5;" + "|".join(["(1)"] * 14) + "\t87304" in records
-    assert not any(line.startswith("ht:") and line.endswith("\t999")
-                   for line in records)
+    # a plane count is recomputed, never read back: a poisoned record, in
+    # a file of an older writer or under a valid digest, neither changes
+    # the answer nor gets copied into the ht: section
+    for data in (b"gw:5;\t999\n", signed("gw:5;\t999")):
+        gw.reset()
+        path = tmp_path / "counts.txt"
+        path.write_bytes(data)
+        code, out, _ = run(capsys, "compute", "-d", "5", "-c", ";".join(
+            ["(1)"] * 14), "--cache-file", str(path))
+        assert (code, out) == (0, "87304\n")
+        records = written_records(path)
+        assert "ht:cp2;5;" + "|".join(["(1)"] * 14) + "\t87304" in records
+        assert not any(line.startswith("ht:") and line.endswith("\t999")
+                       for line in records)
     gw.reset()
 
 
 def test_table_provenance_comes_from_the_file(tmp_path, capsys):
     path = tmp_path / "counts.txt"
-    path.write_text("ht:cp2;3;(8)\t4\n")
+    path.write_bytes(signed("ht:cp2;3;(8)\t4"))
     code, out, _ = run(capsys, "table", "--mode", "full", "-d", "3",
                        "--format", "csv", "--cache-file", str(path))
     assert code == 0
@@ -377,17 +428,19 @@ def test_cache_file_under_a_regular_file_runs_without_it(tmp_path, capsys):
 
 
 def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
-    # blowup counts are recomputed, never read back: a poisoned gw: record
-    # neither changes the answer nor gets copied into the ht: section, and
-    # the compaction drops it
+    # blowup counts are recomputed, never read back: the older file that
+    # holds a poisoned gw: record is not read, so the record neither
+    # changes the answer nor gets copied into the ht: section, and the
+    # write drops it
     gw.reset()
     path = tmp_path / "counts.txt"
     path.write_text("gw:3;2\t7\n")
-    code, out, _ = run(capsys, "compute", "-d", "3", "-c",
-                       "(1,1);(1);(1);(1);(1);(1);(1)", "--hat",
-                       "--cache-file", str(path))
+    code, out, err = run(capsys, "compute", "-d", "3", "-c",
+                         "(1,1);(1);(1);(1);(1);(1);(1)", "--hat",
+                         "--cache-file", str(path))
     assert (code, out) == (0, "2\n")
-    records = path.read_text().splitlines()
+    assert "not read (no header)" in err and "Traceback" not in err
+    records = written_records(path)
     assert "ht:cp2;3;(1,1)|(1)|(1)|(1)|(1)|(1)|(1)\t2" in records
     assert not any(line.endswith("\t14") for line in records)
     assert all(line.startswith("ht:") for line in records)
@@ -395,28 +448,35 @@ def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
 
 
 def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
+    # with the file it stands in, which the write replaces
     path = tmp_path / "counts.txt"
     path.write_bytes(b"ht:cp2;1;(2)\t1\n\xff\xfe garbage\n")
     code, out, err = run(capsys, "compute", "-d", "1", "-c", "(2)",
                          "--cache-file", str(path))
     assert (code, out) == (0, "1\n")
-    assert "skipped 1 unreadable" in err
+    assert "not read (no header)" in err and "Traceback" not in err
+    records = written_records(path)
+    assert "ht:cp2;1;(2)\t1" in records
+    assert all(line.startswith("ht:cp2;1;") for line in records)
 
 
 def test_a_value_too_long_for_int_is_skipped(tmp_path, capsys):
-    # more digits than int() parses at its default limit: never a record,
-    # so never parsed
+    # more digits than int() parses at its default limit, in a file the
+    # program did not write: the file is not read, so the value is never
+    # parsed, and verify fails on the file
     path = tmp_path / "counts.txt"
     bad = "ht:cp2;3;(8)\t" + "9" * 5000
-    for argv, expected in ((["compute", "-d", "3", "-c", "(8)"], "4\n"),
-                           (["table", "--max-d", "3"], None),
-                           (["verify", "--max-d", "3"], None)):
+    for argv, expected, exit_code in (
+            (["compute", "-d", "3", "-c", "(8)"], "4\n", 0),
+            (["table", "--max-d", "3"], None, 0),
+            (["verify", "--max-d", "3"], None, 1)):
         path.write_text(bad)
         code, out, err = run(capsys, *argv, "--cache-file", str(path))
-        assert code == 0
+        assert code == exit_code
         assert expected in (None, out)
-        assert "skipped 1 unreadable" in err
+        assert "not read (no header)" in err
         assert "Traceback" not in err
+        assert "ht:cp2;3;(8)\t4" in written_records(path)
 
 
 def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
@@ -425,7 +485,7 @@ def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
     # neither its p(47) = 124,754 diagrams are listed nor a weight-47
     # merge table is built
     path = tmp_path / "counts.txt"
-    path.write_text("ht:cp2;16;(47)\t5\n")
+    path.write_bytes(signed("ht:cp2;16;(47)\t5"))
     planned, listed = [], []
     real_plan, real_list = matrices.solve_plan, partitions.partition_list
 
@@ -445,15 +505,15 @@ def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
     assert (code, out) == (0, "5\n")
     assert 47 not in planned
     assert 47 not in listed
-    assert path.read_text() == "ht:cp2;16;(47)\t5\n"
+    assert path.read_bytes() == signed("ht:cp2;16;(47)\t5")
 
 
 def test_a_wrong_record_is_not_read_into_a_computation(tmp_path, capsys):
-    # (7)|(1) is 5, and T_3 = 4 is computed through it: the record is not
-    # read, the computed value is printed, and the harvest that meets the
-    # record refuses it, leaving the file as it was
+    # (7)|(1) is 5, and T_3 = 4 is computed through it: the record, under a
+    # forged digest, is not read, the computed value is printed, and the
+    # harvest that meets the record refuses it, leaving the file as it was
     path = tmp_path / "counts.txt"
-    path.write_text("ht:cp2;3;(7)|(1)\t999\n")
+    path.write_bytes(signed("ht:cp2;3;(7)|(1)\t999"))
     before = path.read_bytes()
     code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
                          "--cache-file", str(path))

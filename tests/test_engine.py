@@ -8,7 +8,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangentcount.cache import CountCache
+from tangentcount.cache import CountCache, header
 from tangentcount.cli import parse_constraints, parse_degree
 from tangentcount.engine import (Engine, canonical_constraints, complexity,
                                  encode_key)
@@ -249,8 +249,11 @@ def test_key_text_round_trip():
 
 
 def write_cache(path, lines):
-    with open(path, "w") as handle:
-        handle.writelines(line + "\n" for line in lines)
+    """A cache file holding lines with a valid digest, as if the program
+    had written it."""
+    lines = [(line + "\n").encode() for line in lines]
+    with open(path, "wb") as handle:
+        handle.writelines([header(lines)] + lines)
 
 
 def test_absorbed_values_are_used(tmp_path):
