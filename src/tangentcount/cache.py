@@ -50,9 +50,22 @@ def header(lines):
     return _header(digest)
 
 
+def parse_line(line):
+    """(key text, value) of a record line, or None for a line that is no
+    record: no ``ht:`` or tab, a value int() rejects, or bytes that are not
+    UTF-8.  A line is read as a record through this alone."""
+    head, tab, value = line.partition(b"\t")
+    if not (tab and head.startswith(b"ht:")):
+        return None
+    try:
+        return head[3:].decode(), int(value)
+    except ValueError:  # UnicodeDecodeError is one too
+        return None
+
+
 class Records(Mapping):
     """Read-only {key text: value} over one sorted list of canonical lines,
-    one per key."""
+    one per key; a line parse_line rejects is no record."""
 
     def __init__(self):
         self.lines = []
@@ -61,15 +74,18 @@ class Records(Mapping):
         head = b"ht:%s\t" % key.encode()
         i = bisect_left(self.lines, head)
         if i < len(self.lines) and self.lines[i].startswith(head):
-            return int(self.lines[i][len(head):])
+            record = parse_line(self.lines[i])
+            if record is not None:
+                return record[1]
         raise KeyError(key)
 
     def __len__(self):
-        return len(self.lines)
+        return sum(1 for _ in self)
 
     def __iter__(self):
-        for line in self.lines:
-            yield line[3:line.index(b"\t")].decode()
+        for record in map(parse_line, self.lines):
+            if record is not None:
+                yield record[0]
 
 
 def _unheld(lines, held):
@@ -86,7 +102,7 @@ def _unheld(lines, held):
         elif held[i] != line:
             raise InconsistencyError(
                 "conflicting values %s (cache) and %s (computed) for %s"
-                % (held[i][len(head):-1].decode(),
+                % (held[i][len(head):-1].decode(errors="replace"),
                    line[len(head):-1].decode(), head[3:-1].decode()))
     return out
 
@@ -144,9 +160,9 @@ class CountCache:
 
     def preload(self, engine):
         """Hand the engine the stored records, which answer the keys it is
-        asked for by their text; returns how many there are."""
+        asked for by their text; returns how many lines hold them."""
         engine.stored = self.entries
-        return len(self.entries)
+        return len(self.entries.lines)
 
     def harvest(self, engine):
         """Merge into the records, for close to write, the run's results

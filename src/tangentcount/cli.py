@@ -32,7 +32,7 @@ from itertools import accumulate
 from math import comb, factorial, perm
 
 from . import gw
-from .cache import CountCache
+from .cache import CountCache, parse_line
 from .engine import (KEY_LIMIT, Engine, canonical_constraints, encode_key,
                      key_fits)
 from .errors import InconsistencyError
@@ -287,7 +287,12 @@ def cmd_verify(args, parser):
                    "file not read (%s)" % cache.rejected)
         elif cache:  # recompute the records of degree <= max_d afresh
             fresh, bad = Engine(), []
-            for key, stored in sorted(cache.entries.items()):
+            for n, line in enumerate(cache.entries.lines, 2):  # 1: header
+                record = parse_line(line)
+                if record is None:
+                    bad.append("line %d is no record" % n)
+                    continue
+                key, stored = record
                 try:
                     space, dtext, ctext = key.split(";")
                     degree = parse_degree(dtext, space)

@@ -150,7 +150,7 @@ class Engine:
     """Memoizing evaluator for tangency invariants over one process.
 
     The memo keeps one vector per solve, plus base case values; a key of
-    level k is answered by any weight-k vector beside one of its targets.
+    level k is answered by the first weight-k vector holding it (_held).
     A vector is the solve's list, in solve_plan(k).parts[1:] order, packed
     into the narrowest int array that holds it (a tuple past int64).
     Instances share only the diagram codes and the blowup backend memo,
@@ -211,17 +211,6 @@ class Engine:
                  canonical_constraints((q,) + rest))
                 for q, coeff in sorted(star(p1, p2).items())]
 
-    def combined_value(self, space, degree, constraints):
-        """Evaluate the combine_forward expansion term by term (must be
-        an integer and must agree with invariant())."""
-        total = Fraction(0)
-        for coeff, merged in self.combine_forward(space, degree, constraints):
-            total += coeff * self.invariant(space, degree, merged)
-        if total.denominator != 1:
-            raise InconsistencyError(
-                "combined expansion gave non-integer %s" % (total,))
-        return int(total)
-
     def sum_identity(self, space, degree):
         """Both sides of the point-constraint identity: the count through
         c1 - 1 generic points versus sum of P! * N<P> over all diagrams P
@@ -234,32 +223,23 @@ class Engine:
                   for p in partitions_of(m))
         return lhs, rhs
 
-    def full_table(self, space, degree, include_zero=False):
-        """All single-point invariants of the class: {P: N<P>} over diagrams
-        P of the on-shell weight, zeros omitted unless requested."""
+    def full_table(self, space, degree):
+        """The nonzero single-point invariants of the class: {P: N<P>} over
+        diagrams P of the on-shell weight."""
         m = gw.chern_number(space, degree) - 1
         if m < 1:
             raise ValueError("class must have chern number >= 2")
         values = {p: self.invariant(space, degree, (p,))
                   for p in partitions_of(m)}
-        return {p: n for p, n in values.items() if n or include_zero}
+        return {p: n for p, n in values.items() if n}
 
     # ------------------------------------------------------------- internals
 
     def _eval(self, space, degree, cs, parent_rank):
         key = (space, degree, cs)
         k = next(filter(None, map(_LEVEL.get, cs)), None)  # level if > 1
-        hit = self._values.get(key) if k is None else None
-        if k is not None:  # the first of _holders, inlined in the hot path
-            lo, hi = _first[k], _first[k + 1]
-            vectors = self._vectors[space, degree]
-            for i, c in enumerate(cs):
-                if c <= lo:
-                    break
-                vector = vectors.get(cs[:i] + cs[i + 1:]) if c < hi else None
-                if vector is not None:
-                    hit = vector[c - lo - 1]
-                    break
+        hit = (self._values.get(key) if k is None
+               else self._held(space, degree, cs, k)[1])
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
@@ -275,17 +255,21 @@ class Engine:
         return self._solve_at(space, degree, cs[:i] + cs[i + 1:], k, rank)[
             cs[i] - _first[k] - 1]
 
-    def _holders(self, space, degree, cs, k):
-        """(target, value) per weight-k solve vector holding the key cs of
-        level k; its targets are its codes between (1,)*k and (1,)*(k+1)."""
+    def _held(self, space, degree, cs, k):
+        """(target, value) from the first weight-k vector, in target order,
+        holding the key cs of level k, else (None, None); a vector's targets
+        are its codes between (1,)*k and (1,)*(k+1).  All holders of a key
+        agree, as _solve_at alone stores a vector and first checks each value
+        against the holders stored: checking against this one checks all."""
         lo, hi = _first[k], _first[k + 1]
         vectors = self._vectors[space, degree]
         for i, c in enumerate(cs):
             if c <= lo:
-                return
+                break
             vector = vectors.get(cs[:i] + cs[i + 1:]) if c < hi else None
             if vector is not None:
-                yield c, vector[c - lo - 1]
+                return c, vector[c - lo - 1]
+        return None, None
 
     def _base_case(self, space, degree, cs):
         """All-ones constraints: branch orders 1 everywhere, so the count is
@@ -302,7 +286,7 @@ class Engine:
     def _solve_at(self, space, degree, rest, k, rank):
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
-        against every other vector holding its key."""
+        against the vector _held finds for its key."""
         values = [self._eval(space, degree,
                              tuple(sorted(rest + codes, reverse=True)), rank)
                   for codes in _solve_inputs(k)]
@@ -311,11 +295,11 @@ class Engine:
         if rank[1] > 1:  # else no other vector holds a key
             for q, value in enumerate(solved, _first[k] + 1):
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
-                for _, old in self._holders(*key, k):
-                    if old != value:
-                        raise InconsistencyError(
-                            "conflicting values %d and %d for %s"
-                            % (old, value, _decoded(key)))
+                old = self._held(*key, k)[1]
+                if old not in (None, value):
+                    raise InconsistencyError(
+                        "conflicting values %d and %d for %s"
+                        % (old, value, _decoded(key)))
         self._vectors[space, degree][rest] = _packed(solved)
         return solved
 
@@ -323,9 +307,9 @@ class Engine:
 
     def memo_items(self):
         """Each memoized key once, as (key text, value) pairs; a vector's
-        key is yielded by the first vector, in target order, holding it,
-        so only vectors beside rest's own larger targets can come first.
-        A vector's key texts share the text of rest around the target's."""
+        key is yielded by the vector _held finds for it, so only vectors
+        beside rest's own larger targets can come first.  A vector's key
+        texts share the text of rest around the target's."""
         for key, value in self._values.items():  # all-ones: in no vector
             yield encode_key(*_decoded(key)), value
         for (space, degree), vectors in self._vectors.items():
@@ -345,10 +329,8 @@ class Engine:
                         for i in range(top, top + len(targets) + 1)]
                 for q, value in enumerate(vector, lo + 1):
                     above = [c for c in targets if c > q] if targets else ()
-                    if above and any(  # a vector beside c holds q's key first
-                            tuple(sorted(rest[:i] + rest[i + 1:] + (q,),
-                                         reverse=True)) in vectors
-                            for i in map(rest.index, above)):
+                    if above and self._held(space, degree, tuple(sorted(
+                            rest + (q,), reverse=True)), k)[0] != q:
                         continue
                     pre, post = ends[len(above)]
                     yield pre + _text(q) + post, value

@@ -30,8 +30,8 @@ The computation runs entirely over exact integers:
     Cremona move, repeated while the three deepest multiplicities exceed
     the degree (an exceptional class ends at a generator E_i, which counts
     1); otherwise it is the higher count in the relation of the class with
-    its shallowest slot lowered by one.  _point_free_solve says why the
-    recursion ends.
+    its shallowest slot lowered by one.  _value says why the recursion
+    ends.
 """
 
 from collections import Counter
@@ -40,7 +40,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InconsistencyError
-from .partitions import local_double_points
 
 counters = Counter()
 
@@ -75,36 +74,14 @@ def kontsevich_count(d):
 
 # ------------------------------------------------------------ class bookkeeping
 
-def _check_space(space):
-    if space not in ("cp2", "p1xp1"):
-        raise ValueError("space must be 'cp2' or 'p1xp1', got %r" % (space,))
-
-
 def chern_number(space, degree, mults=()):
     """Pairing of the class with the anticanonical divisor, c1(A)."""
-    _check_space(space)
+    if space not in ("cp2", "p1xp1"):
+        raise ValueError("space must be 'cp2' or 'p1xp1', got %r" % (space,))
     if space == "cp2":
         return 3 * degree - sum(mults)
     a, b = degree
     return 2 * a + 2 * b - sum(mults)
-
-
-def self_intersection(space, degree, mults=()):
-    """Homological self-intersection number A . A."""
-    _check_space(space)
-    if space == "cp2":
-        base = degree * degree
-    else:
-        a, b = degree
-        base = 2 * a * b
-    return base - sum(m * m for m in mults)
-
-
-def double_point_count(space, degree, mults=()):
-    """Nodes of an immersed rational curve in the class:
-    (A.A - c1(A)) / 2 + 1 (adjunction)."""
-    return (self_intersection(space, degree, mults)
-            - chern_number(space, degree, mults)) // 2 + 1
 
 
 def translate_to_plane(bidegree, mults=()):
@@ -125,24 +102,6 @@ def descendant_average(d):
     if d < 1:
         raise ValueError("degree must be >= 1")
     return Fraction(factorial(3 * d - 2), factorial(d) ** 3)
-
-
-def vanishing_filter(space, degree, diagram):
-    """True when a single-point invariant is forced to vanish a priori.
-
-    Two sources: the branch diagram alone forces more double points near its
-    point than the whole class supports (delta(P) > delta(A)), or the class
-    is a multiple of one ruling of P1 x P1 (bidegree (d, 0) with d > 1, which
-    has no somewhere-injective representatives at all).  Never used as a
-    shortcut: only the tests (test_consistency, test_gw) call it, to check
-    computed values against it.
-    """
-    _check_space(space)
-    if space == "p1xp1":
-        a, b = degree
-        if (b == 0 and a > 1) or (a == 0 and b > 1):
-            return True
-    return local_double_points(diagram) > double_point_count(space, degree)
 
 
 # ------------------------------------------------------------- Cremona moves
@@ -194,8 +153,19 @@ def gw_blowup(degree, mults=()):
 def _value(d, mults):
     """The count for d*L - sum m_i E_i through c1 - 1 generic points.
 
-    Internal work-horse; accepts arbitrary integer multiplicities (splitting
-    terms produce negative ones) and folds the class to its canonical key.
+    Internal work-horse; accepts arbitrary integer multiplicities (a
+    Cremona move can make entries negative) and folds the class to its
+    canonical key.  A class with npts >= 1 free points solves the relation
+    at its deepest slot with n = npts - 1 (m_1 = d died in the adjunction
+    filter, so _relation's a > 0).  A point-free class X = (d; m) is solved
+    from the relation of X - E_s, s the shallowest slot: that class has one
+    free point, so n = 0.
+
+    The recursion ends.  X - E_s is a WDVV solve that bumps its deepest
+    slot, giving the point-free class X - E_s + E_1, whose sum m^2 is larger
+    by 2(m_1 - m_s) + 2 >= 2; every other class asked for has smaller
+    degree.  At one degree sum m = 3d - 1 and adjunction bounds sum m^2 by
+    d^2 + 1, so the chain of point-free classes is finite.
     """
     if d < 0:
         return 0
@@ -220,7 +190,8 @@ def _value(d, mults):
         return 0
     npts = 3 * d - sum(deep) - 1
     if npts > 0:
-        value = _wdvv_solve(d, deep, npts)
+        counters["gw_wdvv_solves"] += 1
+        value = _relation(d, deep, npts - 1, 0, bumped_unknown=False)
     elif sum(deep[:3]) > d:
         nd, nm = d, deep  # each move lowers the degree, so the loop ends
         while nd > 0 and sum(nm[:3]) > nd:
@@ -228,32 +199,12 @@ def _value(d, mults):
             nd, nm = cremona_move(nd, nm)
         value = _value(nd, nm)
     else:
-        value = _point_free_solve(d, deep)
+        counters["gw_point_free_solves"] += 1
+        s = len(deep) - 1  # deepest-sorted: the trailing slot is shallowest
+        value = _relation(d, deep[:s] + (deep[s] - 1,), 0, s,
+                          bumped_unknown=True)
     _values[key] = value
     return value
-
-
-def _wdvv_solve(d, m, npts):
-    """Solve the relation for the class (d; m), npts >= 1, at the deepest
-    slot with n = npts - 1; m_1 = d died in the adjunction filter, so a > 0.
-    """
-    counters["gw_wdvv_solves"] += 1
-    return _relation(d, m, npts - 1, 0, bumped_unknown=False)
-
-
-def _point_free_solve(d, m):
-    """Solve for the point-free class X = (d; m) from the relation of
-    X - E_s, s the shallowest slot: that class has one free point, so n = 0.
-
-    The recursion ends.  X - E_s is a WDVV solve that bumps its deepest
-    slot, giving the point-free class X - E_s + E_1, whose sum m^2 is larger
-    by 2(m_1 - m_s) + 2 >= 2; every other class asked for has smaller
-    degree.  At one degree sum m = 3d - 1 and adjunction bounds sum m^2 by
-    d^2 + 1, so the chain of point-free classes is finite.
-    """
-    counters["gw_point_free_solves"] += 1
-    s = len(m) - 1  # deepest-sorted, so the trailing slot is the shallowest
-    return _relation(d, m[:s] + (m[s] - 1,), 0, s, bumped_unknown=True)
 
 
 def _relation(d, m, n, s, bumped_unknown):

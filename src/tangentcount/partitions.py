@@ -77,17 +77,6 @@ def partition_list(k):
     return tuple(partitions_of(k))
 
 
-def dual(p):
-    """The transposed diagram: entry j counts the rows of length >= j.
-
-    For a weakly decreasing p the result is again weakly decreasing, and
-    transposing twice gives back p.
-    """
-    if not p:
-        return ()
-    return tuple(sum(1 for r in p if r >= j) for j in range(1, p[0] + 1))
-
-
 def aut_order(p):
     """Order of the group permuting equal rows: product of (multiplicity)!.
 
@@ -100,17 +89,6 @@ def aut_order(p):
         run = run + 1 if p[i] == p[i - 1] else 1
         n *= run  # running product of each run builds up multiplicity!
     return n
-
-
-def local_double_points(p):
-    """Number of nodes forced at a single point carrying all branches of p.
-
-    Two branches with contact orders a and b meeting at the same point of the
-    divisor intersect each other at least min(a, b) = b times there (rows
-    sorted), and summing the pairwise minima of a sorted diagram gives
-    sum_i (i - 1) * p_i.  Requires p weakly decreasing.
-    """
-    return sum(i * r for i, r in enumerate(p))
 
 
 def multinomial(p):

@@ -1,0 +1,80 @@
+"""Reference helpers that only the tests use: the adjunction counts behind
+the a-priori vanishing predicate, the dual diagram, the merge expansion
+evaluated term by term, and single-point tables with their zeros.  None
+of them is a shortcut of the package; each gives a second route to a
+value the package computes."""
+
+from fractions import Fraction
+
+from tangentcount import gw
+from tangentcount.errors import InconsistencyError
+from tangentcount.partitions import partitions_of
+
+
+def self_intersection(space, degree, mults=()):
+    """Homological self-intersection number A . A."""
+    base = degree * degree if space == "cp2" else 2 * degree[0] * degree[1]
+    return base - sum(m * m for m in mults)
+
+
+def double_point_count(space, degree, mults=()):
+    """Nodes of an immersed rational curve in the class:
+    (A.A - c1(A)) / 2 + 1 (adjunction)."""
+    c1 = gw.chern_number(space, degree, mults)  # checks the space
+    return (self_intersection(space, degree, mults) - c1) // 2 + 1
+
+
+def local_double_points(p):
+    """Number of nodes forced at a single point carrying all branches of p.
+
+    Two branches with contact orders a and b meeting at the same point of the
+    divisor intersect each other at least min(a, b) = b times there (rows
+    sorted), and summing the pairwise minima of a sorted diagram gives
+    sum_i (i - 1) * p_i.  Requires p weakly decreasing.
+    """
+    return sum(i * r for i, r in enumerate(p))
+
+
+def dual(p):
+    """The transposed diagram: entry j counts the rows of length >= j.
+
+    For a weakly decreasing p the result is again weakly decreasing, and
+    transposing twice gives back p.
+    """
+    if not p:
+        return ()
+    return tuple(sum(1 for r in p if r >= j) for j in range(1, p[0] + 1))
+
+
+def vanishing_filter(space, degree, diagram):
+    """True when a single-point invariant is forced to vanish a priori.
+
+    Two sources: the branch diagram alone forces more double points near its
+    point than the whole class supports (delta(P) > delta(A)), or the class
+    is a multiple of one ruling of P1 x P1 (bidegree (d, 0) with d > 1, which
+    has no somewhere-injective representatives at all).
+    """
+    if space == "p1xp1":
+        a, b = degree
+        if (b == 0 and a > 1) or (a == 0 and b > 1):
+            return True
+    return local_double_points(diagram) > double_point_count(space, degree)
+
+
+def combined_value(engine, space, degree, constraints):
+    """Evaluate engine.combine_forward's expansion term by term (must be
+    an integer and must agree with engine.invariant)."""
+    total = Fraction(0)
+    for coeff, merged in engine.combine_forward(space, degree, constraints):
+        total += coeff * engine.invariant(space, degree, merged)
+    if total.denominator != 1:
+        raise InconsistencyError(
+            "combined expansion gave non-integer %s" % (total,))
+    return int(total)
+
+
+def single_point_table(engine, space, degree):
+    """{P: N<P>} over every diagram P of the class's on-shell weight, zeros
+    included: engine.full_table keeps only the nonzero ones."""
+    m = gw.chern_number(space, degree) - 1
+    return {p: engine.invariant(space, degree, (p,)) for p in partitions_of(m)}

@@ -116,6 +116,27 @@ def test_malformed_entries_do_not_poison_engines(tmp_path):
             assert engine.invariant("cp2", 3, ((8,),)) == 4
 
 
+def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path):
+    # even under a valid digest, a line with no tab, a value int() rejects
+    # or bytes that are not UTF-8 are not records: no lookup returns them,
+    # and the records iterate and count without them
+    path = tmp_path / "counts.txt"
+    lines = sorted([b"ht:cp2;1;(2)\t1\n", b"ht:cp2;3;(8) 4\n",
+                    b"ht:cp2;3;(7,1)\t" + b"9" * 5000 + b"\n",
+                    b"ht:cp2;3;(6,2)\t\xff\n", b"ht:cp2;3;(\xff)\t4\n",
+                    b"gw:0;\t7\n"])
+    path.write_bytes(signed(lines))
+    engine = fresh_state()
+    with CountCache(str(path)) as cache:
+        assert cache.preload(engine) == len(lines)
+        assert cache.entries == {"cp2;1;(2)": 1}
+        assert len(cache.entries) == 1
+        assert "cp2;3;(7,1)" not in cache.entries
+        assert engine.invariant("cp2", 3, ((8,),)) == 4
+        assert engine.invariant("cp2", 3, ((7, 1),)) == 1
+        assert engine.invariant("cp2", 3, ((6, 2),)) == 0
+
+
 def test_second_open_is_read_only(tmp_path, capsys):
     path = str(tmp_path / "counts.txt")
     first = CountCache(path)

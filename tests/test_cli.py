@@ -479,6 +479,38 @@ def test_a_value_too_long_for_int_is_skipped(tmp_path, capsys):
         assert "ht:cp2;3;(8)\t4" in written_records(path)
 
 
+def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path, capsys):
+    # under a forged digest, a value too long for int() and a line with no
+    # tab are never read as records: compute prints the computed value, and
+    # exits 3 at harvest where the line holds the asked key; verify names
+    # the line and fails; neither ends in a traceback
+    path = tmp_path / "counts.txt"
+    long = "ht:cp2;3;(8)\t" + "9" * 5000
+    for line, exit_code in ((long, 3), ("ht:cp2;3;(8) 4", 0)):
+        path.write_bytes(signed(line))
+        code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
+                             "--cache-file", str(path))
+        assert (code, out) == (exit_code, "4\n")
+        assert "Traceback" not in err
+        path.write_bytes(signed(line))
+        code, out, err = run(capsys, "verify", "--max-d", "3",
+                             "--cache-file", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == ("FAIL cache records of degree at most 3: "
+                            "line 2 is no record")
+        assert all(line.startswith("PASS") for line in lines[1:])
+    # a value that is not UTF-8 is no record, and the conflict it makes at
+    # harvest is said without raising on its bytes
+    data = b"ht:cp2;3;(8)\t\xff\n"
+    path.write_bytes(header([data]) + data)
+    code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
+                         "--cache-file", str(path))
+    assert (code, out) == (3, "4\n")
+    assert err == ("internal inconsistency: conflicting values \ufffd "
+                   "(cache) and 4 (computed) for cp2;3;(8)\n")
+
+
 def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
                                                         monkeypatch):
     # a key answered by a record is looked up before it is coded, so

@@ -18,6 +18,8 @@ from tangentcount.partitions import partitions_of, weight
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
+from reference import combined_value, single_point_table
+
 
 def test_canonical_constraint_order():
     assert canonical_constraints(((1, 1), (3,), (2, 1))) == (
@@ -125,7 +127,7 @@ def test_single_point_tables_low_degree():
 
 def test_zeros_at_degree_three():
     e = Engine()
-    table = e.full_table("cp2", 3, include_zero=True)
+    table = single_point_table(e, "cp2", 3)
     zero_keys = {p for p, n in table.items() if n == 0}
     assert (6, 2) in zero_keys
     assert (8,) not in zero_keys
@@ -155,7 +157,7 @@ def test_combine_forward_on_a_line():
         expansion[merged[0]] = coeff
     assert expansion == {(1, 1): 2, (2,): 1}
     # the merged side reproduces the two-point count on a line
-    assert e.combined_value("cp2", 1, ((1,), (1,))) == 1
+    assert combined_value(e, "cp2", 1, ((1,), (1,))) == 1
     assert e.invariant("cp2", 1, ((1,), (1,))) == 1
 
 
@@ -163,7 +165,7 @@ def test_combine_forward_matches_direct_values():
     e = Engine()
     for constraints in [((5,), (3,)), ((4, 1), (3,)), ((2, 2), (3, 1))]:
         direct = e.invariant("cp2", 3, constraints)
-        assert e.combined_value("cp2", 3, constraints) == direct
+        assert combined_value(e, "cp2", 3, constraints) == direct
 
 
 def test_combine_needs_two_constraints():
@@ -447,22 +449,21 @@ def test_memo_items_are_distinct_and_reproducible():
 
 
 def per_key_memo_items(e):
-    """memo_items spelled out key by key, as an independent reference:
-    each vector entry's key is sorted, decoded and checked against every
-    vector holding it through _holders."""
+    """The memo spelled out slot by slot, as a reference that does not
+    share _held: {key text: value} over the base cases and every vector
+    slot's key, sorted and decoded; slots that hold one key must agree."""
     m = engine_module
-    for key, value in e._values.items():
-        k = m._rank(map(m._LEVEL.get, key[2]))[0]
-        if next(e._holders(*key, k), None) is None:
-            yield encode_key(*m._decoded(key)), value
+    out = {encode_key(*m._decoded(key)): value
+           for key, value in e._values.items()}
     for (space, degree), vectors in e._vectors.items():
         on_shell = gw.chern_number(space, degree) - 1
         for rest, vector in vectors.items():
             k = on_shell - sum(map(weight, map(m._diagram, rest)))
             for q, value in enumerate(vector, m._first[k] + 1):
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
-                if next(e._holders(*key, k))[0] == q:
-                    yield encode_key(*m._decoded(key)), value
+                text = encode_key(*m._decoded(key))
+                assert out.setdefault(text, value) == value, text
+    return out
 
 
 def cold_column(e):
@@ -490,4 +491,24 @@ def shared_top_weight(e):
 def test_memo_items_match_the_per_key_enumeration(work):
     e = Engine()
     work(e)
-    assert sorted(e.memo_items()) == sorted(per_key_memo_items(e))
+    items = list(e.memo_items())
+    assert len(dict(items)) == len(items)  # each key once
+    assert dict(items) == per_key_memo_items(e)
+
+
+def test_a_key_held_by_three_vectors_is_yielded_once():
+    # after these four keys, ((4,), (3, 1), (2, 2), (2,)) sits in the
+    # weight-4 vectors beside each of its three targets: memo_items yields
+    # it once, and _held reads it from the vector beside its largest, (4,)
+    e = Engine()
+    top = ((4,), (3, 1), (2, 2), (2,))
+    for cs in [((4,), (4,), (3, 1), (2,)), ((4,), (4,), (2, 2), (2,)),
+               ((3, 1), (3, 1), (2, 2), (2,)), top]:
+        e.hat_invariant("cp2", 5, cs)
+    codes = tuple(map(engine_module._code, top))
+    vectors = e._vectors["cp2", 5]
+    assert all(codes[:i] + codes[i + 1:] in vectors for i in range(3))
+    assert e._held("cp2", 5, codes, 4) == (
+        codes[0], Engine().hat_invariant("cp2", 5, top))
+    texts = [text for text, _ in e.memo_items()]
+    assert texts.count(encode_key("cp2", 5, top)) == 1
