@@ -13,7 +13,7 @@ digest (damaged, edited by hand, or older than the header) opens with no
 records, said in one line on stderr, and is replaced at the next clean
 close that adds records.  An empty file is a new one.  The digest guards
 against damage, not against someone who recomputes it; ``verify
---cache-file`` recomputes every record.
+--cache-file`` recomputes every record and checks the line order.
 
 Harvesting merges in the run's results whose key no record holds; a record
 holding the key must be the same line, or the harvest raises
@@ -42,11 +42,11 @@ def _header(digest):
 
 
 def header(lines):
-    """The first line of a cache file whose other lines are lines (bytes,
-    each ending in its newline): the format version and their sha256."""
+    """The header line of a cache file whose other lines are lines (a sequence
+    of bytes, each ending in its newline): format version and sha256."""
     digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line)
+    for i in range(0, len(lines), 4096):
+        digest.update(b"".join(lines[i:i + 4096]))
     return _header(digest)
 
 

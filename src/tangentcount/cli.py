@@ -28,7 +28,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb, factorial, perm
 
 from . import gw
@@ -286,8 +286,12 @@ def cmd_verify(args, parser):
             report("cache records of degree at most %d" % max_d, False,
                    "file not read (%s)" % cache.rejected)
         elif cache:  # recompute the records of degree <= max_d afresh
-            fresh, bad = Engine(), []
-            for n, line in enumerate(cache.entries.lines, 2):  # 1: header
+            fresh, lines = Engine(), cache.entries.lines  # line 1: header
+            bad = ["line %d is out of sort order or repeats a key" % n
+                   for n, prev, line in zip(count(3), lines, lines[1:])
+                   if line <= prev or prev.startswith(
+                       line.partition(b"\t")[0] + b"\t")][:1]
+            for n, line in enumerate(lines, 2):
                 record = parse_line(line)
                 if record is None:
                     bad.append("line %d is no record" % n)

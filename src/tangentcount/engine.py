@@ -126,9 +126,13 @@ def _text(c):
 
 @lru_cache(maxsize=None)
 def _solve_inputs(k):
-    """The codes a weight-k solve sets beside rest: splits, then (1,)*k."""
-    return (*(tuple(map(_code, pair)) for pair in solve_plan(k).splits),
-            (_offset(k),))
+    """The codes a weight-k solve sets beside rest, splits then (1,)*k, each
+    with its top level code first; and those codes' slots (None if none)."""
+    inputs = tuple(tuple(sorted(map(_code, pair), reverse=True,
+                                key=lambda c: (c in _LEVEL, c)))
+                   for pair in (*solve_plan(k).splits, ((1,) * k,)))
+    return inputs, tuple(c - _first[_LEVEL[c]] - 1 if c in _LEVEL else None
+                         for c, *_ in inputs)
 
 
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
@@ -286,10 +290,26 @@ class Engine:
     def _solve_at(self, space, degree, rest, k, rank):
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
-        against the vector _held finds for its key."""
-        values = [self._eval(space, degree,
-                             tuple(sorted(rest + codes, reverse=True)), rank)
-                  for codes in _solve_inputs(k)]
+        against the vector _held finds for its key.  An input is read from
+        the vector _held tries first, beside its key less the top level code
+        (rest's top t, or the input's if larger), else _eval answers it."""
+        vectors, values, hits = self._vectors[space, degree], [], 0
+        t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
+        if t:
+            i = rest.index(t)
+            rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
+        for codes, slot in zip(*_solve_inputs(k)):
+            near = None
+            if slot is not None and codes[0] > t:
+                near = rest + codes[1:]
+            elif t:
+                near, slot = rest_t + codes, slot_t
+            vector = near and vectors.get(tuple(sorted(near, reverse=True)))
+            hits += vector is not None
+            values.append(vector[slot] if vector is not None else self._eval(
+                space, degree, tuple(sorted(rest + codes, reverse=True)),
+                rank))
+        self.counters["memo_hits"] += hits
         solved = solve_split_system(k, values[:-1], values[-1])
         self.counters["solves"] += 1
         if rank[1] > 1:  # else no other vector holds a key
@@ -300,7 +320,7 @@ class Engine:
                     raise InconsistencyError(
                         "conflicting values %d and %d for %s"
                         % (old, value, _decoded(key)))
-        self._vectors[space, degree][rest] = _packed(solved)
+        vectors[rest] = _packed(solved)
         return solved
 
     # --------------------------------------------------------- cache plumbing

@@ -187,33 +187,38 @@ def test_criterion_09_vanishing():
 
 class RankProbe(Engine):
     """Engine that records every complexity-rank transition it is asked
-    to make, including calls answered from the memo.  Internal keys are
-    coded, so each is decoded back to diagrams first."""
+    to make: each solve's input keys, those read from the memo included,
+    and each top-level call.  Internal keys are coded, so each is decoded
+    back to diagrams first."""
 
     def __init__(self):
         super().__init__()
         self.violations = []
-        self.calls = {"top": 0, "recursive": 0}
+        self.calls = {"top": 0, "inputs": 0}
 
     def _eval(self, space, degree, cs, parent_rank):
-        self.calls["top" if parent_rank is None else "recursive"] += 1
-        if parent_rank is not None:
-            diagrams = tuple(map(engine_module._diagram, cs))
-            if not complexity(diagrams) < parent_rank:
-                self.violations.append((parent_rank, diagrams))
+        self.calls["top"] += parent_rank is None
         return super()._eval(space, degree, cs, parent_rank)
+
+    def _solve_at(self, space, degree, rest, k, rank):
+        for codes in engine_module._solve_inputs(k)[0]:
+            self.calls["inputs"] += 1
+            diagrams = tuple(map(engine_module._diagram, rest + codes))
+            if not complexity(diagrams) < rank:
+                self.violations.append((rank, diagrams))
+        return super()._solve_at(space, degree, rest, k, rank)
 
 
 def test_criterion_10_property_suites():
-    # strict complexity descent on every recursive call, and integrality
+    # strict complexity descent on every solve input, and integrality
     # of every splitting solve (a fractional solve raises immediately)
     probe = RankProbe()
     probe.full_table("cp2", 4)
     probe.invariant("p1xp1", (2, 1), ((5,),))
     assert probe.violations == []
     assert probe.counters["solves"] > 0
-    # every call went through the probe, memo hits included
-    assert probe.calls["recursive"] > probe.counters["solves"]
+    # every key evaluated or read went through the probe, memo hits included
+    assert probe.calls["inputs"] > probe.counters["solves"]
     assert sum(probe.calls.values()) == (probe.counters["evaluations"]
                                          + probe.counters["memo_hits"])
 

@@ -227,6 +227,16 @@ def test_cold_table_file_is_pinned(tmp_path, capsys):
         "82b905db6d08d46a1a1051b44e21fc02f0094a16e8e9dbe908d67fd3b8a99886")
 
 
+def test_the_header_is_the_sha256_of_the_joined_lines(tmp_path, capsys):
+    # hashed in blocks of lines, the digest is still that of all the bytes
+    # after the header; repeated, the d <= 4 lines span three blocks
+    _, lines = split_header(build_d4_file(tmp_path / "counts.txt", capsys))
+    for some in (lines, lines * 5, lines[:1], []):
+        digest = hashlib.sha256(b"".join(some)).hexdigest()
+        assert header(some) == b"tangentcount cache v1 sha256 %s\n" % (
+            digest.encode())
+
+
 def test_a_cached_compute_leaves_the_file_as_it_was(tmp_path, capsys):
     path = tmp_path / "counts.txt"
     before = build_d4_file(path, capsys)

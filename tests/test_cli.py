@@ -511,6 +511,29 @@ def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path, capsys):
                    "(cache) and 4 (computed) for cp2;3;(8)\n")
 
 
+def test_verify_names_the_first_line_out_of_order(tmp_path, capsys):
+    # lookups bisect and harvest merges on the assumption that the lines
+    # are sorted, one per key; signed out of order or with a key twice,
+    # the right values are still refused by verify, at the first such line
+    path = tmp_path / "counts.txt"
+    for lines, n in ((("ht:cp2;3;(8)\t4", "ht:cp2;1;(2)\t1",
+                       "ht:cp2;2;(5)\t1"), 3),
+                     (("ht:cp2;1;(2)\t1", "ht:cp2;1;(2)\t1",
+                       "ht:cp2;2;(5)\t1"), 3),
+                     (("ht:cp2;1;(2)\t1", "ht:cp2;2;(2,2,1)\t0",
+                       "ht:cp2;2;(2,2,1)\t1", "ht:cp2;2;(5)\t1"), 4)):
+        path.write_bytes(signed(*lines))
+        code, out, err = run(capsys, "verify", "--max-d", "3",
+                             "--cache-file", str(path))
+        assert code == 1
+        report = out.splitlines()
+        assert report[0].startswith(
+            "FAIL cache records of degree at most 3: line %d is out of sort "
+            "order or repeats a key" % n)
+        assert all(line.startswith("PASS") for line in report[1:])
+        assert "Traceback" not in err
+
+
 def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
                                                         monkeypatch):
     # a key answered by a record is looked up before it is coded, so

@@ -512,3 +512,91 @@ def test_a_key_held_by_three_vectors_is_yielded_once():
         codes[0], Engine().hat_invariant("cp2", 5, top))
     texts = [text for text, _ in e.memo_items()]
     assert texts.count(encode_key("cp2", 5, top)) == 1
+
+
+class Marked:
+    """A vector whose entry at each slot is (its rest, slot)."""
+
+    def __init__(self, rest):
+        self.rest = rest
+
+    def __getitem__(self, slot):
+        return self.rest, slot
+
+
+class Everywhere(dict):
+    """A vector store in which every rest holds a Marked vector, so what a
+    read returns says which vector and slot it read."""
+
+    def get(self, rest, default=None):
+        return Marked(rest)
+
+
+class Inputs(Exception):
+    """Raised in place of a solve, with the inputs it was given."""
+
+
+def read_inputs(k, split_values, all_ones_value):
+    raise Inputs(split_values + [all_ones_value])
+
+
+class Replay(Engine):
+    """An engine whose store holds every vector (Everywhere), and which
+    keeps the keys that reach _eval."""
+
+    def __init__(self, space, degree):
+        super().__init__()
+        self._vectors[space, degree] = Everywhere()
+        self.asked = []
+
+    def _eval(self, space, degree, cs, parent_rank):
+        self.asked.append(cs)
+        return super()._eval(space, degree, cs, parent_rank)
+
+
+def shortcut_disagreements(e):
+    """The inputs of e's solves that _solve_at does not read from the
+    vector and slot _held tries first for their keys.  Each solve is
+    replayed on a Replay with solve_split_system swapped for a stop that
+    returns the inputs; _held is asked on such a store too.  An input key
+    with no level code must instead reach _eval, which finds a base case."""
+    m, bad = engine_module, []
+    for (space, degree), vectors in e._vectors.items():
+        on_shell = gw.chern_number(space, degree) - 1
+        for rest in vectors:
+            k = on_shell - sum(map(weight, map(m._diagram, rest)))
+            probe = Replay(space, degree)
+            rank = complexity(tuple(map(m._diagram, rest)) + ((k,),))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(m, "solve_split_system", read_inputs)
+                with pytest.raises(Inputs) as stop:
+                    probe._solve_at(space, degree, rest, k, rank)
+            for codes, read in zip(m._solve_inputs(k)[0], stop.value.args[0]):
+                key = tuple(sorted(rest + codes, reverse=True))
+                level = complexity(tuple(map(m._diagram, key)))[0]
+                if level == 1:
+                    ok = key in probe.asked and type(read) is int
+                else:
+                    ok = key not in probe.asked and read == probe._held(
+                        space, degree, key, level)[1]
+                if not ok:
+                    bad.append((space, degree, key, read))
+    return bad
+
+
+@pytest.mark.parametrize("work", [cold_column, quadric_table])
+def test_solve_inputs_are_read_where_held_looks_first(work):
+    e = Engine()
+    work(e)
+    assert shortcut_disagreements(e) == []
+
+
+def test_a_wrong_slot_offset_is_a_disagreement(monkeypatch):
+    # _solve_inputs keeps the slots of the inputs' own top codes; a slot
+    # one off for each is found
+    e = Engine()
+    e.invariant("cp2", 3, ((8,),))
+    real = engine_module._solve_inputs
+    monkeypatch.setattr(engine_module, "_solve_inputs", lambda k: (
+        real(k)[0], tuple(s if s is None else s + 1 for s in real(k)[1])))
+    assert shortcut_disagreements(e)
