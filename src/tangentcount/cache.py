@@ -20,13 +20,17 @@ holding the key must be the same line, or the harvest raises
 InconsistencyError.  A clean close after a harvest that added records
 rewrites the file atomically (temp file in the same directory, fsync,
 rename), so a run that raises, or a write that fails (said on stderr),
-leaves the file as it was.  An advisory lock on the file serializes runs;
-a run that cannot take it opens the file read-only and says so on stderr.
+leaves the file as it was.  A symlinked path is followed once, so the
+rewrite replaces the link's target and the link stays; a path that is not
+a regular file (a device, a pipe) is not used.  An advisory lock on the
+file serializes runs; a run that cannot take it opens the file read-only
+and says so on stderr.
 """
 
 import fcntl
 import hashlib
 import os
+import stat
 import sys
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -113,15 +117,20 @@ class CountCache:
     of them written at close.  Usable as a context manager."""
 
     def __init__(self, path):
-        self.path = path
+        self.path = path  # as given, for messages
+        self._target = os.path.realpath(path)  # a link's target is rewritten
         self.entries = Records()
         self.read_only = False
         self.rejected = None  # why the file was not read, if it was not
         self._added = False
         self._handle = None
         try:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            self._handle = open(path, "a+b")
+            os.makedirs(os.path.dirname(self._target), exist_ok=True)
+            handle = open(self._target, "a+b")
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.close()
+                raise OSError("not a regular file")
+            self._handle = handle
         except OSError as exc:
             print("cache %s unavailable (%s); running without persistence"
                   % (path, exc), file=sys.stderr)
@@ -185,14 +194,14 @@ class CountCache:
         if self._handle is None:
             return
         if compact and self._added and not self.read_only:
-            tmp, out = "%s.%d.tmp" % (self.path, os.getpid()), None
+            tmp, out = "%s.%d.tmp" % (self._target, os.getpid()), None
             try:
                 with open(tmp, "wb") as out:
                     out.write(header(self.entries.lines))
                     out.writelines(self.entries.lines)
                     out.flush()
                     os.fsync(out.fileno())
-                os.replace(tmp, self.path)
+                os.replace(tmp, self._target)
             except OSError as exc:
                 print("cache %s not written (%s)" % (self.path, exc),
                       file=sys.stderr)

@@ -264,8 +264,6 @@ def _split_sum(d, m, n, slot):
         lo = [max(0, mi - d2) for mi in m]
         hi = [min(mi, d1) for mi in m]
         lo[slot] = max(lo[slot], 1)
-        if any(l > h for l, h in zip(lo, hi)):
-            continue
         # Required total of a: 3*d1 - 1 - n <= sum(a) <= 3*d1 - 1.
         band_lo = 3 * d1 - 1 - n
         band_hi = 3 * d1 - 1

@@ -21,41 +21,56 @@ The total mass sum_Q c(P1,P2;Q) is sum_l binom(b,l)*binom(b',l)*l! where b, b'
 are the row counts.
 """
 
+from bisect import bisect, bisect_left
+from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .partitions import as_diagram, aut_order
 
+# Most rows star() writes: 12,710,655 for (8,7,...,1) * (8,7,...,1), 3-4 s.
+WORK_LIMIT = 14_000_000
+
 
 def star(p1, p2):
-    """Expand p1 * p2 as a dict mapping result diagrams to coefficients."""
-    out = {}
-    b1, b2 = len(p1), len(p2)
-    for ell in range(min(b1, b2) + 1):
-        for chosen1 in combinations(range(b1), ell):
-            rest1 = [p1[i] for i in range(b1) if i not in chosen1]
-            for chosen2 in combinations(range(b2), ell):
-                rest2 = [p2[j] for j in range(b2) if j not in chosen2]
-                for image in permutations(chosen2):
-                    merged = [p1[i] + p2[j] for i, j in zip(chosen1, image)]
-                    q = as_diagram(merged + rest1 + rest2)
-                    out[q] = out.get(q, 0) + 1
-    return out
+    """Expand p1 * p2 as a dict mapping result diagrams to coefficients.
+
+    Each row r of p2 joins the rows t alone or is added to one unused row v
+    of p1, weighted by v's repeats; walks with the same unused rows u and
+    rows t (both ascending) merge.  Raises ValueError before a row whose
+    moves would take the rows written past WORK_LIMIT.
+    """
+    t = as_diagram(p1)[::-1]
+    walks, work = {(t, t): 1}, 0
+    for r in as_diagram(p2):
+        work += sum((len(set(u)) + 1) * (len(t) + 1) for u, t in walks)
+        if work > WORK_LIMIT:
+            raise ValueError("star would write over %d rows" % WORK_LIMIT)
+        after = defaultdict(int)
+        for (u, t), n in walks.items():
+            i = bisect(t, r)
+            after[u, t[:i] + (r,) + t[i:]] += n
+            for v in set(u):
+                j, a, b = u.index(v), bisect_left(t, v), bisect(t, v + r)
+                after[u[:j] + u[j + 1:],
+                      t[:a] + t[a + 1:b] + (v + r,) + t[b:]] += n * u.count(v)
+        walks = after
+    out = defaultdict(int)
+    for (_, t), n in walks.items():
+        out[t[::-1]] += n
+    return dict(out)
 
 
 def star_oracle(p1, p2):
-    """Independent recomputation of star() by a different enumeration.
+    """Recomputation of star() one walk at a time, by row position.
 
     Walks the rows of the second diagram one at a time; each row either
     enters the result on its own or absorbs one not-yet-used row (chosen
     by position) of the first diagram.  Every (matched subset, bijection)
-    pair of the closed-form enumeration arises from exactly one sequence
-    of choices, so the two routes must agree coefficient by coefficient.
-    Kept deliberately naive; used by tests and the verification command.
+    pair of the closed-form enumeration is one walk, where star() merges
+    walks, so the two must agree coefficient by coefficient.  Kept
+    deliberately naive and unbounded; used by tests and `verify`.
     """
-    p1 = as_diagram(p1)
-    p2 = as_diagram(p2)
-    out = {}
+    p1, p2, out = as_diagram(p1), as_diagram(p2), {}
 
     def go(i, used, placed):
         if i == len(p2):
@@ -81,9 +96,8 @@ def combination_coefficient(p1, p2, q):
 
         c(p1, p2; q) * |Aut(q)| / (|Aut(p1)| * |Aut(p2)|).
 
-    Returned as an exact Fraction.  (Empirically these weights come out
-    integral — they count merge patterns up to symmetry — but nothing
-    downstream relies on that, so no integrality is enforced here.)
+    Returned as an exact Fraction.  (These weights come out integral, as
+    merge patterns up to symmetry, but nothing here relies on that.)
     """
     return Fraction(star(p1, p2).get(as_diagram(q), 0) * aut_order(q),
                     aut_order(p1) * aut_order(p2))

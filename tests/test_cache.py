@@ -555,3 +555,41 @@ def test_a_changed_byte_rejects_the_file(edit, where, byte, pick):
     assert code == 0
     assert out.getvalue() == records[key] + "\n"
     assert err.getvalue().count("not read") == 2
+
+
+def test_a_symlinked_path_stays_a_link(tmp_path, capsys):
+    # the rewrite lands beside the link's target and replaces only it
+    store = tmp_path / "store"
+    store.mkdir()
+    target, link = store / "counts.txt", tmp_path / "link.txt"
+    link.symlink_to(target)  # dangling until the first write
+    assert main(["compute", "-d", "3", "-c", "(8)",
+                 "--cache-file", str(link)]) == 0
+    assert main(["compute", "-d", "3", "-c", "(7,1)",
+                 "--cache-file", str(link)]) == 0
+    assert capsys.readouterr() == ("4\n1\n", "")
+    assert link.is_symlink() and link.resolve() == target
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "store"]
+    assert os.listdir(store) == ["counts.txt"]
+    with CountCache(str(target)) as cache:
+        assert cache.rejected is None
+        assert cache.entries["cp2;3;(8)"] == 4
+        assert cache.entries["cp2;3;(7,1)"] == 1
+    assert main(["compute", "-d", "3", "-c", "(8)", "--format", "json",
+                 "--cache-file", str(link)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["provenance"] == "cached"
+
+
+def test_a_path_that_is_no_regular_file_is_not_used(
+        tmp_path, capsys, monkeypatch):
+    # a device or a pipe, simulated on a regular file: never replaced
+    path = tmp_path / "counts.txt"
+    path.write_bytes(b"not a cache file\n")
+    monkeypatch.setattr("tangentcount.cache.stat.S_ISREG", lambda mode: False)
+    assert main(["compute", "-d", "3", "-c", "(8)",
+                 "--cache-file", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "4\n", "cache %s unavailable (not a regular file); running without "
+               "persistence\n" % path)
+    assert path.read_bytes() == b"not a cache file\n"
+    assert os.listdir(tmp_path) == ["counts.txt"]

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -273,17 +274,28 @@ def test_matrix_output(capsys):
     assert payload["det"] == "-6"
 
 
-def test_star_past_its_bound_is_usage_error(capsys, monkeypatch):
-    # two 20-row diagrams have about 2e19 row matchings: a usage error,
-    # exit 2, before any walk
-    monkeypatch.setattr("tangentcount.cli.star", None)
-    ones = "(%s)" % ",".join(["1"] * 20)
+def test_star_past_its_bound_is_usage_error(capsys):
+    # (15,...,1) * (9,...,1) merges almost no walks: a usage error, exit 2,
+    # before the walk's next row would pass the bound
     with pytest.raises(SystemExit) as info:
-        main(["star", ones, ones])
+        main(["star", "(%s)" % ",".join(map(str, range(15, 0, -1))),
+              "(%s)" % ",".join(map(str, range(9, 0, -1)))])
     assert info.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "tangentcount: error: diagrams of 20 and 20 rows have more than "
-        "2000000 row matchings to walk")
+        "tangentcount: error: star would write over 14000000 rows")
+
+
+def test_star_of_long_all_ones_diagrams_answers(capsys):
+    # 20 rows each: 21 terms, where the old matching walk never ended
+    ones = "(%s)" % ",".join(["1"] * 20)
+    code, out, _ = run(capsys, "star", ones, ones, "--format", "json")
+    assert code == 0
+    product = {r["key"]: r["value"] for r in json.loads(out)}
+    assert len(product) == 21
+    assert product["(%s)" % ",".join(["2"] * 20)] == factorial(20)
+    code, out, _ = run(capsys, "star", "(1,1,1,1,1,1,1,1,1)",
+                       "(1,1,1,1,1,1,1,1,1)")
+    assert code == 0 and out.count(" + ") == 9
 
 
 def test_matrix_weight_limit(capsys, monkeypatch):

@@ -4,10 +4,12 @@ with an independent enumeration."""
 from fractions import Fraction
 from math import comb, factorial
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from tangentcount.partitions import as_diagram, partitions_of, weight
-from tangentcount.star import combination_coefficient, star, star_oracle
+from tangentcount.star import (WORK_LIMIT, combination_coefficient, star,
+                               star_oracle)
 
 
 diagrams = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
@@ -66,6 +68,25 @@ def test_mass_identity_examples():
         expected = sum(comb(b1, ell) * comb(b2, ell) * factorial(ell)
                        for ell in range(min(b1, b2) + 1))
         assert sum(star(p1, p2).values()) == expected
+
+
+# up to 7 rows of three values: many walks merge
+repeating = st.lists(st.sampled_from((1, 2, 5)), max_size=7).map(as_diagram)
+
+
+@settings(deadline=None)  # the oracle walks up to 130,922 matchings
+@given(repeating, repeating)
+def test_merged_walks_agree_with_the_oracle(p1, p2):
+    assert star(p1, p2) == star_oracle(p1, p2)
+
+
+def test_long_rows_count_toward_the_bound():
+    # some thousands of live walks of 4 moves each, but each move builds a
+    # tuple of over 120 rows: the bound weighs those lengths, and this pair
+    # passes it
+    with pytest.raises(ValueError, match="star would write over %d rows"
+                       % WORK_LIMIT):
+        star((3,) * 40 + (2,) * 40 + (1,) * 40, (2,) * 30 + (1,) * 30)
 
 
 @given(diagrams, diagrams)
