@@ -39,25 +39,23 @@ def star(p1, p2):
     rows t (both ascending) merge.  Raises ValueError before a row whose
     moves would take the rows written past WORK_LIMIT.
     """
-    t = as_diagram(p1)[::-1]
+    t, p2 = as_diagram(p1)[::-1], as_diagram(p2)
     walks, work = {(t, t): 1}, 0
-    for r in as_diagram(p2):
+    for k, r in enumerate(p2, 1):
         work += sum((len(set(u)) + 1) * (len(t) + 1) for u, t in walks)
         if work > WORK_LIMIT:
             raise ValueError("star would write over %d rows" % WORK_LIMIT)
-        after = defaultdict(int)
+        # past the last row u is only part of t: drop it, so walks merge
+        after, keep = defaultdict(int), k < len(p2)
         for (u, t), n in walks.items():
             i = bisect(t, r)
-            after[u, t[:i] + (r,) + t[i:]] += n
+            after[u * keep, t[:i] + (r,) + t[i:]] += n
             for v in set(u):
                 j, a, b = u.index(v), bisect_left(t, v), bisect(t, v + r)
-                after[u[:j] + u[j + 1:],
+                after[(u[:j] + u[j + 1:]) * keep,
                       t[:a] + t[a + 1:b] + (v + r,) + t[b:]] += n * u.count(v)
         walks = after
-    out = defaultdict(int)
-    for (_, t), n in walks.items():
-        out[t[::-1]] += n
-    return dict(out)
+    return {t[::-1]: n for (_, t), n in walks.items()}
 
 
 def star_oracle(p1, p2):
@@ -96,8 +94,9 @@ def combination_coefficient(p1, p2, q):
 
         c(p1, p2; q) * |Aut(q)| / (|Aut(p1)| * |Aut(p2)|).
 
-    Returned as an exact Fraction.  (These weights come out integral, as
-    merge patterns up to symmetry, but nothing here relies on that.)
+    Returned as an exact Fraction.  (Empirically these weights come out
+    integral — they count merge patterns up to symmetry — but nothing
+    downstream relies on that, so no integrality is enforced here.)
     """
     return Fraction(star(p1, p2).get(as_diagram(q), 0) * aut_order(q),
                     aut_order(p1) * aut_order(p2))
