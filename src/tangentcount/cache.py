@@ -28,7 +28,6 @@ and says so on stderr.
 """
 
 import fcntl
-import hashlib
 import os
 import stat
 import sys
@@ -48,6 +47,7 @@ def _header(digest):
 def header(lines):
     """The header line of a cache file whose other lines are lines (a sequence
     of bytes, each ending in its newline): format version and sha256."""
+    import hashlib  # here, not at the top: only a cache file needs OpenSSL
     digest = hashlib.sha256()
     for i in range(0, len(lines), 4096):
         digest.update(b"".join(lines[i:i + 4096]))
@@ -145,6 +145,7 @@ class CountCache:
         self._load()
 
     def _load(self):
+        import hashlib
         self._handle.seek(0)
         head = self._handle.readline(len(header(())))
         if not head:

@@ -72,7 +72,7 @@ def complexity(constraints):
 
 def _rank(levels):
     """The rank from each constraint's weight if it has a branch >= 2, else
-    0 or None (the engine passes _LEVEL.get of its codes)."""
+    0 or None (_LEVEL.get of a key's codes gives these)."""
     levels = [w for w in levels if w]
     top = max(levels, default=1)
     return top, levels.count(top)
@@ -133,6 +133,15 @@ def _solve_inputs(k):
                    for pair in (*solve_plan(k).splits, ((1,) * k,)))
     return inputs, tuple(c - _first[_LEVEL[c]] - 1 if c in _LEVEL else None
                          for c, *_ in inputs)
+
+
+def _descend(parent_rank, rank, space, degree, codes):
+    """Check that a key's rank is below parent_rank (None: a top key)."""
+    if parent_rank is not None and not rank < parent_rank:
+        key = space, degree, tuple(sorted(codes, reverse=True))
+        raise InconsistencyError(
+            "complexity failed to decrease: %s -> %s at %s"
+            % (parent_rank, rank, _decoded(key)))
 
 
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
@@ -248,11 +257,8 @@ class Engine:
             self.counters["memo_hits"] += 1
             return hit
         self.counters["evaluations"] += 1
-        rank = _rank(map(_LEVEL.get, cs))
-        if parent_rank is not None and not rank < parent_rank:
-            raise InconsistencyError(
-                "complexity failed to decrease: %s -> %s at %s"
-                % (parent_rank, rank, _decoded(key)))
+        rank = (k, [*map(_LEVEL.get, cs)].count(k)) if k else (1, 0)
+        _descend(parent_rank, rank, *key)
         if k is None:
             return self._values.setdefault(key, self._base_case(*key))
         i = next(i for i, c in enumerate(cs) if c in _LEVEL)
@@ -291,24 +297,39 @@ class Engine:
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
         against the vector _held finds for its key.  An input is read from
-        the vector _held tries first, beside its key less the top level code
-        (rest's top t, or the input's if larger), else _eval answers it."""
+        the vector _held tries first, near: beside its key less the top
+        level code (rest's top t, or the input's if larger).  If near is
+        missing and the key has no other code of that weight, near is the
+        key's only holder and is solved here; else _eval answers it."""
         vectors, values, hits = self._vectors[space, degree], [], 0
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
             rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
         for codes, slot in zip(*_solve_inputs(k)):
-            near = None
+            near = None  # stays None for an all-ones key
             if slot is not None and codes[0] > t:
-                near = rest + codes[1:]
+                top, near = codes[0], rest + codes[1:]
             elif t:
-                near, slot = rest_t + codes, slot_t
-            vector = near and vectors.get(tuple(sorted(near, reverse=True)))
-            hits += vector is not None
-            values.append(vector[slot] if vector is not None else self._eval(
-                space, degree, tuple(sorted(rest + codes, reverse=True)),
-                rank))
+                top, near, slot = t, rest_t + codes, slot_t
+            if near:
+                near = tuple(sorted(near, reverse=True))
+                vector = vectors.get(near)
+                if vector is not None:
+                    hits += 1
+                    values.append(vector[slot])
+                    continue
+                w = _LEVEL[top]  # another level-w code would be in others
+                others = ((t, *codes[1:]) if top > t
+                          else (*rest_t[i:i + 1], codes[0]))
+                if w not in map(_LEVEL.get, others):
+                    self.counters["evaluations"] += 1
+                    _descend(rank, (w, 1), space, degree, rest + codes)
+                    values.append(self._solve_at(
+                        space, degree, near, w, (w, 1))[slot])
+                    continue
+            values.append(self._eval(space, degree, tuple(sorted(
+                rest + codes, reverse=True)), rank))
         self.counters["memo_hits"] += hits
         solved = solve_split_system(k, values[:-1], values[-1])
         self.counters["solves"] += 1

@@ -320,6 +320,7 @@ def _split_sum(d, m, n, slot):
                 walk(idx + 1, nxt, h1, h2, orbit * run // t, run, t)
 
         walk(0, 0, 0, 0, 1, 0, 0)
+    walk = None  # walk holds itself through its cell: free it now, not at gc
     return total
 
 

@@ -24,7 +24,8 @@ strictly smaller constraint weights.
 The determinant is computed by fraction-free Bareiss elimination; the linear
 solve exploits the Hessenberg shape by expressing every unknown as an affine
 function of the last one and closing the loop with the first equation, which
-costs only the number of nonzero entries.
+costs only the number of nonzero entries.  The multiples of the last unknown
+depend on the weight alone, so they are built once per weight.
 """
 
 from collections import namedtuple
@@ -32,14 +33,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InconsistencyError
-from .partitions import as_diagram, partition_list
+from .partitions import partition_list
 
 
 def merge_top_into(y, i):
     """Merge the top (first, longest) row of y into its i-th row, i >= 1."""
     rows = list(y)
     rows[i] += rows[0]
-    return as_diagram(rows[1:])
+    return tuple(sorted(rows[1:], reverse=True))
 
 
 def move_matrix(k):
@@ -125,20 +126,17 @@ def solve_split_system(k, split_values, all_ones_value):
         return []
     # Unknown j is const[j] + coef[j] * top, top being the last unknown, the
     # single row (k); merge targets sit later in the order than their row.
-    const, coef = [0] * (t - 1), [0] * (t - 2) + [1]
+    coef, b = _closure(k)
+    const = [0] * (t - 1)
     for r in range(t - 2, 0, -1):
-        a, b = split_values[r], 0
+        a = split_values[r]
         for j in merges[r]:
             a -= const[j]
-            b -= coef[j]
-        const[r - 1], coef[r - 1] = a, b
+        const[r - 1] = a
     # First equation (the single-column diagram) closes the loop.
-    a, b = all_ones_value, 0
+    a = all_ones_value
     for j in merges[0]:
         a += const[j]
-        b += coef[j]
-    if b == 0:
-        raise InconsistencyError("singular splitting system at weight %d" % k)
     # Every unknown is an integer exactly when top is, since top is one of
     # them and the others are integer affine functions of it.
     top, remainder = divmod(split_values[0] - a, b)
@@ -150,4 +148,19 @@ def solve_split_system(k, split_values, all_ones_value):
                 raise InconsistencyError(
                     "non-integral invariant %s for constraint %s at weight %d"
                     % (value, parts[j + 1], k))
-    return [c + b * top for c, b in zip(const, coef)]
+    return [c + m * top for c, m in zip(const, coef)]
+
+
+@lru_cache(maxsize=None)
+def _closure(k):
+    """The part of the weight-k solve that no input enters, for k >= 2:
+    coef[j], the multiple of top in unknown j, and b, the multiple of top
+    in the first equation, which closes the loop."""
+    merges = solve_plan(k).merges
+    coef = [0] * (len(merges) - 1) + [1]
+    for r in range(len(merges) - 1, 0, -1):
+        coef[r - 1] = -sum(map(coef.__getitem__, merges[r]))
+    b = sum(map(coef.__getitem__, merges[0]))
+    if b == 0:
+        raise InconsistencyError("singular splitting system at weight %d" % k)
+    return tuple(coef), b

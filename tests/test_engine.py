@@ -532,6 +532,13 @@ class Everywhere(dict):
         return Marked(rest)
 
 
+class Nowhere(dict):
+    """A vector store that holds no vector, so every read misses."""
+
+    def get(self, rest, default=None):
+        return None
+
+
 class Inputs(Exception):
     """Raised in place of a solve, with the inputs it was given."""
 
@@ -541,46 +548,75 @@ def read_inputs(k, split_values, all_ones_value):
 
 
 class Replay(Engine):
-    """An engine whose store holds every vector (Everywhere), and which
-    keeps the keys that reach _eval."""
+    """An engine with the given vector store, which keeps the keys that
+    reach _eval.  Below the solve it replays, a solve returns a Marked
+    vector naming its (rest, k, rank) instead of solving."""
 
-    def __init__(self, space, degree):
+    def __init__(self, space, degree, store):
         super().__init__()
-        self._vectors[space, degree] = Everywhere()
-        self.asked = []
+        self._vectors[space, degree] = store()
+        self.asked, self.depth = [], 0
 
     def _eval(self, space, degree, cs, parent_rank):
         self.asked.append(cs)
         return super()._eval(space, degree, cs, parent_rank)
 
+    def _solve_at(self, space, degree, rest, k, rank):
+        if self.depth:
+            return Marked((rest, k, rank))
+        self.depth += 1
+        try:
+            return super()._solve_at(space, degree, rest, k, rank)
+        finally:
+            self.depth -= 1
+
+
+def top_level_code(key):
+    """The first code of a coded key whose diagram has a branch >= 2."""
+    return next(c for c in key if engine_module._diagram(c)[0] >= 2)
+
 
 def shortcut_disagreements(e):
-    """The inputs of e's solves that _solve_at does not read from the
-    vector and slot _held tries first for their keys.  Each solve is
-    replayed on a Replay with solve_split_system swapped for a stop that
-    returns the inputs; _held is asked on such a store too.  An input key
-    with no level code must instead reach _eval, which finds a base case."""
+    """The inputs of e's solves that _solve_at does not read as it should,
+    as (store, space, degree, key, read).  Each solve is replayed twice,
+    with solve_split_system swapped for a stop that returns the inputs.
+    Where every vector exists ("held"), an input key with a level code is
+    read from the vector and slot _held tries first.  Where none does
+    ("missing"), such a key with one code of its level is solved in place,
+    beside the key less that code, and read at that code's slot; a key with
+    more must reach _eval.  In both, a key with no level code must reach
+    _eval, which finds a base case."""
     m, bad = engine_module, []
     for (space, degree), vectors in e._vectors.items():
         on_shell = gw.chern_number(space, degree) - 1
         for rest in vectors:
             k = on_shell - sum(map(weight, map(m._diagram, rest)))
-            probe = Replay(space, degree)
             rank = complexity(tuple(map(m._diagram, rest)) + ((k,),))
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(m, "solve_split_system", read_inputs)
-                with pytest.raises(Inputs) as stop:
-                    probe._solve_at(space, degree, rest, k, rank)
-            for codes, read in zip(m._solve_inputs(k)[0], stop.value.args[0]):
-                key = tuple(sorted(rest + codes, reverse=True))
-                level = complexity(tuple(map(m._diagram, key)))[0]
-                if level == 1:
-                    ok = key in probe.asked and type(read) is int
-                else:
-                    ok = key not in probe.asked and read == probe._held(
-                        space, degree, key, level)[1]
-                if not ok:
-                    bad.append((space, degree, key, read))
+            for name, store in [("held", Everywhere), ("missing", Nowhere)]:
+                probe = Replay(space, degree, store)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(m, "solve_split_system", read_inputs)
+                    with pytest.raises(Inputs) as stop:
+                        probe._solve_at(space, degree, rest, k, rank)
+                for codes, read in zip(m._solve_inputs(k)[0],
+                                       stop.value.args[0]):
+                    key = tuple(sorted(rest + codes, reverse=True))
+                    level, count = complexity(tuple(map(m._diagram, key)))
+                    if level == 1:
+                        ok = key in probe.asked and type(read) is int
+                    elif name == "held":
+                        ok = key not in probe.asked and read == probe._held(
+                            space, degree, key, level)[1]
+                    elif count > 1:
+                        ok = key in probe.asked
+                    else:
+                        top = top_level_code(key)
+                        i = key.index(top)
+                        ok = key not in probe.asked and read == (
+                            (key[:i] + key[i + 1:], level, (level, 1)),
+                            top - m._first[level] - 1)
+                    if not ok:
+                        bad.append((name, space, degree, key, read))
     return bad
 
 
@@ -593,10 +629,60 @@ def test_solve_inputs_are_read_where_held_looks_first(work):
 
 def test_a_wrong_slot_offset_is_a_disagreement(monkeypatch):
     # _solve_inputs keeps the slots of the inputs' own top codes; a slot
-    # one off for each is found
+    # one off for each is found, both where the input is read from its
+    # vector and where it is solved in place
     e = Engine()
     e.invariant("cp2", 3, ((8,),))
     real = engine_module._solve_inputs
     monkeypatch.setattr(engine_module, "_solve_inputs", lambda k: (
         real(k)[0], tuple(s if s is None else s + 1 for s in real(k)[1])))
-    assert shortcut_disagreements(e)
+    assert {bad[0] for bad in shortcut_disagreements(e)} == {"held",
+                                                             "missing"}
+
+
+class Asked(Engine):
+    """An engine that keeps each key that reaches _eval below the top, and
+    the rank each solve is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked, self.ranks = [], []
+
+    def _eval(self, space, degree, cs, parent_rank):
+        if parent_rank is not None:
+            self.asked.append(tuple(map(engine_module._diagram, cs)))
+        return super()._eval(space, degree, cs, parent_rank)
+
+    def _solve_at(self, space, degree, rest, k, rank):
+        self.ranks.append((tuple(map(engine_module._diagram, rest)), rank))
+        return super()._solve_at(space, degree, rest, k, rank)
+
+
+def test_a_sole_holder_miss_never_reaches_eval():
+    # the top solve, beside ((3,), (2, 1), (1,)), needs the key lower: it
+    # holds (2, 1) below (3,), so a vector beside (3,) may hold it too, and
+    # _eval looks there.  That key's own solve, beside ((2, 1), (1, 1, 1),
+    # (1,), (1,)), needs the key sole, whose only code of weight 3 is
+    # (2, 1): it is solved in place, beside the rest
+    e = Asked()
+    top = ((4,), (3,), (2, 1), (1,))
+    assert e.hat_invariant("cp2", 4, top) == Engine().hat_invariant(
+        "cp2", 4, top)
+    lower = canonical_constraints(((3,), (2, 1), (1, 1, 1), (1,), (1,)))
+    sole = canonical_constraints(((2, 1), (2,), (1, 1, 1), (1,), (1,), (1,)))
+    assert lower in e.asked and sole not in e.asked
+    assert (canonical_constraints(((2,), (1, 1, 1), (1,), (1,), (1,))),
+            (3, 1)) in e.ranks
+    for key in e.asked:  # a key reaching _eval has no level code or two
+        assert complexity(key)[1] != 1, key
+    assert e.counters["evaluations"] > len(set(e.asked))
+
+
+def test_a_key_with_its_top_level_code_twice_is_ranked_two():
+    # (2,) twice: the rank counts both, so the key's sole-holder input
+    # ((2,), (1,), (1,), (1,)), ranked (2, 1), descends from it
+    e = Asked()
+    assert e.hat_invariant("cp2", 2, ((2,), (2,), (1,))) == Engine(
+        ).hat_invariant("cp2", 2, ((2,), (2,), (1,)))
+    assert e.ranks[0] == (((2,), (1,)), (2, 2))
+    assert (((1,), (1,), (1,)), (2, 1)) in e.ranks

@@ -1,6 +1,7 @@
 """The blowup Gromov-Witten backend: plane counts, anchors with assigned
 multiplicities, the standard quadratic move, and class bookkeeping."""
 
+import gc
 import itertools
 import os
 import random
@@ -382,6 +383,21 @@ def test_split_sum_never_asks_for_a_piece_past_adjunction(monkeypatch):
     assert not [p for p in asked if _genus_excess(*p) > 0]
     # pieces exactly on the bound are still asked for
     assert [p for p in asked if max(p[1]) >= 2 and _genus_excess(*p) == 0]
+
+
+def test_split_sums_leave_no_garbage_for_gc():
+    # the recursive walk refers to itself through its closure cell; unless
+    # _split_sum lets it go, each call leaves a cycle holding its lists
+    # until the next collection, and peak memory moves with gc's timing
+    gw.reset()
+    gc.collect()
+    gc.disable()
+    try:
+        assert gw.gw_blowup(6, (3, 2, 2) + (1,) * 10) > 0
+        assert gw.counters["gw_wdvv_solves"] > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("args", [
