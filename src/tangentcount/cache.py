@@ -17,10 +17,11 @@ against damage, not against someone who recomputes it; ``verify
 
 Harvesting merges in the run's results whose key no record holds; a record
 holding the key must be the same line, or the harvest raises
-InconsistencyError.  A clean close after a harvest that added records
-rewrites the file atomically (temp file in the same directory, fsync,
-rename), so a run that raises, or a write that fails (said on stderr),
-leaves the file as it was.  A symlinked path is followed once, so the
+InconsistencyError.  A clean or interrupted close after a harvest that
+added records rewrites the file atomically (temp file in the same
+directory, fsync, rename), so a run that raises anything but
+KeyboardInterrupt, or a write that fails (said on stderr), leaves the file
+as it was.  A symlinked path is followed once, so the
 rewrite replaces the link's target and the link stays; a path that is not
 a regular file (a device, a pipe) is not used.  An advisory lock on the
 file serializes runs; a run that cannot take it opens the file read-only
@@ -34,6 +35,7 @@ import sys
 from bisect import bisect_left
 from collections.abc import Mapping
 from contextlib import suppress
+from itertools import count
 
 from .errors import InconsistencyError
 
@@ -91,6 +93,16 @@ class Records(Mapping):
             if record is not None:
                 yield record[0]
 
+    def audit(self):
+        """For verify: the number in the file of the first line that is not
+        above the line before or repeats its key (None if none), and (n,
+        parse_line of line n) for each line n; the header is line 1."""
+        lines = self.lines
+        first = next((n for n, prev, line in zip(count(3), lines, lines[1:])
+                      if line <= prev or prev.startswith(
+                          line.partition(b"\t")[0] + b"\t")), None)
+        return first, enumerate(map(parse_line, lines), 2)
+
 
 def _unheld(lines, held):
     """The sorted lines whose key no line of sorted held has, in one pass
@@ -147,7 +159,7 @@ class CountCache:
     def _load(self):
         import hashlib
         self._handle.seek(0)
-        head = self._handle.readline(len(header(())))
+        head = self._handle.readline(len(_MAGIC) + 65)  # 64 hex digits, \n
         if not head:
             return  # a new file
         if not head.startswith(_MAGIC):
@@ -165,7 +177,7 @@ class CountCache:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.close(compact=exc_type is None)
+        self.close(compact=exc_type in (None, KeyboardInterrupt))
         return False
 
     def preload(self, engine):
@@ -190,26 +202,28 @@ class CountCache:
 
     def close(self, compact=True):
         """Release the file, rewriting it as the header and the sorted
-        records if this run added any and exited cleanly.  A write that
-        fails leaves the file as it was and is reported on stderr."""
+        records if this run added any and compact is set.  A write that
+        fails leaves the file as it was and is reported on stderr; one that
+        is interrupted leaves it as it was too, and releases it."""
         if self._handle is None:
             return
-        if compact and self._added and not self.read_only:
-            tmp, out = "%s.%d.tmp" % (self._target, os.getpid()), None
-            try:
+        tmp, out = "%s.%d.tmp" % (self._target, os.getpid()), None
+        try:
+            if compact and self._added and not self.read_only:
                 with open(tmp, "wb") as out:
                     out.write(header(self.entries.lines))
                     out.writelines(self.entries.lines)
                     out.flush()
                     os.fsync(out.fileno())
                 os.replace(tmp, self._target)
-            except OSError as exc:
-                print("cache %s not written (%s)" % (self.path, exc),
-                      file=sys.stderr)
-                if out is not None:  # this run made tmp
-                    with suppress(OSError):
-                        os.remove(tmp)
-        with suppress(OSError):
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-        self._handle.close()
-        self._handle = None
+        except OSError as exc:
+            print("cache %s not written (%s)" % (self.path, exc),
+                  file=sys.stderr)
+        finally:  # also when the write is interrupted
+            if out is not None:  # this run made tmp; once replaced it is gone
+                with suppress(OSError):
+                    os.remove(tmp)
+            with suppress(OSError):
+                fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
+            self._handle.close()
+            self._handle = None

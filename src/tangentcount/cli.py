@@ -14,7 +14,8 @@ Degrees are plain integers for the plane (``--space cp2 -d 3``) and pairs
 for the quadric (``--space p1xp1 -d 2,1``).  Constraints are semicolon-
 separated diagrams: ``-c "(1);(1);(3)"``; row order inside a diagram does
 not matter.  Exit codes: 0 success, 1 a verification check failed,
-2 bad usage, 3 internal inconsistency detected.
+2 bad usage, 3 internal inconsistency detected, 4 out of memory, 130
+interrupted (SIGINT); each failure is said in one line on stderr.
 
 A cache file (``--cache-file`` or the TANGENTCOUNT_CACHE environment
 variable) persists computed tangency invariants between runs; the plane
@@ -28,11 +29,10 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import count
 from math import factorial
 
 from . import gw
-from .cache import CountCache, parse_line
+from .cache import CountCache
 from .engine import (KEY_LIMIT, Engine, canonical_constraints, encode_key,
                      key_fits)
 from .errors import InconsistencyError
@@ -276,13 +276,10 @@ def cmd_verify(args, parser):
             report("cache records of degree at most %d" % max_d, False,
                    "file not read (%s)" % cache.rejected)
         elif cache:  # recompute the records of degree <= max_d afresh
-            fresh, lines = Engine(), cache.entries.lines  # line 1: header
-            bad = ["line %d is out of sort order or repeats a key" % n
-                   for n, prev, line in zip(count(3), lines, lines[1:])
-                   if line <= prev or prev.startswith(
-                       line.partition(b"\t")[0] + b"\t")][:1]
-            for n, line in enumerate(lines, 2):
-                record = parse_line(line)
+            fresh, (n, numbered) = Engine(), cache.entries.audit()
+            bad = [] if n is None else [
+                "line %d is out of sort order or repeats a key" % n]
+            for n, record in numbered:
                 if record is None:
                     bad.append("line %d is no record" % n)
                     continue
@@ -358,7 +355,8 @@ def _session(args):
     the run's new results are harvested, for the cache to merge into the
     file as it closes (a computed value that a record contradicts raises
     InconsistencyError there), and with --stats the work counters go to
-    stderr; an exception skips both, and the file is left as it was.
+    stderr; an exception skips both, and the file is left as it was.  An
+    interrupt still harvests what was solved, every value of it exact.
     """
     path = None if args.no_cache else (
         args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))
@@ -366,7 +364,12 @@ def _session(args):
     with CountCache(path) if path else nullcontext() as cache:
         if cache:
             cache.preload(engine)
-        yield engine, cache
+        try:
+            yield engine, cache
+        except KeyboardInterrupt:
+            if cache:
+                cache.harvest(engine)
+            raise
         if cache:
             cache.harvest(engine)
         if args.stats:
@@ -449,9 +452,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         code = args.func(args, parser)
         sys.stdout.flush()
         return code
@@ -463,6 +466,17 @@ def main(argv=None):
         # devnull so that the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except (MemoryError, SystemError):
+        # CPython can report a failed allocation as "SystemError: error
+        # return without exception set".  Said below, once the handled
+        # error has let go of the run's memory: inside this clause its
+        # traceback still holds the engine, and printing can fail again.
+        pass
+    print("out of memory", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

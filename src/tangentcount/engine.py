@@ -228,13 +228,10 @@ class Engine:
         """Both sides of the point-constraint identity: the count through
         c1 - 1 generic points versus sum of P! * N<P> over all diagrams P
         of weight c1 - 1.  Returns (point count, weighted sum)."""
-        m = gw.chern_number(space, degree) - 1
-        if m < 1:
-            raise ValueError("class must have chern number >= 2")
-        lhs = self.invariant(space, degree, ((1,),) * m)
-        rhs = sum(multinomial(p) * self.invariant(space, degree, (p,))
-                  for p in partitions_of(m))
-        return lhs, rhs
+        lhs = self.invariant(space, degree,
+                             ((1,),) * (gw.chern_number(space, degree) - 1))
+        return lhs, sum(multinomial(p) * n for p, n in
+                        self.full_table(space, degree).items())
 
     def full_table(self, space, degree):
         """The nonzero single-point invariants of the class: {P: N<P>} over

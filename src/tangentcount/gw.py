@@ -37,6 +37,7 @@ The computation runs entirely over exact integers:
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import InconsistencyError
@@ -155,7 +156,10 @@ def _value(d, mults):
 
     Internal work-horse; accepts arbitrary integer multiplicities (a
     Cremona move can make entries negative) and folds the class to its
-    canonical key.  A class with npts >= 1 free points solves the relation
+    canonical key.  Every caller passes a class of index c1 - 1 >= 0:
+    gw_blowup asks for c1 = 1, _relation's given class has index n or 1,
+    the split pieces have n1 and n - n1 >= 0 points, and Cremona moves
+    keep c1.  A class with npts >= 1 free points solves the relation
     at its deepest slot with n = npts - 1 (m_1 = d died in the adjunction
     filter, so _relation's a > 0).  A point-free class X = (d; m) is solved
     from the relation of X - E_s, s the shallowest slot: that class has one
@@ -176,8 +180,6 @@ def _value(d, mults):
     for m in mults:
         if m < 0 or m > d:
             return 0
-    if 3 * d - sum(mults) - 1 < 0:  # negative index, no valid point count
-        return 0
     deep = tuple(sorted((m for m in mults if m >= 2), reverse=True))
     if not deep:
         return kontsevich_count(d)
@@ -222,15 +224,13 @@ def _relation(d, m, n, s, bumped_unknown):
     coeff, unknown, other, given = ((b, bumped, a, m) if bumped_unknown
                                     else (a, m, b, bumped))
     known = other * _value(d, given) + _split_sum(d, m, n, s)
+    if coeff and not known % coeff:
+        return -known // coeff
     name = "(%d; %s)" % (d, ",".join(map(str, unknown)))
     if not coeff:
         raise InconsistencyError("degenerate relation for class " + name)
-    value = Fraction(-known, coeff)
-    if value.denominator != 1:
-        raise InconsistencyError(
-            "associativity relation gave non-integer %s for %s"
-            % (value, name))
-    return int(value)
+    raise InconsistencyError("associativity relation gave non-integer %s "
+                             "for %s" % (Fraction(-known, coeff), name))
 
 
 def _split_sum(d, m, n, slot):
@@ -267,11 +267,8 @@ def _split_sum(d, m, n, slot):
         # Required total of a: 3*d1 - 1 - n <= sum(a) <= 3*d1 - 1.
         band_lo = 3 * d1 - 1 - n
         band_hi = 3 * d1 - 1
-        suf_lo = [0] * (s + 1)
-        suf_hi = [0] * (s + 1)
-        for i in range(s - 1, -1, -1):
-            suf_lo[i] = suf_lo[i + 1] + lo[i]
-            suf_hi[i] = suf_hi[i + 1] + hi[i]
+        suf_lo = [*accumulate(reversed(lo), initial=0)][::-1]
+        suf_hi = [*accumulate(reversed(hi), initial=0)][::-1]
         if suf_hi[0] < band_lo or suf_lo[0] > band_hi:
             continue
         genus1, genus2 = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)

@@ -8,8 +8,9 @@ contact order and the number of rows is the number of branches.
 Everything here is elementary combinatorics, kept exact over Python ints.
 """
 
+from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 
 def as_diagram(parts):
@@ -25,10 +26,8 @@ def as_diagram(parts):
     return rows
 
 
-@lru_cache(maxsize=None)
 def diagram_text(p):
-    """Printed form of a diagram, e.g. "(3,1,1)".  Cached: cache keys
-    print the same few thousand diagrams over and over."""
+    """Printed form of a diagram, e.g. "(3,1,1)"."""
     return "(%s)" % ",".join(map(str, p))
 
 
@@ -83,19 +82,11 @@ def aut_order(p):
     For example (3,2,2,1,1) has row multiplicities 1, 2, 2, giving
     1! * 2! * 2! = 4.
     """
-    n = 1
-    run = 1
-    for i in range(1, len(p)):
-        run = run + 1 if p[i] == p[i - 1] else 1
-        n *= run  # running product of each run builds up multiplicity!
-    return n
+    return prod(map(factorial, Counter(p).values()))
 
 
 def multinomial(p):
     """Number of ways to distribute weight(p) labelled boxes into the rows:
     weight! / (p_1! * p_2! * ...).  Always an integer.
     """
-    n = factorial(weight(p))
-    for r in p:
-        n //= factorial(r)
-    return n
+    return factorial(weight(p)) // prod(map(factorial, p))

@@ -78,3 +78,30 @@ def single_point_table(engine, space, degree):
     included: engine.full_table keeps only the nonzero ones."""
     m = gw.chern_number(space, degree) - 1
     return {p: engine.invariant(space, degree, (p,)) for p in partitions_of(m)}
+
+
+def cross_space_values(engine, d):
+    """(P, N_cp2,d<P, (1), (1)>, N_p1xp1,(d-1,d-1)<P, (1^(d-2))>) for every
+    diagram P of weight 3d - 3; the two counts are equal.
+
+    Both keys are on shell: 3d - 3 + 2 = 3d - 1 and 3d - 3 + d - 2 =
+    4(d - 1) - 1.  The plane blown up at two points is P^1 x P^1 blown up at
+    one (gw.translate_to_plane): bidegree (a, b) with multiplicities m is the
+    plane class of degree a + b with multiplicities (b, a, m).  The engine's
+    base case counts an all-ones constraint (1^b) as a multiplicity-b slot,
+    times b! for its ordered branches.  So every base case the quadric key
+    reaches is a plane class of degree 2d - 2 with slots (d - 1, d - 1,
+    d - 2) beside the slots that P's reduction leaves, and the Cremona move
+    on those three slots sends (2d - 2; d - 1, d - 1, d - 2) to (d; 1, 1, 0)
+    and keeps every blowup count: that is the plane key's base case, with
+    two multiplicity-1 slots for (1), (1).  The (d - 2)! of the ordered
+    branches cancels against |Aut(1^(d-2))|.  The box-moving systems that
+    reduce P depend on the diagrams of P alone and are the same on both
+    sides, so the identity checks the base layer, the blowup recursion at
+    two different classes, not those systems.  At d = 2 the diagram
+    (1^0) is empty and the quadric key is (1, 1)<P>.
+    """
+    ones = ((1,) * (d - 2),) if d > 2 else ()
+    return [(p, engine.invariant("cp2", d, (p, (1,), (1,))),
+             engine.invariant("p1xp1", (d - 1, d - 1), (p,) + ones))
+            for p in partitions_of(3 * d - 3)]

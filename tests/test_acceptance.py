@@ -25,7 +25,8 @@ from tangentcount.matrices import determinant, move_matrix
 from tangentcount.partitions import multinomial, partitions_of, weight
 from tangentcount.star import star, star_oracle
 
-from reference import dual, local_double_points, single_point_table
+from reference import (cross_space_values, dual, local_double_points,
+                       single_point_table)
 
 TANGENCY_MAX = {1: 1, 2: 1, 3: 4, 4: 26, 5: 217, 6: 2110, 7: 22744,
                 8: 264057}
@@ -241,6 +242,20 @@ def test_criterion_10_property_suites():
                     == weight(p) + 2 * local_double_points(p))
     print("PASS criterion 10: descent, solve integrality, memo "
           "determinism, and the dual identity")
+
+
+def test_cross_space_identity_at_degrees_seven_and_eight():
+    # the tier-1 check of tests/test_engine.py two degrees on: 1,177
+    # diagrams, about 7 s and 45 MB
+    e = Engine()
+    start = time.monotonic()
+    values = [v for d in (7, 8) for v in cross_space_values(e, d)]
+    elapsed = time.monotonic() - start
+    assert [(p, plane, quadric) for p, plane, quadric in values
+            if plane != quadric] == []
+    assert (len(values), sum(1 for _, n, _ in values if n)) == (1177, 195)
+    print("PASS cross-space identity: N_cp2,d<P,(1),(1)> = "
+          "N_p1xp1,(d-1,d-1)<P,(1^(d-2))> for d = 7, 8, %.1fs" % elapsed)
 
 
 def test_point_constraint_totals_match_multinomials():

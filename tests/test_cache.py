@@ -262,6 +262,43 @@ def test_a_session_that_raises_leaves_the_file_as_it_was(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+def interrupt(*args):
+    raise KeyboardInterrupt
+
+
+def test_an_interrupted_session_keeps_what_was_solved(tmp_path,
+                                                      monkeypatch):
+    # an interrupt harvests the engine's values, each exact, into a new
+    # file; one that lands in the harvest or in the write leaves the file
+    # as it was, with no temp file, and releases it
+    path = tmp_path / "counts.txt"
+    args = argparse.Namespace(no_cache=False, cache_file=str(path),
+                              stats=False)
+
+    def interrupted_session():
+        with pytest.raises(KeyboardInterrupt):
+            with _session(args) as (engine, _):
+                engine.invariant("cp2", 4, ((11,),))
+                raise KeyboardInterrupt
+        return engine
+
+    solved = dict(interrupted_session().memo_items())
+    with CountCache(str(path)) as cache:
+        assert dict(cache.entries.items()) == solved
+    before = path.read_bytes()
+    path.write_bytes(b"")
+    for owner, attr in ((CountCache, "harvest"), (os, "fsync")):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, interrupt)
+            interrupted_session()
+        assert path.read_bytes() == b""
+        assert os.listdir(tmp_path) == ["counts.txt"]
+        with CountCache(str(path)) as cache:
+            assert not cache.read_only  # the lock was released
+    interrupted_session()
+    assert path.read_bytes() == before
+
+
 def test_a_shuffled_file_is_not_read(tmp_path, capsys):
     # the lines of a written file in another order no longer match its
     # digest: the key is computed, and the write puts back sorted lines

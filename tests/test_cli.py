@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 from unittest import mock
@@ -15,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tangentcount
-from tangentcount import engine as engine_module, gw, matrices, partitions
+from tangentcount import (cli, engine as engine_module, gw, matrices,
+                          partitions)
 from tangentcount.cache import header
 from tangentcount.cli import main, parse_constraints, parse_degree
+from tangentcount.engine import Engine
 from tangentcount.partitions import partitions_of
 
 
@@ -152,6 +156,90 @@ def test_closed_stdout_ends_the_run_quietly():
         err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+# A child that runs main on its arguments and says on stderr when main has
+# made the run's engine, so that a signal sent after that lands inside main.
+MAIN_STARTED = """
+import sys
+from tangentcount import cli
+
+class Engine(cli.Engine):
+    def __init__(self):
+        super().__init__()
+        print("main started", file=sys.stderr, flush=True)
+
+cli.Engine = Engine
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_an_interrupt_ends_in_one_line_and_keeps_what_was_solved(tmp_path):
+    # SIGINT a second into a cold T_9 with a new cache file: one stderr
+    # line, exit 130, and the file holds what was solved, signed, each
+    # record as a fresh engine computes it
+    path = tmp_path / "counts.txt"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", MAIN_STARTED, "compute", "-d", "9", "-c",
+         "(26)", "--cache-file", str(path)],
+        env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        assert proc.stderr.readline() == "main started\n"
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+    records = written_records(path)
+    assert len(records) > 1000
+    fresh = Engine()
+    for record in records:
+        key, value = record[3:].split("\t")
+        space, degree, constraints = key.split(";")
+        assert fresh.hat_invariant(
+            space, parse_degree(degree, space),
+            parse_constraints(constraints.replace("|", ";"))) == int(value)
+
+
+def test_running_out_of_memory_ends_in_one_line():
+    # the child's address space is capped 20 MB past what importing the
+    # package takes (read from /proc), less than a cold T_8 needs; the
+    # limit is set in the child alone
+    resource = pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status to size the cap")
+    peak = subprocess.run(
+        [sys.executable, "-c", "import tangentcount.cli; print(next("
+         "line.split()[1] for line in open('/proc/self/status') "
+         "if line.startswith('VmPeak:')))"],
+        env=cli_env(), capture_output=True, text=True, check=True).stdout
+    cap = (int(peak) << 10) + (20 << 20)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tangentcount.cli", "compute", "-d", "8",
+         "-c", "(23)", "--no-cache"],
+        env=cli_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        4, "", "out of memory\n")
+
+
+def test_an_allocation_failure_said_as_system_error_is_out_of_memory(
+        capsys, monkeypatch):
+    # CPython can report a failed allocation as "SystemError: error return
+    # without exception set"
+    def failing():
+        raise SystemError("error return without exception set")
+
+    monkeypatch.setattr(cli, "Engine", failing)
+    assert run(capsys, "compute", "-d", "3", "-c", "(8)", "--no-cache") == (
+        4, "", "out of memory\n")
 
 
 def test_compute_quadric(capsys):
@@ -342,6 +430,41 @@ def test_verify_recomputes_cache_records(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "PASS cache records of degree at most 4"
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_verify_skips_records_above_max_d(tmp_path, capsys, monkeypatch):
+    # a d <= 4 file verified to degree 3 passes, and no degree-4 key is
+    # asked of any engine
+    path = tmp_path / "counts.txt"
+    assert run(capsys, "table", "--max-d", "4", "--cache-file",
+               str(path))[0] == 0
+    assert any(line.startswith("ht:cp2;4;") for line in written_records(path))
+    asked, hat = set(), Engine.hat_invariant
+
+    def noted(self, space, degree, constraints):
+        asked.add(degree)
+        return hat(self, space, degree, constraints)
+
+    monkeypatch.setattr(Engine, "hat_invariant", noted)
+    code, out, _ = run(capsys, "verify", "--max-d", "3", "--cache-file",
+                       str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "PASS cache records of degree at most 3"
+    assert asked == {1, 2, 3}
+
+
+def test_verify_names_a_record_whose_key_does_not_parse(tmp_path, capsys):
+    path = tmp_path / "counts.txt"
+    path.write_bytes(signed("ht:cp2;3;(8)|oops\t4", "ht:nonsense\t1"))
+    code, out, err = run(capsys, "verify", "--max-d", "3", "--cache-file",
+                         str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("FAIL cache records of degree at most 3: "
+                        "cp2;3;(8)|oops stored 4 computed unreadable; "
+                        "nonsense stored 1 computed unreadable")
+    assert all(line.startswith("PASS") for line in lines[1:])
+    assert "Traceback" not in err
 
 
 def test_verify_fails_on_a_file_it_does_not_read(tmp_path, capsys):

@@ -18,7 +18,7 @@ from tangentcount.partitions import partitions_of, weight
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
-from reference import combined_value, single_point_table
+from reference import combined_value, cross_space_values, single_point_table
 
 
 def test_canonical_constraint_order():
@@ -140,6 +140,16 @@ def test_point_count_identity():
     for d in range(1, 5):
         lhs, rhs = e.sum_identity("cp2", d)
         assert lhs == rhs == gw.kontsevich_count(d)
+
+
+def test_cross_space_identity_up_to_degree_six():
+    # N_cp2,d<P, (1), (1)> = N_p1xp1,(d-1,d-1)<P, (1^(d-2))>: the base
+    # cases of the two sides are blowup classes a Cremona move apart
+    e = Engine()
+    values = [v for d in range(2, 7) for v in cross_space_values(e, d)]
+    assert [(p, plane, quadric) for p, plane, quadric in values
+            if plane != quadric] == []
+    assert (len(values), sum(1 for _, n, _ in values if n)) == (297, 48)
 
 
 def test_all_point_constraints_reduce_to_plane_count():

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangentcount import gw
+from tangentcount import Engine, gw
 from tangentcount.errors import InconsistencyError
 
 from reference import double_point_count, vanishing_filter
@@ -257,6 +257,72 @@ def test_extended_point_free_classes_up_to_degree_thirteen():
         second_routes += any(x != m[-1] and (x != m[0] or m.count(x) > 1)
                        for x in set(m))
     assert (routes, second_routes) == (135, 45)
+
+
+def _cremona_images(memo):
+    """(d, value, image) for each class (d; m) of memo with free points,
+    the points written as multiplicity-1 slots, and each image (d'; m') of
+    the Cremona move on a distinct triple of its slots that has no negative
+    entry.  The move on slots a, b, c sends d to 2d - a - b - c and them to
+    d - b - c, d - a - c, d - a - b; it keeps c1 and every blowup count
+    (Gottsche-Pandharipande 1998), so each image counts value."""
+    for (d, deep), value in memo.items():
+        slots = deep + (1,) * (3 * d - 1 - sum(deep))
+        for a, b, c in sorted(set(itertools.combinations(slots, 3))):
+            rest = list(slots)
+            for x in (a, b, c):
+                rest.remove(x)
+            image = (d - b - c, d - a - c, d - a - b, *rest)
+            if min(image) >= 0:
+                yield d, value, (2 * d - a - b - c, image)
+
+
+def _memo_with_free_points():
+    return {(d, deep): value for (d, deep), value in gw._values.items()
+            if 3 * d - 1 > sum(deep)}
+
+
+def _cremona_mismatches(memo):
+    """The images of _cremona_images(memo) whose count is not their class's
+    value, and how many images there were and how many at another degree."""
+    images = list(_cremona_images(memo))
+    wrong = [(d, image) for d, value, image in images
+             if gw.gw_blowup(*image) != value]
+    return wrong, len(images), sum(image[0] != d for d, _, image in images)
+
+
+def _cold_column(top):
+    gw.reset()
+    engine = Engine()
+    for d in range(1, top + 1):
+        engine.invariant("cp2", d, ((3 * d - 1,),))
+
+
+def test_cremona_images_of_the_column_classes():
+    # a second route to every blowup count with free points that a cold
+    # T_1..T_7 asks for: its images under Cremona moves on any three slots,
+    # most of them at another degree and reached by another recursion
+    _cold_column(7)
+    memo = _memo_with_free_points()
+    assert _cremona_mismatches(memo) == ([], 2476, 1981)
+
+
+@pytest.mark.skipif(os.environ.get("TANGENTCOUNT_EXTENDED") != "1",
+                    reason="extended tier disabled "
+                           "(TANGENTCOUNT_EXTENDED != 1)")
+def test_extended_cremona_images_of_the_quadric_and_degree_ten_classes():
+    # about five minutes and 850 MB: the classes of the five quadric tables
+    # and their sum identities (images up to degree 15), then those of a
+    # cold T_1..T_10 (images up to degree 17, most of the time)
+    gw.reset()
+    engine = Engine()
+    for bidegree in [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]:
+        engine.full_table("p1xp1", bidegree)
+        engine.sum_identity("p1xp1", bidegree)
+    assert _cremona_mismatches(_memo_with_free_points()) == ([], 7090, 5993)
+    _cold_column(10)
+    assert _cremona_mismatches(_memo_with_free_points()) == (
+        [], 44623, 38795)
 
 
 def test_all_ones_folds_to_plane_count():
