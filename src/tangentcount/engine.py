@@ -198,7 +198,7 @@ class Engine:
 
     def invariant(self, space, degree, constraints):
         """The curve count N: hat-H divided by the branch-reordering groups."""
-        cs = canonical_constraints(constraints)
+        cs = tuple(map(tuple, constraints))  # hat_invariant canonicalises
         hat = self.hat_invariant(space, degree, cs)
         auts = prod(aut_order(c) for c in cs)
         if hat % auts:
@@ -372,15 +372,6 @@ class Engine:
                         continue
                     pre, post = ends[len(above)]
                     yield pre + _text(q) + post, value
-
-
-KEY_LIMIT = 255  # usage guard: no on-shell key this large is feasible
-
-
-def key_fits(degree, cs):
-    """Whether a key's degree (or bidegree) and rows are within KEY_LIMIT."""
-    sizes = list(degree) if isinstance(degree, tuple) else [degree]
-    return all(n <= KEY_LIMIT for n in sizes + [max(c) for c in cs])
 
 
 def encode_key(space, degree, cs):

@@ -76,13 +76,22 @@ def kontsevich_count(d):
 # ------------------------------------------------------------ class bookkeeping
 
 def chern_number(space, degree, mults=()):
-    """Pairing of the class with the anticanonical divisor, c1(A)."""
+    """Pairing of the class with the anticanonical divisor, c1(A).
+
+    Every public entry point asks for it before any work, so it is where a
+    space or degree is checked: a plain nonnegative int on cp2, a tuple of
+    two on p1xp1.
+    """
     if space not in ("cp2", "p1xp1"):
         raise ValueError("space must be 'cp2' or 'p1xp1', got %r" % (space,))
-    if space == "cp2":
-        return 3 * degree - sum(mults)
-    a, b = degree
-    return 2 * a + 2 * b - sum(mults)
+    plane = space == "cp2"
+    sizes = (degree,) if plane else degree
+    if not (type(sizes) is tuple and len(sizes) == (1 if plane else 2)
+            and all(type(n) is int and n >= 0 for n in sizes)):
+        raise ValueError("degree on %s must be %s, got %r" % (
+            space, "a nonnegative integer" if plane
+            else "a pair of nonnegative integers", degree))
+    return (3 if plane else 2) * sum(sizes) - sum(mults)
 
 
 def translate_to_plane(bidegree, mults=()):
@@ -135,20 +144,16 @@ def gw_blowup(degree, mults=()):
 
     Defined (nonzero) only for classes with Chern pairing 1; anything of
     nonzero index returns 0 by convention.  Degree and multiplicities must
-    be nonnegative integers.
+    be nonnegative integers (chern_number checks the degree).
     """
     mults = tuple(mults)
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise ValueError("degree must be a nonnegative integer, got %r"
-                         % (degree,))
     for m in mults:
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ValueError("multiplicities must be nonnegative integers, "
                              "got %r" % (m,))
+    c1 = chern_number("cp2", degree, mults)
     counters["gw_queries"] += 1
-    if chern_number("cp2", degree, mults) != 1:
-        return 0
-    return _value(degree, mults)
+    return _value(degree, mults) if c1 == 1 else 0
 
 
 def _value(d, mults):
@@ -159,11 +164,22 @@ def _value(d, mults):
     canonical key.  Every caller passes a class of index c1 - 1 >= 0:
     gw_blowup asks for c1 = 1, _relation's given class has index n or 1,
     the split pieces have n1 and n - n1 >= 0 points, and Cremona moves
-    keep c1.  A class with npts >= 1 free points solves the relation
-    at its deepest slot with n = npts - 1 (m_1 = d died in the adjunction
-    filter, so _relation's a > 0).  A point-free class X = (d; m) is solved
-    from the relation of X - E_s, s the shallowest slot: that class has one
-    free point, so n = 0.
+    keep c1.
+
+    No caller passes d < 0.  gw_blowup refuses one, _relation passes its
+    own d >= 1 and the split pieces have d1, d2 >= 1.  A Cremona move from
+    (d; m) with d >= 1 gives 2d - (m1 + m2 + m3) >= 0: the move keeps
+    d^2 - sum m^2, which the adjunction test run first bounds below by -1
+    (sum m = 3d - 1 and sum m(m - 1) <= (d - 1)(d - 2)), at every step.
+    If m1 + m2 + m3 were above 2d, Cauchy-Schwarz would give
+    sum m^2 > 4d^2/3, so d^2 - sum m^2 < -1 for d >= 2; for d = 1,
+    sum m^2 <= 2 already gives m1 + m2 + m3 <= 2.
+
+    A class with npts >= 1 free points solves the relation at its deepest
+    slot with n = npts - 1 (m_1 = d died in the adjunction filter, so
+    _relation's a > 0).  A point-free class X = (d; m) is solved from the
+    relation of X - E_s, s the shallowest slot: that class has one free
+    point, so n = 0.
 
     The recursion ends.  X - E_s is a WDVV solve that bumps its deepest
     slot, giving the point-free class X - E_s + E_1, whose sum m^2 is larger
@@ -171,8 +187,6 @@ def _value(d, mults):
     degree.  At one degree sum m = 3d - 1 and adjunction bounds sum m^2 by
     d^2 + 1, so the chain of point-free classes is finite.
     """
-    if d < 0:
-        return 0
     if d == 0:
         # Only the blowup generators E_i survive among degree-0 classes.
         return 1 if (mults.count(-1) == 1

@@ -5,6 +5,8 @@ of them is a shortcut of the package; each gives a second route to a
 value the package computes."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 from tangentcount import gw
 from tangentcount.errors import InconsistencyError
@@ -105,3 +107,43 @@ def cross_space_values(engine, d):
     return [(p, engine.invariant("cp2", d, (p, (1,), (1,))),
              engine.invariant("p1xp1", (d - 1, d - 1), (p,) + ones))
             for p in partitions_of(3 * d - 3)]
+
+
+def point_point_line_line(d, m):
+    """N(d; m) from the associativity relation on (pt, pt, L, L), a second
+    route to a blowup count with n = 3d - 1 - sum(m) >= 3 free points
+    (Kontsevich-Manin 1994; Gottsche-Pandharipande 1998 for blowups):
+
+        N(d; m) = sum over d1 + d2 = d (d1, d2 >= 1) and 0 <= a <= m of
+            N(d1; a) N(d2; m - a) (d1 d2 - sum_j a_j (m_j - a_j))
+            * (d1 d2 binom(n - 3, n1 - 1) - d1^2 binom(n - 3, n1)),
+
+    where n1 = 3 d1 - 1 - sum(a) and n2 = 3 d2 - 1 - sum(m - a) are the
+    pieces' free points, both >= 0, and binom(., -1) = 0.  The package
+    solves (E, L, E, L) instead; the counts of the pieces come from
+    gw.gw_blowup, each free point a multiplicity-1 slot.  With m = () this
+    is Kontsevich's recursion.  With fewer than three free points the
+    relation has no such instantiation."""
+    n = 3 * d - 1 - sum(m)
+    if n < 3:
+        raise ValueError("(pt, pt, L, L) needs three free points, got %d" % n)
+    total = 0
+    for d1 in range(1, d):
+        d2 = d - d1
+        # a piece's multiplicity above its degree counts 0
+        ranges = [range(max(0, mj - d2), min(mj, d1) + 1) for mj in m]
+        for a in product(*ranges):
+            n1 = 3 * d1 - 1 - sum(a)
+            n2 = n - 1 - n1
+            if n1 < 0 or n2 < 0:
+                continue
+            bracket = (d1 * d2 * (comb(n - 3, n1 - 1) if n1 else 0)
+                       - d1 * d1 * comb(n - 3, n1))
+            pairing = d1 * d2 - sum(aj * (mj - aj) for aj, mj in zip(a, m))
+            if not (bracket and pairing):
+                continue
+            c1 = gw.gw_blowup(d1, a + (1,) * n1)
+            if c1:
+                total += (c1 * pairing * bracket * gw.gw_blowup(
+                    d2, tuple(mj - aj for aj, mj in zip(a, m)) + (1,) * n2))
+    return total

@@ -104,9 +104,12 @@ def test_worked_degree_three_chain():
 
 def test_hat_and_plain_differ_by_symmetry():
     e = Engine()
-    hat = e.hat_invariant("cp2", 3, ((1, 1), (3, 3)))
-    n = e.invariant("cp2", 3, ((1, 1), (3, 3)))
-    assert hat == 4 * n  # |Aut| = 2 for each constraint
+    hat = e.hat_invariant("cp2", 4, ((2, 2), (1, 1), (5,)))
+    n = e.invariant("cp2", 4, ((2, 2), (1, 1), (5,)))
+    assert (hat, n) == (4, 1)  # |Aut| = 2 for each two-row constraint
+    # any iterables, read once: the diagrams and the rows
+    assert e.invariant("cp2", 4, (c for c in ([2, 2], iter((1, 1)), (5,)))
+                       ) == n
 
 
 def test_off_shell_keys_vanish():
@@ -203,6 +206,26 @@ def test_quadric_degenerate_bidegrees():
         assert e.invariant("p1xp1", (2, 0), (p,)) == 0
     # (1,0) covers a ruling line: one curve through one point
     assert e.invariant("p1xp1", (1, 0), ((1,),)) == 1
+
+
+@pytest.mark.parametrize("space, degree, constraints", [
+    ("p1xp1", 3, ((1,),)),
+    ("p1xp1", (1.0, 1), ((3,),)),
+    ("cp2", 2.5, ((5,),)),
+    ("cp2", True, ((2,),)),
+    ("p1xp1", (1, 1, 1), ((3,),))])
+def test_a_malformed_degree_is_refused_before_any_work(space, degree,
+                                                       constraints):
+    gw.reset()
+    e = Engine()
+    for call in (lambda: e.invariant(space, degree, constraints),
+                 lambda: e.full_table(space, degree),
+                 lambda: e.sum_identity(space, degree)):
+        with pytest.raises(ValueError, match="degree on %s must be" % space):
+            call()
+    assert not any(e.counters.values()) and not gw.counters
+    with pytest.raises(ValueError, match="degree on cp2 must be"):
+        gw.gw_blowup(2.5, (2,))
 
 
 def test_quadric_symmetric_in_bidegree():

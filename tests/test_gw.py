@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from tangentcount import Engine, gw
 from tangentcount.errors import InconsistencyError
 
-from reference import double_point_count, vanishing_filter
+from reference import (double_point_count, point_point_line_line,
+                       vanishing_filter)
 
 
 def test_plane_counts():
@@ -323,6 +324,45 @@ def test_extended_cremona_images_of_the_quadric_and_degree_ten_classes():
     _cold_column(10)
     assert _cremona_mismatches(_memo_with_free_points()) == (
         [], 44623, 38795)
+
+
+def _point_point_line_line_mismatches():
+    """The classes of the gw memo with at least three free points whose
+    value the (pt, pt, L, L) relation does not give, and how many there
+    were; the memo is read before the relation adds to it."""
+    memo = {(d, deep): value for (d, deep), value in gw._values.items()
+            if 3 * d - 1 - sum(deep) >= 3}
+    wrong = [(d, deep) for (d, deep), value in memo.items()
+             if point_point_line_line(d, deep) != value]
+    return wrong, len(memo)
+
+
+def test_point_point_line_line_is_kontsevich_without_multiplicities():
+    assert [point_point_line_line(d, ()) for d in range(2, 8)] == [
+        gw.kontsevich_count(d) for d in range(2, 8)]
+    with pytest.raises(ValueError, match="three free points"):
+        point_point_line_line(2, (2, 1))
+
+
+def test_point_point_line_line_on_the_column_classes():
+    # a second associativity instantiation for every blowup count with at
+    # least three free points that a cold T_1..T_7 asks for
+    _cold_column(7)
+    assert _point_point_line_line_mismatches() == ([], 344)
+
+
+@pytest.mark.skipif(os.environ.get("TANGENTCOUNT_EXTENDED") != "1",
+                    reason="extended tier disabled "
+                           "(TANGENTCOUNT_EXTENDED != 1)")
+def test_extended_point_point_line_line_on_the_quadric_classes():
+    # about 15 s: the classes of the five quadric tables and their sum
+    # identities
+    gw.reset()
+    engine = Engine()
+    for bidegree in [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]:
+        engine.full_table("p1xp1", bidegree)
+        engine.sum_identity("p1xp1", bidegree)
+    assert _point_point_line_line_mismatches() == ([], 539)
 
 
 def test_all_ones_folds_to_plane_count():
