@@ -24,7 +24,10 @@ coefficients throughout:
 Termination is governed by the complexity rank (level, count): the maximal
 weight of a constraint containing a branch of order >= 2, and how many
 constraints realize it.  Every recursive call strictly decreases the rank
-lexicographically, which is asserted at runtime.
+lexicographically, which is asserted at runtime.  A solve resolves each
+input key itself: read from a vector that holds it, else solved in place
+beside the key less its top level code; only all-ones keys go on to a
+base case.
 
 Inside the engine a diagram of weight w is one int, its code: _first[w]
 plus its index in partitions_of(w), the blocks of p(w) codes laid out in
@@ -246,8 +249,13 @@ class Engine:
     # ------------------------------------------------------------- internals
 
     def _eval(self, space, degree, cs, parent_rank):
+        """hat-H of the coded key cs: a memo hit, a base case for an all-ones
+        key, else one solve beside cs less its top level code.  Below a
+        public call only all-ones keys get here; _solve_at resolves the
+        others itself."""
         key = (space, degree, cs)
-        k = next(filter(None, map(_LEVEL.get, cs)), None)  # level if > 1
+        i = next((i for i, c in enumerate(cs) if c in _LEVEL), None)
+        k = None if i is None else _LEVEL[cs[i]]  # the level if > 1
         hit = (self._values.get(key) if k is None
                else self._held(space, degree, cs, k)[1])
         if hit is not None:
@@ -258,24 +266,26 @@ class Engine:
         _descend(parent_rank, rank, *key)
         if k is None:
             return self._values.setdefault(key, self._base_case(*key))
-        i = next(i for i, c in enumerate(cs) if c in _LEVEL)
         return self._solve_at(space, degree, cs[:i] + cs[i + 1:], k, rank)[
             cs[i] - _first[k] - 1]
 
-    def _held(self, space, degree, cs, k):
+    def _held(self, space, degree, cs, k, skip=None):
         """(target, value) from the first weight-k vector, in target order,
         holding the key cs of level k, else (None, None); a vector's targets
-        are its codes between (1,)*k and (1,)*(k+1).  All holders of a key
-        agree, as _solve_at alone stores a vector and first checks each value
-        against the holders stored: checking against this one checks all."""
+        are its codes between (1,)*k and (1,)*(k+1).  The vector beside cs
+        less skip is not probed: the caller knows it is missing.  All holders
+        of a key agree, as _solve_at alone stores a vector and first checks
+        each value against the holders stored: checking against this one
+        checks all."""
         lo, hi = _first[k], _first[k + 1]
         vectors = self._vectors[space, degree]
         for i, c in enumerate(cs):
             if c <= lo:
                 break
-            vector = vectors.get(cs[:i] + cs[i + 1:]) if c < hi else None
-            if vector is not None:
-                return c, vector[c - lo - 1]
+            if c < hi and c != skip:
+                vector = vectors.get(cs[:i] + cs[i + 1:])
+                if vector is not None:
+                    return c, vector[c - lo - 1]
         return None, None
 
     def _base_case(self, space, degree, cs):
@@ -293,11 +303,14 @@ class Engine:
     def _solve_at(self, space, degree, rest, k, rank):
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
-        against the vector _held finds for its key.  An input is read from
-        the vector _held tries first, near: beside its key less the top
-        level code (rest's top t, or the input's if larger).  If near is
-        missing and the key has no other code of that weight, near is the
-        key's only holder and is solved here; else _eval answers it."""
+        against the vector _held finds for its key (skipping rest's, which
+        is not stored yet).  An input with a level code is read from the
+        vector _held tries first, near: beside its key less the top level
+        code (rest's top t, or the input's if larger).  If near is missing
+        and the key has another code of that weight, _held tries the key's
+        later holders, skipping near.  If none holds it, near is solved
+        here, ranked as _eval ranks the key.  An all-ones input goes to
+        _eval, which finds a base case."""
         vectors, values, hits = self._vectors[space, degree], [], 0
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
@@ -309,31 +322,39 @@ class Engine:
                 top, near = codes[0], rest + codes[1:]
             elif t:
                 top, near, slot = t, rest_t + codes, slot_t
-            if near:
-                near = tuple(sorted(near, reverse=True))
-                vector = vectors.get(near)
-                if vector is not None:
+            if not near:
+                values.append(self._eval(space, degree, tuple(sorted(
+                    rest + codes, reverse=True)), rank))
+                continue
+            near = tuple(sorted(near, reverse=True))
+            vector = vectors.get(near)
+            if vector is not None:
+                hits += 1
+                values.append(vector[slot])
+                continue
+            w = _LEVEL[top]  # another level-w code would be in others
+            others = ((t, *codes[1:]) if top > t
+                      else (*rest_t[i:i + 1], codes[0]))
+            count = 1
+            if w in map(_LEVEL.get, others):
+                key = tuple(sorted(rest + codes, reverse=True))
+                value = self._held(space, degree, key, w, top)[1]
+                if value is not None:
                     hits += 1
-                    values.append(vector[slot])
+                    values.append(value)
                     continue
-                w = _LEVEL[top]  # another level-w code would be in others
-                others = ((t, *codes[1:]) if top > t
-                          else (*rest_t[i:i + 1], codes[0]))
-                if w not in map(_LEVEL.get, others):
-                    self.counters["evaluations"] += 1
-                    _descend(rank, (w, 1), space, degree, rest + codes)
-                    values.append(self._solve_at(
-                        space, degree, near, w, (w, 1))[slot])
-                    continue
-            values.append(self._eval(space, degree, tuple(sorted(
-                rest + codes, reverse=True)), rank))
+                count = [*map(_LEVEL.get, key)].count(w)
+            self.counters["evaluations"] += 1
+            _descend(rank, (w, count), space, degree, rest + codes)
+            values.append(self._solve_at(
+                space, degree, near, w, (w, count))[slot])
         self.counters["memo_hits"] += hits
         solved = solve_split_system(k, values[:-1], values[-1])
         self.counters["solves"] += 1
         if rank[1] > 1:  # else no other vector holds a key
             for q, value in enumerate(solved, _first[k] + 1):
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
-                old = self._held(*key, k)[1]
+                old = self._held(*key, k, q)[1]  # rest: not yet stored
                 if old not in (None, value):
                     raise InconsistencyError(
                         "conflicting values %d and %d for %s"

@@ -69,6 +69,11 @@ def test_criterion_01_full_tangency_counts_cold():
            for d in TANGENCY_MAX}
     elapsed = time.monotonic() - start
     assert got == TANGENCY_MAX
+    # the work of the cold column, counted: how a solve resolves its
+    # inputs must not change what is solved, evaluated or read
+    c = engine.counters
+    assert (c["solves"], c["evaluations"], c["memo_hits"],
+            c["base_cases"]) == (122768, 125169, 2074553, 2401)
     assert elapsed < 300, "budget is five minutes, took %.1fs" % elapsed
     print("PASS criterion 1: T_1..T_8 exact, cold cache, %.1fs "
           "(budget 300s)" % elapsed)

@@ -418,13 +418,14 @@ def test_vectors_are_the_narrowest_int_arrays(monkeypatch):
         assert value == expected[text] + (shifts[d] if top else 0), text
 
 
-def corrupt_top_solve(monkeypatch, by):
-    """An Engine holding ((3,), (3,), (2,)) at degree 3 whose last solve,
-    the one next to ((3,), (2,)), stored its (2, 1) entry plus by, and the
-    true value of that entry's key ((3,), (2, 1), (2,))."""
-    top = ((3,), (3,), (2,))
+def corrupt_top_solve(monkeypatch, by, degree=3, top=((3,), (3,), (2,)),
+                      target=(2, 1)):
+    """An Engine holding top (by default ((3,), (3,), (2,)) at degree 3)
+    whose last solve, the one next to top less its first diagram, stored
+    its target entry plus by, and the true value of that entry's key (by
+    default ((3,), (2, 1), (2,)))."""
     clean = Engine()
-    clean.hat_invariant("cp2", 3, top)
+    clean.hat_invariant("cp2", degree, top)
     last = clean.counters["solves"]  # the top solve comes after its inputs
     real = engine_module.solve_split_system
     calls = []
@@ -433,13 +434,13 @@ def corrupt_top_solve(monkeypatch, by):
         solved = real(k, split_values, all_ones_value)
         calls.append(k)
         if len(calls) == last:
-            solved[solve_plan(3).parts.index((2, 1)) - 1] += by
+            solved[solve_plan(weight(top[0])).parts.index(target) - 1] += by
         return solved
 
     monkeypatch.setattr(engine_module, "solve_split_system", corrupt_last)
     e = Engine()
-    e.hat_invariant("cp2", 3, top)
-    return e, clean.hat_invariant("cp2", 3, ((3,), (2, 1), (2,)))
+    e.hat_invariant("cp2", degree, top)
+    return e, clean.hat_invariant("cp2", degree, (target,) + top[1:])
 
 
 def test_overlapping_solve_vectors_are_cross_checked(monkeypatch):
@@ -451,6 +452,38 @@ def test_overlapping_solve_vectors_are_cross_checked(monkeypatch):
                        match=r"conflicting values \d+ and \d+ for "
                              r"\('cp2', 3, \(\(3,\), \(2, 1\), \(2,\)\)\)"):
         e.hat_invariant("cp2", 3, ((2, 1), (2, 1), (2,)))
+
+
+def test_a_first_holder_is_cross_checked_from_a_later_one(monkeypatch):
+    # the same key the other way round: corrupt its entry in the vector
+    # next to ((2, 1), (2,)), the first _held tries.  The solve next to
+    # ((3,), (2,)) re-derives it as its target (2, 1), which is not the
+    # key's top code: its check skips only the vector beside the key less
+    # (2, 1) and must refuse
+    e, value = corrupt_top_solve(monkeypatch, 1, 3, ((2, 1), (2, 1), (2,)),
+                                 (3,))
+    with pytest.raises(InconsistencyError,
+                       match=r"conflicting values %d and %d for "
+                             r"\('cp2', 3, \(\(3,\), \(2, 1\), \(2,\)\)\)"
+                             % (value + 1, value)):
+        e.hat_invariant("cp2", 3, ((3,), (3,), (2,)))
+
+
+def test_a_holder_past_a_missing_one_is_cross_checked(monkeypatch):
+    # ((4,), (3, 1), (2, 2), (2,)) at degree 5 has three weight-4 holders,
+    # beside the key less (4,), less (3, 1) and less (2, 2).  Corrupt its
+    # entry in the last; the second is never solved.  The solve beside the
+    # first re-derives the key, skips its own vector, which is not stored
+    # yet, finds the second missing and must refuse at the last
+    top = ((4,), (4,), (3, 1), (2,))
+    e, value = corrupt_top_solve(monkeypatch, 1, 5, top, (2, 2))
+    second = tuple(map(engine_module._code, ((4,), (2, 2), (2,))))
+    with pytest.raises(InconsistencyError,
+                       match=r"conflicting values %d and %d for "
+                             r"\('cp2', 5, \(\(4,\), \(3, 1\), \(2, 2\), "
+                             r"\(2,\)\)\)" % (value + 1, value)):
+        e.hat_invariant("cp2", 5, ((3, 1), (3, 1), (2, 2), (2,)))
+    assert second not in e._vectors["cp2", 5]
 
 
 def test_an_array_and_a_tuple_that_conflict_are_refused(monkeypatch):
@@ -572,6 +605,18 @@ class Nowhere(dict):
         return None
 
 
+class Probed(dict):
+    """A vector store that keeps each rest it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, rest, default=None):
+        self.asked.append(rest)
+        return super().get(rest, default)
+
+
 class Inputs(Exception):
     """Raised in place of a solve, with the inputs it was given."""
 
@@ -615,10 +660,10 @@ def shortcut_disagreements(e):
     with solve_split_system swapped for a stop that returns the inputs.
     Where every vector exists ("held"), an input key with a level code is
     read from the vector and slot _held tries first.  Where none does
-    ("missing"), such a key with one code of its level is solved in place,
-    beside the key less that code, and read at that code's slot; a key with
-    more must reach _eval.  In both, a key with no level code must reach
-    _eval, which finds a base case."""
+    ("missing"), such a key is solved in place, beside the key less its top
+    level code, ranked by its level and how many codes have it, and read at
+    that code's slot.  In both, a key with a level code never reaches _eval,
+    and a key with none must reach it, which finds a base case."""
     m, bad = engine_module, []
     for (space, degree), vectors in e._vectors.items():
         on_shell = gw.chern_number(space, degree) - 1
@@ -640,13 +685,11 @@ def shortcut_disagreements(e):
                     elif name == "held":
                         ok = key not in probe.asked and read == probe._held(
                             space, degree, key, level)[1]
-                    elif count > 1:
-                        ok = key in probe.asked
                     else:
                         top = top_level_code(key)
                         i = key.index(top)
                         ok = key not in probe.asked and read == (
-                            (key[:i] + key[i + 1:], level, (level, 1)),
+                            (key[:i] + key[i + 1:], level, (level, count)),
                             top - m._first[level] - 1)
                     if not ok:
                         bad.append((name, space, degree, key, read))
@@ -693,22 +736,58 @@ class Asked(Engine):
 
 def test_a_sole_holder_miss_never_reaches_eval():
     # the top solve, beside ((3,), (2, 1), (1,)), needs the key lower: it
-    # holds (2, 1) below (3,), so a vector beside (3,) may hold it too, and
-    # _eval looks there.  That key's own solve, beside ((2, 1), (1, 1, 1),
-    # (1,), (1,)), needs the key sole, whose only code of weight 3 is
-    # (2, 1): it is solved in place, beside the rest
+    # holds (2, 1) below (3,), so a vector beside (3,) may hold it too.  That
+    # one is missing as well, so lower is solved in place beside the key less
+    # (3,), ranked (3, 2).  Its solve needs the key sole, whose only code of
+    # weight 3 is (2, 1): it is solved in place, beside the rest, ranked
+    # (3, 1).  Only all-ones keys reach _eval below the top
     e = Asked()
     top = ((4,), (3,), (2, 1), (1,))
     assert e.hat_invariant("cp2", 4, top) == Engine().hat_invariant(
         "cp2", 4, top)
     lower = canonical_constraints(((3,), (2, 1), (1, 1, 1), (1,), (1,)))
     sole = canonical_constraints(((2, 1), (2,), (1, 1, 1), (1,), (1,), (1,)))
-    assert lower in e.asked and sole not in e.asked
+    assert lower not in e.asked and sole not in e.asked
+    assert (lower[1:], (3, 2)) in e.ranks
     assert (canonical_constraints(((2,), (1, 1, 1), (1,), (1,), (1,))),
             (3, 1)) in e.ranks
-    for key in e.asked:  # a key reaching _eval has no level code or two
-        assert complexity(key)[1] != 1, key
+    assert e.asked
+    for key in e.asked:  # a key reaching _eval has no level code
+        assert complexity(key) == (1, 0), key
     assert e.counters["evaluations"] > len(set(e.asked))
+
+
+def test_a_later_holder_answers_a_levelled_input():
+    # ((4,), (3, 1), (2, 2), (2,)) has three codes of weight 4.  After
+    # ((4,), (4,), (2, 2), (2,)) at degree 5, its second holder, beside
+    # ((4,), (2, 2), (2,)), is stored but not its first, beside ((3, 1),
+    # (2, 2), (2,)).  As the input ((4,), (2,)) of the weight-6 solve beside
+    # ((3, 1), (2, 2)) it is read from the second holder: one memo hit, no
+    # evaluation, no solve and no _eval.  Every other input misses.  _held
+    # told to skip (4,) does not probe the first holder
+    code = engine_module._code
+    e = Engine()
+    e.hat_invariant("cp2", 5, ((4,), (4,), (2, 2), (2,)))
+    key = tuple(map(code, ((4,), (3, 1), (2, 2), (2,))))
+    second = key[:1] + key[2:]
+    assert key[1:] not in e._vectors["cp2", 5]
+    probe = Replay("cp2", 5, Probed)
+    store = probe._vectors["cp2", 5]
+    store[second] = e._vectors["cp2", 5][second]
+    value = Engine().hat_invariant("cp2", 5, tuple(
+        map(engine_module._diagram, key)))
+    assert probe._held("cp2", 5, key, 4, key[0]) == (key[1], value)
+    assert probe._held("cp2", 5, key, 4) == (key[1], value)
+    assert store.asked == [second, key[1:], second]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "solve_split_system", read_inputs)
+        with pytest.raises(Inputs) as stop:
+            probe._solve_at("cp2", 5, (code((3, 1)), code((2, 2))), 6, (6, 1))
+    inputs = engine_module._solve_inputs(6)[0]
+    read = stop.value.args[0][inputs.index((code((4,)), code((2,))))]
+    assert read == value and probe.asked == []
+    assert probe.counters == {"evaluations": len(inputs) - 1, "solves": 0,
+                              "base_cases": 0, "memo_hits": 1}
 
 
 def test_a_key_with_its_top_level_code_twice_is_ranked_two():
