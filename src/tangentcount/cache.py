@@ -35,7 +35,7 @@ import sys
 from bisect import bisect_left
 from collections.abc import Mapping
 from contextlib import suppress
-from itertools import count
+from itertools import pairwise
 
 from .errors import InconsistencyError
 
@@ -98,7 +98,7 @@ class Records(Mapping):
         above the line before or repeats its key (None if none), and (n,
         parse_line of line n) for each line n; the header is line 1."""
         lines = self.lines
-        first = next((n for n, prev, line in zip(count(3), lines, lines[1:])
+        first = next((n for n, (prev, line) in enumerate(pairwise(lines), 3)
                       if line <= prev or prev.startswith(
                           line.partition(b"\t")[0] + b"\t")), None)
         return first, enumerate(map(parse_line, lines), 2)

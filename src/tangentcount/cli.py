@@ -3,8 +3,8 @@
 Subcommands:
 
   compute   one invariant N (or hat-H with --hat) for a class and constraints
-  table     the full-tangency column T_d per degree, or every nonzero
-            single-point invariant of one degree
+  table     on the plane, the full-tangency column T_d per degree, or
+            every nonzero single-point invariant of one degree
   verify    self-checks against published values and internal identities,
             and with a cache file, a fresh recomputation of its records
   star      the diagram product expansion of two branching diagrams
@@ -168,8 +168,6 @@ def cmd_compute(args, parser):
 
 
 def cmd_table(args, parser):
-    if args.space != "cp2":
-        parser.error("table mode is defined for --space cp2 only")
     if args.degree is not None:
         low = high = args.degree
     elif args.max_d is not None:
@@ -416,7 +414,6 @@ def build_parser():
 
     p = sub.add_parser("table", parents=[cache_flags],
                        help="tangency-max column or full nonzero table")
-    p.add_argument("--space", choices=("cp2", "p1xp1"), default="cp2")
     p.add_argument("--mode", choices=("tangency-max", "full"),
                    default="tangency-max")
     p.add_argument("-d", "--degree", type=int, help="single degree")

@@ -24,10 +24,13 @@ coefficients throughout:
 Termination is governed by the complexity rank (level, count): the maximal
 weight of a constraint containing a branch of order >= 2, and how many
 constraints realize it.  Every recursive call strictly decreases the rank
-lexicographically, which is asserted at runtime.  A solve resolves each
-input key itself: read from a vector that holds it, else solved in place
-beside the key less its top level code; only all-ones keys go on to a
-base case.
+lexicographically.  The engine has one method per case: _base answers an
+all-ones key, and _solve_at one solve, which resolves each input key
+itself: an all-ones key by _base, any other read from a vector that holds
+it, else solved in place beside the key less its top level code, after a
+runtime check that its rank is below the solve's.  A public key is
+resolved the same way, so every frame between it and a base case is a
+_solve_at.
 
 Inside the engine a diagram of weight w is one int, its code: _first[w]
 plus its index in partitions_of(w), the blocks of p(w) codes laid out in
@@ -75,7 +78,8 @@ def complexity(constraints):
 
 def _rank(levels):
     """The rank from each constraint's weight if it has a branch >= 2, else
-    0 or None (_LEVEL.get of a key's codes gives these)."""
+    0 or None: complexity gives the weights, and _rank(map(_LEVEL.get,
+    codes)) ranks a coded key."""
     levels = [w for w in levels if w]
     top = max(levels, default=1)
     return top, levels.count(top)
@@ -138,15 +142,6 @@ def _solve_inputs(k):
                          for c, *_ in inputs)
 
 
-def _descend(parent_rank, rank, space, degree, codes):
-    """Check that a key's rank is below parent_rank (None: a top key)."""
-    if parent_rank is not None and not rank < parent_rank:
-        key = space, degree, tuple(sorted(codes, reverse=True))
-        raise InconsistencyError(
-            "complexity failed to decrease: %s -> %s at %s"
-            % (parent_rank, rank, _decoded(key)))
-
-
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
     return key[:2] + (tuple(map(_diagram, key[2])),)
 
@@ -189,15 +184,26 @@ class Engine:
 
     def hat_invariant(self, space, degree, constraints):
         """The ordered-branch invariant hat-H for the given key (0 off-shell):
-        its record in stored if there is one, else computed."""
+        its record in stored if there is one, else a base case for an
+        all-ones key, else read from the vector _held finds or solved
+        beside the key less its top level code."""
         cs = canonical_constraints(constraints)
         if sum(map(weight, cs)) != gw.chern_number(space, degree) - 1:
             return 0
         hit = self.stored.get(encode_key(space, degree, cs))
+        if hit is None:
+            key = tuple(map(_code, cs))
+            k, count = _rank(map(_LEVEL.get, key))
+            if k == 1:
+                return self._base(space, degree, key)
+            hit = self._held(space, degree, key, k)[1]
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
-        return self._eval(space, degree, tuple(map(_code, cs)), None)
+        self.counters["evaluations"] += 1
+        i = next(i for i, c in enumerate(key) if c in _LEVEL)
+        return self._solve_at(space, degree, key[:i] + key[i + 1:], k,
+                              (k, count))[key[i] - _first[k] - 1]
 
     def invariant(self, space, degree, constraints):
         """The curve count N: hat-H divided by the branch-reordering groups."""
@@ -248,27 +254,6 @@ class Engine:
 
     # ------------------------------------------------------------- internals
 
-    def _eval(self, space, degree, cs, parent_rank):
-        """hat-H of the coded key cs: a memo hit, a base case for an all-ones
-        key, else one solve beside cs less its top level code.  Below a
-        public call only all-ones keys get here; _solve_at resolves the
-        others itself."""
-        key = (space, degree, cs)
-        i = next((i for i, c in enumerate(cs) if c in _LEVEL), None)
-        k = None if i is None else _LEVEL[cs[i]]  # the level if > 1
-        hit = (self._values.get(key) if k is None
-               else self._held(space, degree, cs, k)[1])
-        if hit is not None:
-            self.counters["memo_hits"] += 1
-            return hit
-        self.counters["evaluations"] += 1
-        rank = (k, [*map(_LEVEL.get, cs)].count(k)) if k else (1, 0)
-        _descend(parent_rank, rank, *key)
-        if k is None:
-            return self._values.setdefault(key, self._base_case(*key))
-        return self._solve_at(space, degree, cs[:i] + cs[i + 1:], k, rank)[
-            cs[i] - _first[k] - 1]
-
     def _held(self, space, degree, cs, k, skip=None):
         """(target, value) from the first weight-k vector, in target order,
         holding the key cs of level k, else (None, None); a vector's targets
@@ -288,17 +273,25 @@ class Engine:
                     return c, vector[c - lo - 1]
         return None, None
 
-    def _base_case(self, space, degree, cs):
-        """All-ones constraints: branch orders 1 everywhere, so the count is
-        a blowup invariant with one multiplicity-b_i point per constraint,
-        times b_i! for the ordered branches."""
+    def _base(self, space, degree, cs):
+        """hat-H of the all-ones coded key cs: a memo hit, else one
+        evaluation and one base case.  Branch orders are 1 everywhere, so
+        the count is a blowup invariant with one multiplicity-b_i point per
+        constraint, times b_i! for the ordered branches."""
+        key = (space, degree, cs)
+        hit = self._values.get(key)
+        if hit is not None:
+            self.counters["memo_hits"] += 1
+            return hit
+        self.counters["evaluations"] += 1
         self.counters["base_cases"] += 1
         sizes = tuple(len(_diagram(c)) for c in cs)
         if space == "p1xp1":
             d, mults = gw.translate_to_plane(degree, sizes)
         else:
             d, mults = degree, sizes
-        return prod(factorial(b) for b in sizes) * gw.gw_blowup(d, mults)
+        return self._values.setdefault(key, prod(
+            factorial(b) for b in sizes) * gw.gw_blowup(d, mults))
 
     def _solve_at(self, space, degree, rest, k, rank):
         """One box-moving solve: hat-H for every diagram of weight k beside
@@ -309,8 +302,8 @@ class Engine:
         code (rest's top t, or the input's if larger).  If near is missing
         and the key has another code of that weight, _held tries the key's
         later holders, skipping near.  If none holds it, near is solved
-        here, ranked as _eval ranks the key.  An all-ones input goes to
-        _eval, which finds a base case."""
+        here, at the key's _rank (top's level once if others has no code of
+        it), which must be below rank.  An all-ones input goes to _base."""
         vectors, values, hits = self._vectors[space, degree], [], 0
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
@@ -323,8 +316,8 @@ class Engine:
             elif t:
                 top, near, slot = t, rest_t + codes, slot_t
             if not near:
-                values.append(self._eval(space, degree, tuple(sorted(
-                    rest + codes, reverse=True)), rank))
+                values.append(self._base(space, degree, tuple(sorted(
+                    rest + codes, reverse=True))))
                 continue
             near = tuple(sorted(near, reverse=True))
             vector = vectors.get(near)
@@ -335,7 +328,7 @@ class Engine:
             w = _LEVEL[top]  # another level-w code would be in others
             others = ((t, *codes[1:]) if top > t
                       else (*rest_t[i:i + 1], codes[0]))
-            count = 1
+            lower = w, 1
             if w in map(_LEVEL.get, others):
                 key = tuple(sorted(rest + codes, reverse=True))
                 value = self._held(space, degree, key, w, top)[1]
@@ -343,11 +336,14 @@ class Engine:
                     hits += 1
                     values.append(value)
                     continue
-                count = [*map(_LEVEL.get, key)].count(w)
+                lower = _rank(map(_LEVEL.get, key))
             self.counters["evaluations"] += 1
-            _descend(rank, (w, count), space, degree, rest + codes)
-            values.append(self._solve_at(
-                space, degree, near, w, (w, count))[slot])
+            if not lower < rank:
+                key = space, degree, tuple(sorted(rest + codes, reverse=True))
+                raise InconsistencyError(
+                    "complexity failed to decrease: %s -> %s at %s"
+                    % (rank, lower, _decoded(key)))
+            values.append(self._solve_at(space, degree, near, w, lower)[slot])
         self.counters["memo_hits"] += hits
         solved = solve_split_system(k, values[:-1], values[-1])
         self.counters["solves"] += 1

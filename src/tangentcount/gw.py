@@ -232,19 +232,22 @@ def _relation(d, m, n, s, bumped_unknown):
 
     a is the classical part, b the one degree-preserving boundary term
     (a point moved onto the E-slot), known the splittings into two pieces.
+
+    No caller divides by 0.  The WDVV solve divides by a at the deepest
+    slot, where m_0 < d: a class with m_0 = d >= 2 has sum m(m - 1) >=
+    d(d - 1) > (d - 1)(d - 2), so it fails _value's adjunction filter
+    first.  The point-free solve divides by b = -d^2 (m_s + 1) < 0.
     """
     bumped = m[:s] + (m[s] + 1,) + m[s + 1:]
     a, b = d * d - m[s] * m[s], -d * d * (m[s] + 1)
     coeff, unknown, other, given = ((b, bumped, a, m) if bumped_unknown
                                     else (a, m, b, bumped))
     known = other * _value(d, given) + _split_sum(d, m, n, s)
-    if coeff and not known % coeff:
-        return -known // coeff
-    name = "(%d; %s)" % (d, ",".join(map(str, unknown)))
-    if not coeff:
-        raise InconsistencyError("degenerate relation for class " + name)
-    raise InconsistencyError("associativity relation gave non-integer %s "
-                             "for %s" % (Fraction(-known, coeff), name))
+    if known % coeff:
+        raise InconsistencyError(
+            "associativity relation gave non-integer %s for (%d; %s)"
+            % (Fraction(-known, coeff), d, ",".join(map(str, unknown))))
+    return -known // coeff
 
 
 def _split_sum(d, m, n, slot):

@@ -194,17 +194,24 @@ def test_criterion_09_vanishing():
 class RankProbe(Engine):
     """Engine that records every complexity-rank transition it is asked
     to make: each solve's input keys, those read from the memo included,
-    and each top-level call.  Internal keys are coded, so each is decoded
-    back to diagrams first."""
+    and each top-level call; and the rank of each key that reaches a base
+    case.  Internal keys are coded, so each is decoded back to diagrams
+    first."""
 
     def __init__(self):
         super().__init__()
         self.violations = []
         self.calls = {"top": 0, "inputs": 0}
+        self.base_ranks = set()
 
-    def _eval(self, space, degree, cs, parent_rank):
-        self.calls["top"] += parent_rank is None
-        return super()._eval(space, degree, cs, parent_rank)
+    def hat_invariant(self, space, degree, constraints):
+        self.calls["top"] += 1
+        return super().hat_invariant(space, degree, constraints)
+
+    def _base(self, space, degree, cs):
+        self.base_ranks.add(complexity(tuple(map(engine_module._diagram,
+                                                 cs))))
+        return super()._base(space, degree, cs)
 
     def _solve_at(self, space, degree, rest, k, rank):
         for codes in engine_module._solve_inputs(k)[0]:
@@ -223,6 +230,7 @@ def test_criterion_10_property_suites():
     probe.invariant("p1xp1", (2, 1), ((5,),))
     assert probe.violations == []
     assert probe.counters["solves"] > 0
+    assert probe.base_ranks == {(1, 0)}  # only all-ones keys reach _base
     # every key evaluated or read went through the probe, memo hits included
     assert probe.calls["inputs"] > probe.counters["solves"]
     assert sum(probe.calls.values()) == (probe.counters["evaluations"]

@@ -410,6 +410,16 @@ def test_verify_small(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_fails_on_a_point_count_mismatch(capsys, monkeypatch):
+    # the two sides of the identity, and the plane count, must all agree
+    monkeypatch.setattr(Engine, "sum_identity", lambda self, space, d: (
+        gw.kontsevich_count(d), gw.kontsevich_count(d) + 1))
+    code, out, _ = run(capsys, "verify", "--max-d", "2", "--no-cache")
+    assert code == 1
+    assert ("FAIL point-count identity, degrees 1..2: mismatches "
+            "[(1, 1, 2), (2, 1, 2)]\n") in out
+
+
 def test_verify_recomputes_cache_records(tmp_path, capsys):
     # a wrong record under a forged digest, which no check re-derives on
     # its own, is caught, named with both values, and the published checks
@@ -768,8 +778,7 @@ def cli_argvs(draw):
                                                max_size=4).map(";".join)))]
         argv += draw(st.sampled_from([[], ["--hat"]]))
     elif command == "table":
-        argv = ["table", "--space", space,
-                draw(st.sampled_from(["-d", "--max-d"])),
+        argv = ["table", draw(st.sampled_from(["-d", "--max-d"])),
                 draw(or_garbage(st.integers(1, 5).map(str))),
                 "--mode", draw(or_garbage(st.sampled_from(
                     ["tangency-max", "full"])))]

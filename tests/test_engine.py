@@ -3,6 +3,7 @@ tables, the point-count identity, the product expansion cross-check, and
 the quadric surface cases."""
 
 import random
+import re
 from array import array
 
 import pytest
@@ -337,6 +338,37 @@ def test_inconsistent_record_read_before_the_solve_is_detected(tmp_path):
             cache.harvest(e)
 
 
+def test_a_solve_given_a_rank_its_input_does_not_descend_from_raises():
+    # the solve beside ((2,), (1,)) is ranked (2, 2); told (2, 1), its input
+    # ((2,), (1,), (1,), (1,)), ranked (2, 1) and held nowhere yet, would be
+    # solved in place without descending
+    code = engine_module._code
+    with pytest.raises(InconsistencyError, match=re.escape(
+            "complexity failed to decrease: (2, 1) -> (2, 1) at ('cp2', 2, "
+            "((2,), (1,), (1,), (1,)))")):
+        Engine()._solve_at("cp2", 2, (code((2,)), code((1,))), 2, (2, 1))
+    assert Engine()._solve_at(
+        "cp2", 2, (code((2,)), code((1,))), 2, (2, 2)) == [1]
+
+
+def test_a_hat_value_its_branch_groups_do_not_divide_is_refused():
+    # a vector planted one off at the slot of (2, 2) makes hat-H of
+    # ((2, 2), (1,)) odd, which |Aut((2, 2))| = 2 cannot divide
+    code, e = engine_module._code, Engine()
+    assert e.invariant("cp2", 2, ((2, 2), (1,))) == 0
+    e._vectors["cp2", 2][code((1,)),][
+        code((2, 2)) - engine_module._first[4] - 1] += 1
+    with pytest.raises(InconsistencyError,
+                       match="hat invariant 1 not divisible by 2"):
+        e.invariant("cp2", 2, ((2, 2), (1,)))
+
+
+def test_a_table_needs_chern_number_two():
+    for space, degree in [("cp2", 0), ("p1xp1", (0, 0))]:
+        with pytest.raises(ValueError, match="chern number >= 2"):
+            Engine().full_table(space, degree)
+
+
 def test_cold_column_work_is_pinned():
     # the amount of work for cold T_1..T_6 in one Engine: every solve and
     # every stored key is still there, so speed comes from bookkeeping,
@@ -627,7 +659,7 @@ def read_inputs(k, split_values, all_ones_value):
 
 class Replay(Engine):
     """An engine with the given vector store, which keeps the keys that
-    reach _eval.  Below the solve it replays, a solve returns a Marked
+    reach _base.  Below the solve it replays, a solve returns a Marked
     vector naming its (rest, k, rank) instead of solving."""
 
     def __init__(self, space, degree, store):
@@ -635,9 +667,9 @@ class Replay(Engine):
         self._vectors[space, degree] = store()
         self.asked, self.depth = [], 0
 
-    def _eval(self, space, degree, cs, parent_rank):
+    def _base(self, space, degree, cs):
         self.asked.append(cs)
-        return super()._eval(space, degree, cs, parent_rank)
+        return super()._base(space, degree, cs)
 
     def _solve_at(self, space, degree, rest, k, rank):
         if self.depth:
@@ -662,7 +694,7 @@ def shortcut_disagreements(e):
     read from the vector and slot _held tries first.  Where none does
     ("missing"), such a key is solved in place, beside the key less its top
     level code, ranked by its level and how many codes have it, and read at
-    that code's slot.  In both, a key with a level code never reaches _eval,
+    that code's slot.  In both, a key with a level code never reaches _base,
     and a key with none must reach it, which finds a base case."""
     m, bad = engine_module, []
     for (space, degree), vectors in e._vectors.items():
@@ -717,30 +749,29 @@ def test_a_wrong_slot_offset_is_a_disagreement(monkeypatch):
 
 
 class Asked(Engine):
-    """An engine that keeps each key that reaches _eval below the top, and
-    the rank each solve is given."""
+    """An engine that keeps each key that reaches _base, and the rank each
+    solve is given."""
 
     def __init__(self):
         super().__init__()
         self.asked, self.ranks = [], []
 
-    def _eval(self, space, degree, cs, parent_rank):
-        if parent_rank is not None:
-            self.asked.append(tuple(map(engine_module._diagram, cs)))
-        return super()._eval(space, degree, cs, parent_rank)
+    def _base(self, space, degree, cs):
+        self.asked.append(tuple(map(engine_module._diagram, cs)))
+        return super()._base(space, degree, cs)
 
     def _solve_at(self, space, degree, rest, k, rank):
         self.ranks.append((tuple(map(engine_module._diagram, rest)), rank))
         return super()._solve_at(space, degree, rest, k, rank)
 
 
-def test_a_sole_holder_miss_never_reaches_eval():
+def test_a_sole_holder_miss_never_reaches_base():
     # the top solve, beside ((3,), (2, 1), (1,)), needs the key lower: it
     # holds (2, 1) below (3,), so a vector beside (3,) may hold it too.  That
     # one is missing as well, so lower is solved in place beside the key less
     # (3,), ranked (3, 2).  Its solve needs the key sole, whose only code of
     # weight 3 is (2, 1): it is solved in place, beside the rest, ranked
-    # (3, 1).  Only all-ones keys reach _eval below the top
+    # (3, 1).  Only all-ones keys reach _base
     e = Asked()
     top = ((4,), (3,), (2, 1), (1,))
     assert e.hat_invariant("cp2", 4, top) == Engine().hat_invariant(
@@ -752,7 +783,7 @@ def test_a_sole_holder_miss_never_reaches_eval():
     assert (canonical_constraints(((2,), (1, 1, 1), (1,), (1,), (1,))),
             (3, 1)) in e.ranks
     assert e.asked
-    for key in e.asked:  # a key reaching _eval has no level code
+    for key in e.asked:  # a key reaching _base has no level code
         assert complexity(key) == (1, 0), key
     assert e.counters["evaluations"] > len(set(e.asked))
 
@@ -763,7 +794,7 @@ def test_a_later_holder_answers_a_levelled_input():
     # ((4,), (2, 2), (2,)), is stored but not its first, beside ((3, 1),
     # (2, 2), (2,)).  As the input ((4,), (2,)) of the weight-6 solve beside
     # ((3, 1), (2, 2)) it is read from the second holder: one memo hit, no
-    # evaluation, no solve and no _eval.  Every other input misses.  _held
+    # evaluation, no solve and no _base.  Every other input misses.  _held
     # told to skip (4,) does not probe the first holder
     code = engine_module._code
     e = Engine()

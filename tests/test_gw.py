@@ -45,11 +45,15 @@ def test_descendant_averages():
     assert gw.descendant_average(4) == Fraction(525, 2)
     assert gw.descendant_average(7) == Fraction(6651216, 7)
     assert gw.descendant_average(9) == Fraction(2921454250, 9)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        gw.descendant_average(0)
 
 
 def test_class_bookkeeping():
     assert gw.chern_number("cp2", 3) == 9
     assert gw.chern_number("p1xp1", (2, 1)) == 6
+    with pytest.raises(ValueError, match="space must be 'cp2' or 'p1xp1'"):
+        gw.chern_number("p2", 3)
     assert double_point_count("cp2", 3) == 1
     assert double_point_count("cp2", 5) == 6
     assert double_point_count("p1xp1", (2, 2)) == 1

@@ -9,6 +9,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tangentcount import matrices
 from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import (determinant, merge_top_into, move_matrix,
                                    solve_plan, solve_split_system)
@@ -52,6 +53,8 @@ def test_signed_determinants():
     assert determinant([[2, 0], [1, 1]]) == 2
     assert determinant([]) == 1
     assert determinant([[0, 1], [1, 0]]) == -1
+    # rank one: the second pivot column is zero below the first row
+    assert determinant([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 0
 
 
 def test_determinant_law():
@@ -112,6 +115,18 @@ def test_solve_rejects_non_integral():
     # so an odd difference cannot come from integer invariants
     with pytest.raises(InconsistencyError):
         solve_split_system(3, [1, 0], 0)
+
+
+def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
+    # the first equation closes the loop through b, the multiple of top in
+    # it; a plan whose first row merges into no unknown makes b = 0, which
+    # must raise, not divide
+    plan = matrices.solve_plan(4)
+    monkeypatch.setattr(matrices, "solve_plan", lambda k: plan._replace(
+        merges=((),) + plan.merges[1:]))
+    with pytest.raises(InconsistencyError,
+                       match="singular splitting system at weight 4"):
+        matrices._closure.__wrapped__(4)
 
 
 def test_solve_weight_one_is_empty():
