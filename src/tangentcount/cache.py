@@ -10,22 +10,25 @@ for, never a key of its recursion, so no record enters a solve.
 
 A file is read only if this program wrote it: one with no header or a wrong
 digest (damaged, edited by hand, or older than the header) opens with no
-records, said in one line on stderr, and is replaced at the next clean
-close that adds records.  An empty file is a new one.  The digest guards
-against damage, not against someone who recomputes it; ``verify
---cache-file`` recomputes every record and checks the line order.
+records, said in one line on stderr, and is replaced at the next close
+after a harvest that adds records.  An empty file is a new one.  The
+digest guards against damage, not against someone who recomputes it;
+``verify --cache-file`` recomputes every record and checks the line order
+and that each key is in its canonical text.
 
 Harvesting merges in the run's results whose key no record holds; a record
 holding the key must be the same line, or the harvest raises
-InconsistencyError.  A clean or interrupted close after a harvest that
-added records rewrites the file atomically (temp file in the same
-directory, fsync, rename), so a run that raises anything but
-KeyboardInterrupt, or a write that fails (said on stderr), leaves the file
-as it was.  A symlinked path is followed once, so the
-rewrite replaces the link's target and the link stays; a path that is not
-a regular file (a device, a pipe) is not used.  An advisory lock on the
-file serializes runs; a run that cannot take it opens the file read-only
-and says so on stderr.
+InconsistencyError.  Close rewrites the file atomically (temp file in the
+same directory, fsync, rename) exactly when a harvest added records and
+the file is not read-only.  So the caller decides what a run keeps, by
+harvesting or not (the command line harvests on a clean exit or an
+interrupt): records harvested are kept even if an exception follows, each
+value being exact, and a run not harvested, or a write that fails (said
+on stderr), leaves the file as it was.  A symlinked path is followed
+once, so the rewrite replaces the link's target and the link stays; a
+path that is not a regular file (a device, a pipe) is not used.  An
+advisory lock on the file serializes runs; a run that cannot take it opens
+the file read-only and says so on stderr.
 """
 
 import fcntl
@@ -176,9 +179,8 @@ class CountCache:
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, exc, tb):
-        self.close(compact=exc_type in (None, KeyboardInterrupt))
-        return False
+    def __exit__(self, *exc):
+        self.close()
 
     def preload(self, engine):
         """Hand the engine the stored records, which answer the keys it is
@@ -200,16 +202,17 @@ class CountCache:
             self.entries.lines, self._added = lines, True
         return added
 
-    def close(self, compact=True):
+    def close(self):
         """Release the file, rewriting it as the header and the sorted
-        records if this run added any and compact is set.  A write that
-        fails leaves the file as it was and is reported on stderr; one that
-        is interrupted leaves it as it was too, and releases it."""
+        records exactly when a harvest added records and the file is not
+        read-only.  A write that fails leaves the file as it was and is
+        reported on stderr; one that is interrupted leaves it as it was
+        too, and releases it."""
         if self._handle is None:
             return
         tmp, out = "%s.%d.tmp" % (self._target, os.getpid()), None
         try:
-            if compact and self._added and not self.read_only:
+            if self._added and not self.read_only:
                 with open(tmp, "wb") as out:
                     out.write(header(self.entries.lines))
                     out.writelines(self.entries.lines)

@@ -75,19 +75,14 @@ SINGLE_POINT = {
 # ------------------------------------------------------------------ parsing
 
 def parse_degree(text, space):
-    """Degree syntax: "3" for the plane, "2,1" for the quadric."""
+    """Degree syntax: "3" for the plane, "2,1" for the quadric; the value
+    is judged by gw.degree_entries."""
     try:
-        if space == "p1xp1":
-            a, b = (int(x) for x in text.split(","))
-            if a < 0 or b < 0:
-                raise ValueError
-            return (a, b)
-        if "," in text:
-            raise ValueError
-        d = int(text)
-        if d < 0:
-            raise ValueError
-        return d
+        degree = tuple(map(int, text.split(",")))
+        if space == "cp2" and len(degree) == 1:
+            degree = degree[0]
+        gw.degree_entries(space, degree)
+        return degree
     except ValueError:
         raise ValueError(
             "bad degree %r for space %s (expected %s)"
@@ -279,9 +274,14 @@ def cmd_verify(args, parser):
                 try:
                     space, dtext, ctext = key.split(";")
                     degree = parse_degree(dtext, space)
-                    if (sum(degree) if space == "p1xp1" else degree) > max_d:
+                    if sum(gw.degree_entries(space, degree)) > max_d:
                         continue
                     cs = parse_constraints(ctext.replace("|", ";"))
+                    if key != encode_key(space, degree,
+                                         canonical_constraints(cs)):
+                        bad.append("%s is not the canonical text of its key"
+                                   % key)
+                        continue
                     value = fresh.hat_invariant(space, degree, cs)
                 except ValueError:
                     value = "unreadable"
@@ -343,12 +343,14 @@ def _session(args):
     """A fresh Engine that looks each key it is asked for up in the cache
     file's sorted lines, if there is one, and computes the rest.
 
-    Yields (engine, cache), cache None without a file.  On a clean exit
-    the run's new results are harvested, for the cache to merge into the
-    file as it closes (a computed value that a record contradicts raises
-    InconsistencyError there), and with --stats the work counters go to
-    stderr; an exception skips both, and the file is left as it was.  An
-    interrupt still harvests what was solved, every value of it exact.
+    Yields (engine, cache), cache None without a file.  What a run keeps
+    is decided here: on a clean exit or an interrupt the run's new results
+    are harvested, for the cache to write into the file as it closes (a
+    computed value that a record contradicts raises InconsistencyError
+    there); every value solved is exact, an interrupted run's too.  Any
+    other exception skips the harvest, and the file is left as it was.
+    After a clean harvest, --stats sends the work counters to stderr; an
+    exception there keeps the harvested records.
     """
     path = None if args.no_cache else (
         args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))
@@ -375,8 +377,8 @@ def _session(args):
 def _check_key_size(parser, space, degree, cs):
     """Usage error, before any work, for a key whose degree (or bidegree)
     or a row is above KEY_LIMIT."""
-    sizes = [*degree] if space == "p1xp1" else [degree]
-    if max(sizes + [c[0] for c in cs]) > KEY_LIMIT:
+    sizes = [*gw.degree_entries(space, degree)] + [c[0] for c in cs]
+    if max(sizes) > KEY_LIMIT:
         parser.error("key %s is too large: the degree and every row must "
                      "be at most %d" % (encode_key(space, degree, cs),
                                         KEY_LIMIT))

@@ -44,7 +44,6 @@ partition_list, as its solve_plan lists them) once one of them is coded.
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt, prod
 
@@ -53,7 +52,7 @@ from .errors import InconsistencyError
 from .matrices import solve_plan, solve_split_system
 from .partitions import (as_diagram, aut_order, diagram_text, multinomial,
                          partition_list, partitions_of, weight)
-from .star import star
+from .star import combination_coefficient, star
 
 
 def canonical_constraints(constraints):
@@ -228,10 +227,9 @@ class Engine:
         if len(cs) < 2:
             raise ValueError("need at least two constraints to combine")
         p1, p2, rest = cs[0], cs[1], cs[2:]
-        norm = aut_order(p1) * aut_order(p2)
-        return [(Fraction(coeff * aut_order(q), norm),
+        return [(combination_coefficient(p1, p2, q),
                  canonical_constraints((q,) + rest))
-                for q, coeff in sorted(star(p1, p2).items())]
+                for q in sorted(star(p1, p2))]
 
     def sum_identity(self, space, degree):
         """Both sides of the point-constraint identity: the count through
@@ -393,6 +391,6 @@ class Engine:
 
 def encode_key(space, degree, cs):
     """Textual form of an invariant key: space;degree;(P1)|(P2)|..."""
-    dtext = ("%d,%d" if space == "p1xp1" else "%d") % degree
+    dtext = ",".join(map(str, gw.degree_entries(space, degree)))
     return ";".join((space, dtext, "|".join(map(diagram_text, cs))))
 

@@ -75,12 +75,12 @@ def kontsevich_count(d):
 
 # ------------------------------------------------------------ class bookkeeping
 
-def chern_number(space, degree, mults=()):
-    """Pairing of the class with the anticanonical divisor, c1(A).
+def degree_entries(space, degree):
+    """The entries of a degree: (d,) on cp2, (a, b) on p1xp1.
 
-    Every public entry point asks for it before any work, so it is where a
-    space or degree is checked: a plain nonnegative int on cp2, a tuple of
-    two on p1xp1.
+    The one check of a space and a degree: a plain nonnegative int on cp2,
+    a tuple of two on p1xp1.  Every public entry point asks for it, through
+    chern_number, before any work.
     """
     if space not in ("cp2", "p1xp1"):
         raise ValueError("space must be 'cp2' or 'p1xp1', got %r" % (space,))
@@ -91,7 +91,13 @@ def chern_number(space, degree, mults=()):
         raise ValueError("degree on %s must be %s, got %r" % (
             space, "a nonnegative integer" if plane
             else "a pair of nonnegative integers", degree))
-    return (3 if plane else 2) * sum(sizes) - sum(mults)
+    return sizes
+
+
+def chern_number(space, degree, mults=()):
+    """Pairing of the class with the anticanonical divisor, c1(A)."""
+    sizes = degree_entries(space, degree)
+    return (3 if space == "cp2" else 2) * sum(sizes) - sum(mults)
 
 
 def translate_to_plane(bidegree, mults=()):
@@ -144,7 +150,7 @@ def gw_blowup(degree, mults=()):
 
     Defined (nonzero) only for classes with Chern pairing 1; anything of
     nonzero index returns 0 by convention.  Degree and multiplicities must
-    be nonnegative integers (chern_number checks the degree).
+    be nonnegative integers (degree_entries checks the degree).
     """
     mults = tuple(mults)
     for m in mults:

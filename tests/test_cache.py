@@ -10,6 +10,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 
 import pytest
@@ -260,6 +261,27 @@ def test_a_session_that_raises_leaves_the_file_as_it_was(tmp_path, capsys):
                        for key, _ in engine.memo_items())
             raise RuntimeError("stop")
     assert path.read_bytes() == before
+
+
+class ClosedStream(io.StringIO):
+    def write(self, text):
+        raise OSError("stream closed")
+
+
+def test_an_error_after_the_harvest_keeps_the_harvested_records(
+        tmp_path, monkeypatch):
+    # only the --stats print runs after a clean harvest: an error there
+    # still writes the harvested records, each exact
+    path = tmp_path / "counts.txt"
+    args = argparse.Namespace(no_cache=False, cache_file=str(path),
+                              stats=True)
+    with pytest.raises(OSError, match="stream closed"):
+        with _session(args) as (engine, _):
+            engine.invariant("cp2", 4, ((11,),))
+            monkeypatch.setattr(sys, "stderr", ClosedStream())
+    monkeypatch.undo()
+    with CountCache(str(path)) as cache:
+        assert dict(cache.entries.items()) == dict(engine.memo_items())
 
 
 def interrupt(*args):

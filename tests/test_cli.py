@@ -49,10 +49,15 @@ def written_records(path):
 def test_parse_degree():
     assert parse_degree("3", "cp2") == 3
     assert parse_degree("2,1", "p1xp1") == (2, 1)
+    assert parse_degree(" 2, 1", "p1xp1") == (2, 1)
     for bad, space in [("2,1", "cp2"), ("x", "cp2"), ("-1", "cp2"),
-                       ("3", "p1xp1"), ("1,-2", "p1xp1")]:
-        with pytest.raises(ValueError):
+                       ("3", "p1xp1"), ("1,-2", "p1xp1"), ("2,1,3", "p1xp1"),
+                       ("2,", "p1xp1"), ("3,", "cp2")]:
+        with pytest.raises(ValueError) as info:
             parse_degree(bad, space)
+        assert str(info.value) == ("bad degree %r for space %s (expected %s)"
+                                   % (bad, space, "a,b" if space == "p1xp1"
+                                      else "an integer"))
 
 
 def test_parse_constraints():
@@ -440,6 +445,22 @@ def test_verify_recomputes_cache_records(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "PASS cache records of degree at most 4"
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_verify_fails_a_key_not_in_its_canonical_text(tmp_path, capsys):
+    # no lookup asks for (1)|(7), so its right value passes no check of its
+    # own: verify fails it by its text, and the other records still pass
+    path = tmp_path / "counts.txt"
+    path.write_bytes(signed("ht:cp2;1;(2)\t1", "ht:cp2;3;(1)|(7)\t5",
+                            "ht:cp2;3;(8)\t4"))
+    code, out, err = run(capsys, "verify", "--max-d", "3",
+                         "--cache-file", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("FAIL cache records of degree at most 3: "
+                        "cp2;3;(1)|(7) is not the canonical text of its key")
+    assert all(line.startswith("PASS") for line in lines[1:])
+    assert "Traceback" not in err
 
 
 def test_verify_skips_records_above_max_d(tmp_path, capsys, monkeypatch):

@@ -221,7 +221,8 @@ def test_a_malformed_degree_is_refused_before_any_work(space, degree,
     e = Engine()
     for call in (lambda: e.invariant(space, degree, constraints),
                  lambda: e.full_table(space, degree),
-                 lambda: e.sum_identity(space, degree)):
+                 lambda: e.sum_identity(space, degree),
+                 lambda: encode_key(space, degree, constraints)):
         with pytest.raises(ValueError, match="degree on %s must be" % space):
             call()
     assert not any(e.counters.values()) and not gw.counters
