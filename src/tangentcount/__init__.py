@@ -16,7 +16,7 @@ that relates the different diagrams of one weight.
 Public surface:
 
   Engine            memoizing evaluator (invariant, hat_invariant,
-                    full_table, sum_identity, combine_forward)
+                    full_table, sum_identity)
   star              the diagram product and its structure constants
   move_matrix       the box-moving matrix of one weight
   gw_blowup         rational-curve counts on blowups of the plane
@@ -29,12 +29,12 @@ from .engine import Engine, canonical_constraints, complexity
 from .errors import InconsistencyError
 from .gw import gw_blowup, kontsevich_count
 from .matrices import determinant, move_matrix
-from .star import combination_coefficient, star
+from .star import star
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Engine", "InconsistencyError", "canonical_constraints",
-    "combination_coefficient", "complexity", "determinant", "gw_blowup",
-    "kontsevich_count", "move_matrix", "star", "__version__",
+    "Engine", "InconsistencyError", "canonical_constraints", "complexity",
+    "determinant", "gw_blowup", "kontsevich_count", "move_matrix", "star",
+    "__version__",
 ]

@@ -165,10 +165,8 @@ def cmd_compute(args, parser):
 def cmd_table(args, parser):
     if args.degree is not None:
         low = high = args.degree
-    elif args.max_d is not None:
-        low, high = 1, args.max_d
     else:
-        parser.error("table needs -d or --max-d")
+        low, high = 1, args.max_d
     if min(low, high) < 1:
         parser.error("degrees start at 1")
     _check_key_size(parser, "cp2", high, ((3 * high - 1,),))
@@ -321,13 +319,6 @@ def cmd_verify(args, parser):
         report("move-matrix determinant law, weights 2..14", not bad,
                "wrong at weights %r" % bad)
 
-        hi = min(max_d, 6)
-        bad = [d for d in range(1, hi + 1)
-               if gw.gw_blowup(d, (1,) * (3 * d - 1))
-               != gw.kontsevich_count(d)]
-        report("all-ones blowup fold to plane counts, degrees 1..%d" % hi,
-               not bad, "wrong at degrees %r" % bad)
-
         bad = sum(star(p1, p2) != star_oracle(p1, p2)
                   for w1 in range(1, 5) for w2 in range(w1, 9 - w1)
                   for p1 in partitions_of(w1) for p2 in partitions_of(w2))
@@ -418,8 +409,9 @@ def build_parser():
                        help="tangency-max column or full nonzero table")
     p.add_argument("--mode", choices=("tangency-max", "full"),
                    default="tangency-max")
-    p.add_argument("-d", "--degree", type=int, help="single degree")
-    p.add_argument("--max-d", type=int, help="degrees 1..N")
+    degrees = p.add_mutually_exclusive_group(required=True)
+    degrees.add_argument("-d", "--degree", type=int, help="single degree")
+    degrees.add_argument("--max-d", type=int, help="degrees 1..N")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_table)
 

@@ -52,7 +52,6 @@ from .errors import InconsistencyError
 from .matrices import solve_plan, solve_split_system
 from .partitions import (as_diagram, aut_order, diagram_text, multinomial,
                          partition_list, partitions_of, weight)
-from .star import combination_coefficient, star
 
 
 def canonical_constraints(constraints):
@@ -214,22 +213,6 @@ class Engine:
                 "hat invariant %d not divisible by %d for %s"
                 % (hat, auts, (space, degree, cs)))
         return hat // auts
-
-    def combine_forward(self, space, degree, constraints):
-        """Expansion merging the two heaviest constraints into one point.
-
-        Returns [(coefficient, merged key constraints)] with exact Fraction
-        coefficients: N<P1, P2, rest> equals the sum of coefficient *
-        N<Q, rest>.  The reverse direction of the main recursion; used for
-        cross-checking, not for computing.
-        """
-        cs = canonical_constraints(constraints)
-        if len(cs) < 2:
-            raise ValueError("need at least two constraints to combine")
-        p1, p2, rest = cs[0], cs[1], cs[2:]
-        return [(combination_coefficient(p1, p2, q),
-                 canonical_constraints((q,) + rest))
-                for q in sorted(star(p1, p2))]
 
     def sum_identity(self, space, degree):
         """Both sides of the point-constraint identity: the count through

@@ -23,9 +23,8 @@ are the row counts.
 
 from bisect import bisect, bisect_left
 from collections import defaultdict
-from fractions import Fraction
 
-from .partitions import as_diagram, aut_order
+from .partitions import as_diagram
 
 # Most rows star() writes: 12,710,655 for (8,7,...,1) * (8,7,...,1), 3-4 s.
 WORK_LIMIT = 14_000_000
@@ -83,20 +82,3 @@ def star_oracle(p1, p2):
 
     go(0, frozenset(), [])
     return out
-
-
-def combination_coefficient(p1, p2, q):
-    """Weight of N<q, ...> when combining N<p1, p2, ...>, branches unordered.
-
-    Ordered branch counts combine with the bare star coefficients; converting
-    both sides to unordered counts divides by the row-permutation group of each
-    factor and multiplies back by that of the result:
-
-        c(p1, p2; q) * |Aut(q)| / (|Aut(p1)| * |Aut(p2)|).
-
-    Returned as an exact Fraction.  (Empirically these weights come out
-    integral — they count merge patterns up to symmetry — but nothing
-    downstream relies on that, so no integrality is enforced here.)
-    """
-    return Fraction(star(p1, p2).get(as_diagram(q), 0) * aut_order(q),
-                    aut_order(p1) * aut_order(p2))

@@ -1,6 +1,6 @@
 """Reference helpers that only the tests use: the adjunction counts behind
 the a-priori vanishing predicate, the dual diagram, the merge expansion
-evaluated term by term, and single-point tables with their zeros.  None
+and its value term by term, and single-point tables with their zeros.  None
 of them is a shortcut of the package; each gives a second route to a
 value the package computes."""
 
@@ -8,9 +8,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from tangentcount import gw
+from tangentcount import canonical_constraints, gw, star
 from tangentcount.errors import InconsistencyError
-from tangentcount.partitions import partitions_of
+from tangentcount.partitions import aut_order, partitions_of
 
 
 def self_intersection(space, degree, mults=()):
@@ -63,11 +63,33 @@ def vanishing_filter(space, degree, diagram):
     return local_double_points(diagram) > double_point_count(space, degree)
 
 
+def combine_forward(constraints):
+    """Expansion merging the two heaviest constraints into one point, the
+    reverse direction of the engine's recursion.
+
+    Returns [(coefficient, merged key constraints)] with exact Fraction
+    coefficients: N<P1, P2, rest> equals the sum of coefficient *
+    N<Q, rest>.  Ordered branch counts combine with the bare star
+    coefficients c(P1, P2; Q); converting both sides to unordered counts
+    divides by the row-permutation group of each factor and multiplies
+    back by that of the result, c * |Aut(Q)| / (|Aut(P1)| * |Aut(P2)|).
+    Every coefficient is read from one star walk.
+    """
+    cs = canonical_constraints(constraints)
+    if len(cs) < 2:
+        raise ValueError("need at least two constraints to combine")
+    p1, p2, rest = cs[0], cs[1], cs[2:]
+    norm = aut_order(p1) * aut_order(p2)
+    return [(Fraction(c * aut_order(q), norm),
+             canonical_constraints((q,) + rest))
+            for q, c in sorted(star(p1, p2).items())]
+
+
 def combined_value(engine, space, degree, constraints):
-    """Evaluate engine.combine_forward's expansion term by term (must be
-    an integer and must agree with engine.invariant)."""
+    """Evaluate combine_forward's expansion term by term (must be an
+    integer and must agree with engine.invariant)."""
     total = Fraction(0)
-    for coeff, merged in engine.combine_forward(space, degree, constraints):
+    for coeff, merged in combine_forward(constraints):
         total += coeff * engine.invariant(space, degree, merged)
     if total.denominator != 1:
         raise InconsistencyError(

@@ -286,6 +286,18 @@ def test_table_degree_zero_is_usage_error(capsys):
         assert "degrees start at 1" in capsys.readouterr().err
 
 
+def test_table_takes_one_of_degree_and_max_d(capsys):
+    for argv, message in [
+            (["table", "-d", "1", "--max-d", "2", "--no-cache"],
+             "argument --max-d: not allowed with argument -d/--degree"),
+            (["table", "--no-cache"],
+             "one of the arguments -d/--degree --max-d is required")]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_table_tangency_max(capsys):
     code, out, _ = run(capsys, "table", "--mode", "tangency-max",
                        "--max-d", "4", "--no-cache")

@@ -19,7 +19,8 @@ from tangentcount.partitions import partitions_of, weight
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
-from reference import combined_value, cross_space_values, single_point_table
+from reference import (combine_forward, combined_value, cross_space_values,
+                       single_point_table)
 
 
 def test_canonical_constraint_order():
@@ -166,7 +167,7 @@ def test_all_point_constraints_reduce_to_plane_count():
 def test_combine_forward_on_a_line():
     e = Engine()
     expansion = dict()
-    for coeff, merged in e.combine_forward("cp2", 1, ((1,), (1,))):
+    for coeff, merged in combine_forward(((1,), (1,))):
         assert len(merged) == 1
         expansion[merged[0]] = coeff
     assert expansion == {(1, 1): 2, (2,): 1}
@@ -183,9 +184,8 @@ def test_combine_forward_matches_direct_values():
 
 
 def test_combine_needs_two_constraints():
-    e = Engine()
     with pytest.raises(ValueError):
-        e.combine_forward("cp2", 3, ((8,),))
+        combine_forward(((8,),))
 
 
 def test_quadric_bidegree_one_one():

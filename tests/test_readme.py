@@ -1,6 +1,6 @@
 """The annotated examples of README.md, run: each `compute` line marked
-`# -> N`, each line of the library block with a value after `#`, and the
-`gw_blowup(...) == N` of the text."""
+`# -> N`, each line of the library block with a value after `#`, the
+`gw_blowup(...) == N` of the text, and the package names the text cites."""
 
 import ast
 import os
@@ -10,7 +10,7 @@ import shlex
 import pytest
 
 import tangentcount
-from tangentcount import cli
+from tangentcount import Engine, cli
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -70,3 +70,13 @@ def test_gw_blowup_example(readme):
     assert len(examples) == 1
     for call, value in examples:
         assert eval(call, vars(tangentcount)) == int(value)
+
+
+def test_prose_names_exist(readme):
+    # each `tangentcount.X`, `cli.X` and `engine.X` (an Engine attribute)
+    # of the text names something the package has
+    owners = {"tangentcount": tangentcount, "cli": cli, "engine": Engine}
+    names = re.findall(r"`(tangentcount|cli|engine)\.(\w+)`", readme)
+    assert len(names) == 4
+    assert [(owner, name) for owner, name in names
+            if not hasattr(owners[owner], name)] == []
