@@ -236,8 +236,10 @@ def cmd_matrix(args, parser):
         if args.format != "csv":
             print("A_%d: rows = diagrams of %d except (%d), columns = "
                   "except %s" % (args.k, args.k, args.k, texts[0]))
+        elif args.det:  # one last record, its value in the first column
+            records.append({"row": "det", cols[0]: det})
         emit_records(records, ["row"] + cols, args.format, sys.stdout)
-        if args.det:
+        if args.det and args.format != "csv":
             print("det = %s" % det)
     return 0
 

@@ -60,7 +60,6 @@ def kontsevich_count(d):
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError("degree must be a positive integer, got %r" % (d,))
-    counters["kontsevich_evals"] += 1
     if d == 1:
         return 1
     total = 0
@@ -158,7 +157,6 @@ def gw_blowup(degree, mults=()):
             raise ValueError("multiplicities must be nonnegative integers, "
                              "got %r" % (m,))
     c1 = chern_number("cp2", degree, mults)
-    counters["gw_queries"] += 1
     return _value(degree, mults) if c1 == 1 else 0
 
 

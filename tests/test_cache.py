@@ -401,17 +401,22 @@ def test_a_write_merges_into_the_file_like_one_session(tmp_path, capsys):
     assert path.read_bytes() == one.read_bytes()
 
 
+# values: the lines of a file the program did not write, each after
+# "ht:cp2;3;"; right: whether the later readable line of the key is true
 @pytest.mark.parametrize("values, right", [
-    (["5", "4"], True), (["4", "5"], False),
-    (["4", "+5\r"], True), (["+4\r", "5"], False), (["005", "4"], True)])
+    (["(8)\t5", "(8)\t4"], True), (["(8)\t4", "(8)\t5"], False),
+    (["(8)\t4", "(8)\t+5\r"], True), (["(8)\t+4\r", "(8)\t5"], False),
+    (["(8)\t005", "(8)\t4"], True), (["(7)|(1)\t999"], False)])
 def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right):
-    # where a file holds two lines of a key, the line the next write makes
-    # wins: a file the program did not write is not read, whether or not
-    # its later readable line was the true one (right); verify fails on the
-    # file, compute prints the computed value, and its write holds the one
-    # true line of the key
+    # where a file holds two lines of a key, or one wrong line of a key
+    # that (8) is computed through, the line the next write makes wins: a
+    # file the program did not write is not read, whether or not its later
+    # readable line was the true one (right); verify fails on the file,
+    # compute prints the computed value, and its write holds the one true
+    # line of the key
+    true = {"(8)": 4, "(7)|(1)": 5}
     path = tmp_path / "counts.txt"
-    data = "".join("ht:cp2;3;(8)\t%s\n" % v for v in values).encode()
+    data = "".join("ht:cp2;3;%s\n" % v for v in values).encode()
     path.write_bytes(data)
     rejected(path, "no header", capsys)
     assert main(["verify", "--max-d", "3", "--cache-file", str(path)]) == 1
@@ -422,10 +427,14 @@ def test_the_later_line_of_a_key_wins(tmp_path, capsys, values, right):
     path.write_bytes(data)
     assert main(["compute", "-d", "3", "-c", "(8)",
                  "--cache-file", str(path)]) == 0
-    assert capsys.readouterr().out == "4\n"
+    out, err = capsys.readouterr()
+    assert out == "4\n"
+    assert "not read (no header)" in err
     _, written = split_header(path.read_bytes())
-    assert [line for line in written if line.startswith(b"ht:cp2;3;(8)\t")] \
-        == [b"ht:cp2;3;(8)\t4\n"]
+    for key in {v.split("\t")[0] for v in values}:
+        text = b"ht:cp2;3;%s\t" % key.encode()
+        assert [line for line in written if line.startswith(text)] == [
+            b"%s%d\n" % (text, true[key])]
 
 
 def test_only_asked_keys_are_looked_up(tmp_path, monkeypatch):

@@ -140,12 +140,38 @@ def cli_env():
 
 
 def test_module_entry_point_runs_without_warnings():
+    def run_module(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "tangentcount.cli", *argv],
+            env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run_module("compute", "-d", "3", "-c", "(8)") == "4\n"
+    run_module("verify", "--max-d", "4", "--no-cache")
+
+
+def test_the_package_imports_only_the_standard_library():
+    # in a child without site-packages, since pytest and Hypothesis load
+    # modules of their own
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "tangentcount.cli", "compute",
-         "-d", "3", "-c", "(8)"],
+        [sys.executable, "-S", "-c",
+         "import sys, tangentcount.cli; extra = {m.split('.')[0] for m in "
+         "sys.modules} - set(sys.stdlib_module_names) - {'tangentcount', "
+         "'__main__'}; sys.exit(sorted(extra) or 0)"],
         env=cli_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "4\n"
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_run_without_a_cache_file_does_not_load_openssl():
+    # in a child, since pytest and Hypothesis import hashlib themselves
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tangentcount import cli; code = cli.main(["
+         "'compute', '-d', '3', '-c', '(8)', '--no-cache']); "
+         "sys.exit(code or '_hashlib' in sys.modules)"],
+        env=cli_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4\n", "")
 
 
 def test_closed_stdout_ends_the_run_quietly():
@@ -180,24 +206,25 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_an_interrupt_ends_in_one_line_and_keeps_what_was_solved(tmp_path):
-    # SIGINT a second into a cold T_9 with a new cache file: one stderr
-    # line, exit 130, and the file holds what was solved, signed, each
-    # record as a fresh engine computes it
+    # SIGINT a second into a cold T_9, without a cache file and with a new
+    # one: one stderr line and exit 130 each time, and the file holds what
+    # was solved, signed, each record as a fresh engine computes it
     path = tmp_path / "counts.txt"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", MAIN_STARTED, "compute", "-d", "9", "-c",
-         "(26)", "--cache-file", str(path)],
-        env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True)
-    try:
-        assert proc.stderr.readline() == "main started\n"
-        time.sleep(1)
-        proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=120)
-    finally:
-        proc.kill()
-        proc.communicate()
-    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+    for cache in (["--no-cache"], ["--cache-file", str(path)]):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", MAIN_STARTED, "compute", "-d", "9", "-c",
+             "(26)", *cache],
+            env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            assert proc.stderr.readline() == "main started\n"
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert (proc.returncode, out, err) == (130, "", "interrupted\n")
     records = written_records(path)
     assert len(records) > 1000
     fresh = Engine()
@@ -371,6 +398,14 @@ def test_matrix_output(capsys):
     assert code == 0
     assert "det = -6" in out
     assert "(2,1,1)" in out and "(1,1,1,1)" in out
+    # csv holds records only: the determinant is the last, its value in
+    # the first matrix column
+    code, out, _ = run(capsys, "matrix", "-k", "4", "--det", "--format", "csv")
+    assert code == 0
+    cols = len(partitions_of(4)) - 1  # every diagram but (1,1,1,1)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == cols + 1 for row in rows)
+    assert rows[-1] == ["det", "-6"] + [""] * (cols - 1)
     code, out, _ = run(capsys, "matrix", "-k", "4", "--det",
                        "--format", "json")
     payload = json.loads(out)
