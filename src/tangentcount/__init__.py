@@ -15,17 +15,20 @@ that relates the different diagrams of one weight.
 
 Public surface:
 
-  Engine            memoizing evaluator (invariant, hat_invariant,
-                    full_table, sum_identity)
-  star              the diagram product and its structure constants
-  move_matrix       the box-moving matrix of one weight
-  gw_blowup         rational-curve counts on blowups of the plane
-  kontsevich_count  plane curves through generic points
+  Engine                 memoizing evaluator (invariant, hat_invariant,
+                         full_table, sum_identity)
+  canonical_constraints  the canonical key order of a constraint multiset
+  InconsistencyError     raised where an internal invariant fails
+  star                   the diagram product and its structure constants
+  move_matrix            the box-moving matrix of one weight
+  determinant            the exact determinant of an integer matrix
+  gw_blowup              rational-curve counts on blowups of the plane
+  kontsevich_count       plane curves through generic points
 
 The command-line entry point is tangentcount.cli:main.
 """
 
-from .engine import Engine, canonical_constraints, complexity
+from .engine import Engine, canonical_constraints
 from .errors import InconsistencyError
 from .gw import gw_blowup, kontsevich_count
 from .matrices import determinant, move_matrix
@@ -34,7 +37,6 @@ from .star import star
 __version__ = "0.1.0"
 
 __all__ = [
-    "Engine", "InconsistencyError", "canonical_constraints", "complexity",
-    "determinant", "gw_blowup", "kontsevich_count", "move_matrix", "star",
-    "__version__",
+    "Engine", "InconsistencyError", "canonical_constraints", "determinant",
+    "gw_blowup", "kontsevich_count", "move_matrix", "star", "__version__",
 ]

@@ -4,9 +4,10 @@ A cache file is a header line, naming the format version and the sha256 of
 every byte after it, then the records ``ht:key<TAB>value``: tangency
 invariants in the ordered-branch normalization, keyed by the canonical text
 of their arguments (engine.encode_key), sorted, one line per key.  That
-order is the read index: a lookup bisects for ``ht:key<TAB>`` and parses
-the one value it finds.  The engine looks up only the keys its callers ask
-for, never a key of its recursion, so no record enters a solve.
+order is the read index: Records answers get and in, and nothing else,
+each bisecting for ``ht:key<TAB>`` and parsing the one value it finds.
+The engine looks up only the keys its callers ask for, never a key of its
+recursion, so no record enters a solve.
 
 A file is read only if this program wrote it: one with no header or a wrong
 digest (damaged, edited by hand, or older than the header) opens with no
@@ -25,10 +26,12 @@ harvesting or not (the command line harvests on a clean exit or an
 interrupt): records harvested are kept even if an exception follows, each
 value being exact, and a run not harvested, or a write that fails (said
 on stderr), leaves the file as it was.  A symlinked path is followed
-once, so the rewrite replaces the link's target and the link stays; a
-path that is not a regular file (a device, a pipe) is not used.  An
-advisory lock on the file serializes runs; a run that cannot take it opens
-the file read-only and says so on stderr.
+once, so the rewrite replaces the link's target and the link stays.  A
+path that cannot be opened as a regular file (a device, a pipe, a path
+under a regular file) is no cache: CountCache raises OSError, and the
+command line runs as --no-cache does.  An advisory lock on the file
+serializes runs; a run that cannot take it opens the file read-only and
+says so on stderr.
 """
 
 import fcntl
@@ -36,7 +39,6 @@ import os
 import stat
 import sys
 from bisect import bisect_left
-from collections.abc import Mapping
 from contextlib import suppress
 from itertools import pairwise
 
@@ -72,29 +74,26 @@ def parse_line(line):
         return None
 
 
-class Records(Mapping):
-    """Read-only {key text: value} over one sorted list of canonical lines,
-    one per key; a line parse_line rejects is no record."""
+class Records:
+    """The records of one sorted list of canonical lines, one per key,
+    answering get and in by key text; a line parse_line rejects is no
+    record."""
 
     def __init__(self):
         self.lines = []
 
-    def __getitem__(self, key):
+    def get(self, key, default=None):
+        """The value of key's record, found by bisection, else default."""
         head = b"ht:%s\t" % key.encode()
         i = bisect_left(self.lines, head)
         if i < len(self.lines) and self.lines[i].startswith(head):
             record = parse_line(self.lines[i])
             if record is not None:
                 return record[1]
-        raise KeyError(key)
+        return default
 
-    def __len__(self):
-        return sum(1 for _ in self)
-
-    def __iter__(self):
-        for record in map(parse_line, self.lines):
-            if record is not None:
-                yield record[0]
+    def __contains__(self, key):
+        return self.get(key) is not None
 
     def audit(self):
         """For verify: the number in the file of the first line that is not
@@ -132,32 +131,30 @@ class CountCache:
     of them written at close.  Usable as a context manager."""
 
     def __init__(self, path):
+        """Open and read the file at path; raises OSError, holding nothing
+        open, where path cannot be opened as a regular file."""
         self.path = path  # as given, for messages
         self._target = os.path.realpath(path)  # a link's target is rewritten
         self.entries = Records()
-        self.read_only = False
+        self.read_only = False  # another run holds the lock
         self.rejected = None  # why the file was not read, if it was not
         self._added = False
-        self._handle = None
+        os.makedirs(os.path.dirname(self._target), exist_ok=True)
+        self._handle = open(self._target, "a+b")
         try:
-            os.makedirs(os.path.dirname(self._target), exist_ok=True)
-            handle = open(self._target, "a+b")
-            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                handle.close()
+            if not stat.S_ISREG(os.fstat(self._handle.fileno()).st_mode):
                 raise OSError("not a regular file")
-            self._handle = handle
-        except OSError as exc:
-            print("cache %s unavailable (%s); running without persistence"
-                  % (path, exc), file=sys.stderr)
-            self.read_only = True
-            return
-        try:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            print("cache %s is locked by another run; opening read-only"
-                  % (path,), file=sys.stderr)
-            self.read_only = True
-        self._load()
+            try:
+                fcntl.flock(self._handle.fileno(),
+                            fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                print("cache %s is locked by another run; opening read-only"
+                      % (path,), file=sys.stderr)
+                self.read_only = True
+            self._load()
+        except BaseException:
+            self._handle.close()
+            raise
 
     def _load(self):
         import hashlib

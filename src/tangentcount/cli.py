@@ -36,7 +36,7 @@ from .cache import CountCache
 from .engine import Engine, canonical_constraints, encode_key
 from .errors import InconsistencyError
 from .matrices import determinant, move_matrix
-from .partitions import diagram_text, parse_diagram, partitions_of, weight
+from .partitions import diagram_text, parse_diagram, partitions_of
 from .star import star, star_oracle
 
 # Largest degree and row `compute` and `table` take in an on-shell key: a
@@ -104,8 +104,10 @@ def parse_constraints(text):
 
 # ----------------------------------------------------------------- emitting
 
-def emit_records(records, fields, fmt, out):
-    """Uniform table output: records are dicts sharing the given fields."""
+def emit_records(records, fields, fmt):
+    """Uniform table output on stdout: records are dicts sharing the given
+    fields."""
+    out = sys.stdout
     if fmt == "json":
         json.dump(records, out, indent=2)
         out.write("\n")
@@ -139,7 +141,7 @@ def cmd_compute(args, parser):
         parser.error(str(exc))
     cs = canonical_constraints(constraints)
     key = encode_key(args.space, degree, cs)
-    total = sum(weight(c) for c in constraints)
+    total = sum(map(sum, constraints))
     needed = gw.chern_number(args.space, degree) - 1
     if total != needed:
         print("constraint weights sum to %d but the class needs %d; "
@@ -158,7 +160,7 @@ def cmd_compute(args, parser):
             print(value)
         else:
             emit_records([record], ["key", "value", "provenance"],
-                         args.format, sys.stdout)
+                         args.format)
     return 0
 
 
@@ -194,7 +196,7 @@ def cmd_table(args, parser):
                         if cache is not None and key in cache.entries
                         else "computed",
                     })
-        emit_records(records, fields, args.format, sys.stdout)
+        emit_records(records, fields, args.format)
     return 0
 
 
@@ -212,7 +214,7 @@ def cmd_star(args, parser):
     else:
         emit_records([{"key": diagram_text(q), "value": c,
                        "provenance": "computed"} for q, c in expansion],
-                     ["key", "value", "provenance"], args.format, sys.stdout)
+                     ["key", "value", "provenance"], args.format)
     return 0
 
 
@@ -238,7 +240,7 @@ def cmd_matrix(args, parser):
                   "except %s" % (args.k, args.k, args.k, texts[0]))
         elif args.det:  # one last record, its value in the first column
             records.append({"row": "det", cols[0]: det})
-        emit_records(records, ["row"] + cols, args.format, sys.stdout)
+        emit_records(records, ["row"] + cols, args.format)
         if args.det and args.format != "csv":
             print("det = %s" % det)
     return 0
@@ -336,7 +338,8 @@ def _session(args):
     """A fresh Engine that looks each key it is asked for up in the cache
     file's sorted lines, if there is one, and computes the rest.
 
-    Yields (engine, cache), cache None without a file.  What a run keeps
+    Yields (engine, cache), cache None without a file, as with a path
+    that cannot be opened as one (said on stderr).  What a run keeps
     is decided here: on a clean exit or an interrupt the run's new results
     are harvested, for the cache to write into the file as it closes (a
     computed value that a record contradicts raises InconsistencyError
@@ -347,8 +350,14 @@ def _session(args):
     """
     path = None if args.no_cache else (
         args.cache_file or os.environ.get("TANGENTCOUNT_CACHE"))
-    engine = Engine()
-    with CountCache(path) if path else nullcontext() as cache:
+    engine, cache = Engine(), None
+    if path:
+        try:
+            cache = CountCache(path)
+        except OSError as exc:
+            print("cache %s unavailable (%s); running without persistence"
+                  % (path, exc), file=sys.stderr)
+    with cache or nullcontext():
         if cache:
             cache.preload(engine)
         try:

@@ -51,7 +51,7 @@ from . import gw
 from .errors import InconsistencyError
 from .matrices import solve_plan, solve_split_system
 from .partitions import (as_diagram, aut_order, diagram_text, multinomial,
-                         partition_list, partitions_of, weight)
+                         partition_list, partitions_of)
 
 
 def canonical_constraints(constraints):
@@ -60,24 +60,14 @@ def canonical_constraints(constraints):
     cs = tuple(as_diagram(c) for c in constraints)
     if any(not c for c in cs):
         raise ValueError("empty constraint diagram")
-    return tuple(sorted(cs, key=lambda c: (weight(c), c), reverse=True))
-
-
-def complexity(constraints):
-    """Complexity rank (level, count) of a constraint multiset.
-
-    The level is the maximal weight among constraints containing a branch
-    of order >= 2 (1 when there is none, the all-ones case), and the count
-    is how many constraints realize that maximum.  Ranks compare
-    lexicographically; the recursion strictly descends in this order.
-    """
-    return _rank(weight(c) if c[0] >= 2 else 0 for c in constraints)
+    return tuple(sorted(cs, key=lambda c: (sum(c), c), reverse=True))
 
 
 def _rank(levels):
-    """The rank from each constraint's weight if it has a branch >= 2, else
-    0 or None: complexity gives the weights, and _rank(map(_LEVEL.get,
-    codes)) ranks a coded key."""
+    """The complexity rank (level, count) from each constraint's weight if
+    it has a branch >= 2, else 0 or None: _rank(map(_LEVEL.get, codes))
+    ranks a coded key.  The level is the largest such weight (1 when there
+    is none, the all-ones case), the count how many constraints have it."""
     levels = [w for w in levels if w]
     top = max(levels, default=1)
     return top, levels.count(top)
@@ -113,7 +103,7 @@ def _listed(k):
 
 def _code(q):
     """The code of a valid diagram."""
-    return _offset(len(q)) if q[0] == 1 else _listed(weight(q))[q]
+    return _offset(len(q)) if q[0] == 1 else _listed(sum(q))[q]
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +154,9 @@ class Engine:
     into the narrowest int array that holds it (a tuple past int64).
     Instances share only the diagram codes and the blowup backend memo,
     both pure functions of their keys, so results are independent of
-    evaluation order.  ``stored`` maps key text (encode_key) to hat-H
-    records kept outside the engine, as the Records of a cache file whose
-    digest matches do.  A record answers, as stored and counted as a memo
+    evaluation order.  ``stored.get`` answers key text (encode_key) with
+    hat-H records kept outside the engine, as the Records of a cache file
+    whose digest matches do.  A record answers, as stored and counted as a memo
     hit, a key hat_invariant is asked for, but never a key of the
     recursion, so nothing read from it enters a solve or the memo.
     """
@@ -186,7 +176,7 @@ class Engine:
         all-ones key, else read from the vector _held finds or solved
         beside the key less its top level code."""
         cs = canonical_constraints(constraints)
-        if sum(map(weight, cs)) != gw.chern_number(space, degree) - 1:
+        if sum(map(sum, cs)) != gw.chern_number(space, degree) - 1:
             return 0
         hit = self.stored.get(encode_key(space, degree, cs))
         if hit is None:
@@ -352,7 +342,7 @@ class Engine:
             on_shell = gw.chern_number(space, degree) - 1
             head = encode_key(space, degree, ())
             for rest, vector in vectors.items():
-                k = on_shell - sum(map(weight, map(_diagram, rest)))
+                k = on_shell - sum(map(sum, map(_diagram, rest)))
                 lo, hi = _first[k], _first[k + 1]
                 # rest (descending) is: codes above every target, its own
                 # targets, then codes at or below (1,)*k; target q's text

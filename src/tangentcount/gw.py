@@ -290,8 +290,6 @@ def _split_sum(d, m, n, slot):
         band_hi = 3 * d1 - 1
         suf_lo = [*accumulate(reversed(lo), initial=0)][::-1]
         suf_hi = [*accumulate(reversed(hi), initial=0)][::-1]
-        if suf_hi[0] < band_lo or suf_lo[0] > band_hi:
-            continue
         genus1, genus2 = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
         a = [0] * s
 

@@ -2,8 +2,8 @@
 
 A partition is stored as a tuple of positive integers in weakly decreasing
 order, e.g. (3, 1, 1).  Each row records the contact order of one local branch
-of a curve with a fixed divisor, so the weight of the diagram is the total
-contact order and the number of rows is the number of branches.
+of a curve with a fixed divisor, so the weight of the diagram, sum(p), is the
+total contact order and the number of rows is the number of branches.
 
 Everything here is elementary combinatorics, kept exact over Python ints.
 """
@@ -45,11 +45,6 @@ def parse_diagram(text):
                          % (text,)) from None
 
 
-def weight(p):
-    """Total number of boxes (= total contact order) of the diagram."""
-    return sum(p)
-
-
 def partitions_of(k, max_part=None):
     """All partitions of k, listed in increasing diagram order.
 
@@ -86,7 +81,7 @@ def aut_order(p):
 
 
 def multinomial(p):
-    """Number of ways to distribute weight(p) labelled boxes into the rows:
-    weight! / (p_1! * p_2! * ...).  Always an integer.
+    """Number of ways to distribute the sum(p) labelled boxes into the rows:
+    sum(p)! / (p_1! * p_2! * ...).  Always an integer.
     """
-    return factorial(weight(p)) // prod(map(factorial, p))
+    return factorial(sum(p)) // prod(map(factorial, p))

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: the adjunction counts behind
-the a-priori vanishing predicate, the dual diagram, the merge expansion
-and its value term by term, and single-point tables with their zeros.  None
+the a-priori vanishing predicate, the dual diagram, the complexity rank on
+diagrams, the merge expansion and its value term by term, and single-point
+tables with their zeros; and a cache file's bytes, signed and split.  None
 of them is a shortcut of the package; each gives a second route to a
 value the package computes."""
 
@@ -9,8 +10,41 @@ from itertools import product
 from math import comb
 
 from tangentcount import canonical_constraints, gw, star
+from tangentcount.cache import header, parse_line
+from tangentcount.engine import _rank
 from tangentcount.errors import InconsistencyError
 from tangentcount.partitions import aut_order, partitions_of
+
+
+def complexity(constraints):
+    """Complexity rank (level, count) of a constraint multiset, ranked by
+    the engine's own rule.
+
+    The level is the maximal weight among constraints containing a branch
+    of order >= 2 (1 when there is none, the all-ones case), and the count
+    is how many constraints realize that maximum.  Ranks compare
+    lexicographically; the recursion strictly descends in this order.
+    """
+    return _rank(sum(c) if c[0] >= 2 else 0 for c in constraints)
+
+
+def signed(lines):
+    """The bytes of a cache file holding lines (bytes, each ending in its
+    newline) with a valid digest, as if the program had written it."""
+    return header(lines) + b"".join(lines)
+
+
+def split_header(data):
+    """The header line of a cache file's bytes and its other lines, each
+    ending in its newline."""
+    head, *lines = data.splitlines(keepends=True)
+    return head, lines
+
+
+def records_in(lines):
+    """{key text: value} of the cache lines parse_line reads as records,
+    such as a CountCache's entries.lines."""
+    return dict(filter(None, map(parse_line, lines)))
 
 
 def self_intersection(space, degree, mults=()):

@@ -22,16 +22,12 @@ from tangentcount.cli import _session, main, parse_constraints
 from tangentcount.engine import Engine, encode_key
 from tangentcount.partitions import diagram_text, partitions_of
 
+from reference import records_in, signed, split_header
+
 
 def fresh_state():
     gw.reset()
     return Engine()
-
-
-def signed(lines):
-    """A cache file holding lines (bytes, each ending in its newline) with
-    a valid digest, as if the program had written it."""
-    return header(lines) + b"".join(lines)
 
 
 def rejected(path, reason, capsys):
@@ -39,7 +35,7 @@ def rejected(path, reason, capsys):
     so in one line on stderr."""
     with CountCache(str(path)) as cache:
         assert cache.rejected == reason
-        assert len(cache.entries) == 0
+        assert len(records_in(cache.entries.lines)) == 0
     assert capsys.readouterr().err == (
         "cache %s not read (%s); replaced at the next write\n"
         % (path, reason))
@@ -91,7 +87,7 @@ def test_damaged_lines_are_skipped(tmp_path, capsys):
         assert path.read_bytes() == data  # nothing added, nothing written
     path.write_bytes(signed(good))
     with CountCache(str(path)) as cache:
-        assert cache.entries == {"cp2;1;(2)": 1}
+        assert records_in(cache.entries.lines) == {"cp2;1;(2)": 1}
     assert capsys.readouterr().err == ""
 
 
@@ -130,8 +126,8 @@ def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path):
     engine = fresh_state()
     with CountCache(str(path)) as cache:
         assert cache.preload(engine) == len(lines)
-        assert cache.entries == {"cp2;1;(2)": 1}
-        assert len(cache.entries) == 1
+        assert records_in(cache.entries.lines) == {"cp2;1;(2)": 1}
+        assert len(records_in(cache.entries.lines)) == 1
         assert "cp2;3;(7,1)" not in cache.entries
         assert engine.invariant("cp2", 3, ((8,),)) == 4
         assert engine.invariant("cp2", 3, ((7, 1),)) == 1
@@ -181,7 +177,8 @@ def test_a_read_copies_only_the_key_it_asks_for(tmp_path):
         cache.harvest(builder)
     engine = Engine()
     with CountCache(path) as cache:
-        assert cache.preload(engine) == len(cache.entries) > 1000
+        assert cache.preload(engine) == len(
+            records_in(cache.entries.lines)) > 1000
         assert engine.hat_invariant("cp2", 4, ((11,),)) == 26
         assert list(engine.memo_items()) == []
         assert cache.harvest(engine) == 0
@@ -208,12 +205,6 @@ def build_d4_file(path, capsys):
     assert main(["table", "--max-d", "4", "--cache-file", str(path)]) == 0
     capsys.readouterr()
     return path.read_bytes()
-
-
-def split_header(data):
-    """The header line of a cache file's bytes and its record lines."""
-    head, *lines = data.splitlines(keepends=True)
-    return head, lines
 
 
 def test_cold_table_file_is_pinned(tmp_path, capsys):
@@ -281,7 +272,7 @@ def test_an_error_after_the_harvest_keeps_the_harvested_records(
             monkeypatch.setattr(sys, "stderr", ClosedStream())
     monkeypatch.undo()
     with CountCache(str(path)) as cache:
-        assert dict(cache.entries.items()) == dict(engine.memo_items())
+        assert records_in(cache.entries.lines) == dict(engine.memo_items())
 
 
 def interrupt(*args):
@@ -306,7 +297,7 @@ def test_an_interrupted_session_keeps_what_was_solved(tmp_path,
 
     solved = dict(interrupted_session().memo_items())
     with CountCache(str(path)) as cache:
-        assert dict(cache.entries.items()) == solved
+        assert records_in(cache.entries.lines) == solved
     before = path.read_bytes()
     path.write_bytes(b"")
     for owner, attr in ((CountCache, "harvest"), (os, "fsync")):
@@ -616,7 +607,7 @@ def test_a_changed_byte_rejects_the_file(edit, where, byte, pick):
             handle.write(changed)
         with CountCache(path) as cache:
             assert cache.rejected in ("no header", "digest mismatch")
-            assert len(cache.entries) == 0
+            assert len(records_in(cache.entries.lines)) == 0
         code = main(["compute", "--space", space, "-d", degree, "-c",
                      diagrams.replace("|", ";"), "--hat",
                      "--cache-file", path])
@@ -641,8 +632,8 @@ def test_a_symlinked_path_stays_a_link(tmp_path, capsys):
     assert os.listdir(store) == ["counts.txt"]
     with CountCache(str(target)) as cache:
         assert cache.rejected is None
-        assert cache.entries["cp2;3;(8)"] == 4
-        assert cache.entries["cp2;3;(7,1)"] == 1
+        assert records_in(cache.entries.lines)["cp2;3;(8)"] == 4
+        assert records_in(cache.entries.lines)["cp2;3;(7,1)"] == 1
     assert main(["compute", "-d", "3", "-c", "(8)", "--format", "json",
                  "--cache-file", str(link)]) == 0
     assert json.loads(capsys.readouterr().out)[0]["provenance"] == "cached"

@@ -19,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 import tangentcount
 from tangentcount import (cli, engine as engine_module, gw, matrices,
                           partitions)
-from tangentcount.cache import header
+from tangentcount.cache import CountCache, header
 from tangentcount.cli import main, parse_constraints, parse_degree
 from tangentcount.engine import Engine
 from tangentcount.partitions import partitions_of
+
+from reference import signed, split_header
 
 
 def run(capsys, *argv):
@@ -31,17 +33,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def signed(*lines):
-    """The bytes of a cache file holding the text lines with a valid
-    digest, as if the program had written it."""
-    lines = [(line + "\n").encode() for line in lines]
-    return header(lines) + b"".join(lines)
-
-
 def written_records(path):
     """The record lines of a cache file the program wrote, text without
     newlines; checks its header."""
-    head, *lines = path.read_bytes().splitlines(keepends=True)
+    head, lines = split_header(path.read_bytes())
     assert head == header(lines)
     return [line.decode().rstrip("\n") for line in lines]
 
@@ -477,7 +472,7 @@ def test_verify_recomputes_cache_records(tmp_path, capsys):
     # its own, is caught, named with both values, and the published checks
     # still run
     path = tmp_path / "bad.txt"
-    path.write_bytes(signed("ht:cp2;3;(8)\t5"))
+    path.write_bytes(signed([b"ht:cp2;3;(8)\t5\n"]))
     code, out, _ = run(capsys, "verify", "--max-d", "3",
                        "--cache-file", str(path))
     assert code == 1
@@ -498,8 +493,8 @@ def test_verify_fails_a_key_not_in_its_canonical_text(tmp_path, capsys):
     # no lookup asks for (1)|(7), so its right value passes no check of its
     # own: verify fails it by its text, and the other records still pass
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed("ht:cp2;1;(2)\t1", "ht:cp2;3;(1)|(7)\t5",
-                            "ht:cp2;3;(8)\t4"))
+    path.write_bytes(signed([b"ht:cp2;1;(2)\t1\n", b"ht:cp2;3;(1)|(7)\t5\n",
+                             b"ht:cp2;3;(8)\t4\n"]))
     code, out, err = run(capsys, "verify", "--max-d", "3",
                          "--cache-file", str(path))
     assert code == 1
@@ -533,7 +528,7 @@ def test_verify_skips_records_above_max_d(tmp_path, capsys, monkeypatch):
 
 def test_verify_names_a_record_whose_key_does_not_parse(tmp_path, capsys):
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed("ht:cp2;3;(8)|oops\t4", "ht:nonsense\t1"))
+    path.write_bytes(signed([b"ht:cp2;3;(8)|oops\t4\n", b"ht:nonsense\t1\n"]))
     code, out, err = run(capsys, "verify", "--max-d", "3", "--cache-file",
                          str(path))
     assert code == 1
@@ -550,7 +545,7 @@ def test_verify_fails_on_a_file_it_does_not_read(tmp_path, capsys):
     # and the published checks still run
     path = tmp_path / "bad.txt"
     for data, reason in ((b"ht:cp2;3;(8)\t5\n", "no header"),
-                         (signed("ht:cp2;3;(8)\t4")[:-2] + b"5\n",
+                         (signed([b"ht:cp2;3;(8)\t4\n"])[:-2] + b"5\n",
                           "digest mismatch")):
         path.write_bytes(data)
         code, out, err = run(capsys, "verify", "--max-d", "3",
@@ -606,7 +601,7 @@ def test_plane_counts_in_a_cache_file_are_ignored(tmp_path, capsys):
     # a plane count is recomputed, never read back: a poisoned record, in
     # a file of an older writer or under a valid digest, neither changes
     # the answer nor gets copied into the ht: section
-    for data in (b"gw:5;\t999\n", signed("gw:5;\t999")):
+    for data in (b"gw:5;\t999\n", signed([b"gw:5;\t999\n"])):
         gw.reset()
         path = tmp_path / "counts.txt"
         path.write_bytes(data)
@@ -622,7 +617,7 @@ def test_plane_counts_in_a_cache_file_are_ignored(tmp_path, capsys):
 
 def test_table_provenance_comes_from_the_file(tmp_path, capsys):
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed("ht:cp2;3;(8)\t4"))
+    path.write_bytes(signed([b"ht:cp2;3;(8)\t4\n"]))
     code, out, _ = run(capsys, "table", "--mode", "full", "-d", "3",
                        "--format", "csv", "--cache-file", str(path))
     assert code == 0
@@ -631,13 +626,34 @@ def test_table_provenance_comes_from_the_file(tmp_path, capsys):
         "cp2;3;(8)": "cached", "cp2;3;(7,1)": "computed"}
 
 
-def test_cache_file_under_a_regular_file_runs_without_it(tmp_path, capsys):
+def test_cache_file_under_a_regular_file_runs_without_it(tmp_path, capsys,
+                                                         monkeypatch):
+    # a path that cannot be opened is no cache: the run goes on as with
+    # --no-cache, harvesting nothing, and verify checks no cache records
     blocker = tmp_path / "counts.txt"
     blocker.write_text("")
     code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
                          "--cache-file", str(blocker / "sub.txt"))
     assert (code, out) == (0, "4\n")
     assert "running without persistence" in err
+    with pytest.raises(OSError):
+        CountCache(str(blocker / "sub.txt"))
+
+    def unharvested(self):
+        raise AssertionError("memo_items called")
+
+    monkeypatch.setattr(Engine, "memo_items", unharvested)
+    code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
+                         "--cache-file", str(blocker / "sub.txt"))
+    assert (code, out) == (0, "4\n")
+    assert "running without persistence" in err
+    code, out, err = run(capsys, "verify", "--max-d", "2",
+                         "--cache-file", str(blocker / "sub.txt"))
+    assert code == 0
+    assert "cache records" not in out
+    assert all(line.startswith("PASS") for line in out.splitlines())
+    assert "running without persistence" in err
+    assert blocker.read_text() == ""
 
 
 def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
@@ -700,12 +716,12 @@ def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path, capsys):
     path = tmp_path / "counts.txt"
     long = "ht:cp2;3;(8)\t" + "9" * 5000
     for line, exit_code in ((long, 3), ("ht:cp2;3;(8) 4", 0)):
-        path.write_bytes(signed(line))
+        path.write_bytes(signed([(line + "\n").encode()]))
         code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
                              "--cache-file", str(path))
         assert (code, out) == (exit_code, "4\n")
         assert "Traceback" not in err
-        path.write_bytes(signed(line))
+        path.write_bytes(signed([(line + "\n").encode()]))
         code, out, err = run(capsys, "verify", "--max-d", "3",
                              "--cache-file", str(path))
         assert code == 1
@@ -735,7 +751,7 @@ def test_verify_names_the_first_line_out_of_order(tmp_path, capsys):
                        "ht:cp2;2;(5)\t1"), 3),
                      (("ht:cp2;1;(2)\t1", "ht:cp2;2;(2,2,1)\t0",
                        "ht:cp2;2;(2,2,1)\t1", "ht:cp2;2;(5)\t1"), 4)):
-        path.write_bytes(signed(*lines))
+        path.write_bytes(signed([(line + "\n").encode() for line in lines]))
         code, out, err = run(capsys, "verify", "--max-d", "3",
                              "--cache-file", str(path))
         assert code == 1
@@ -753,7 +769,7 @@ def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
     # neither its p(47) = 124,754 diagrams are listed nor a weight-47
     # merge table is built
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed("ht:cp2;16;(47)\t5"))
+    path.write_bytes(signed([b"ht:cp2;16;(47)\t5\n"]))
     planned, listed = [], []
     real_plan, real_list = matrices.solve_plan, partitions.partition_list
 
@@ -773,7 +789,7 @@ def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
     assert (code, out) == (0, "5\n")
     assert 47 not in planned
     assert 47 not in listed
-    assert path.read_bytes() == signed("ht:cp2;16;(47)\t5")
+    assert path.read_bytes() == signed([b"ht:cp2;16;(47)\t5\n"])
 
 
 def test_a_wrong_record_is_not_read_into_a_computation(tmp_path, capsys):
@@ -781,7 +797,7 @@ def test_a_wrong_record_is_not_read_into_a_computation(tmp_path, capsys):
     # forged digest, is not read, the computed value is printed, and the
     # harvest that meets the record refuses it, leaving the file as it was
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed("ht:cp2;3;(7)|(1)\t999"))
+    path.write_bytes(signed([b"ht:cp2;3;(7)|(1)\t999\n"]))
     before = path.read_bytes()
     code, out, err = run(capsys, "compute", "-d", "3", "-c", "(8)",
                          "--cache-file", str(path))

@@ -9,18 +9,17 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangentcount.cache import CountCache, header
+from tangentcount.cache import CountCache
 from tangentcount.cli import parse_constraints, parse_degree
-from tangentcount.engine import (Engine, canonical_constraints, complexity,
-                                 encode_key)
+from tangentcount.engine import Engine, canonical_constraints, encode_key
 from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import solve_plan
-from tangentcount.partitions import partitions_of, weight
+from tangentcount.partitions import partitions_of
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
-from reference import (combine_forward, combined_value, cross_space_values,
-                       single_point_table)
+from reference import (combine_forward, combined_value, complexity,
+                       cross_space_values, signed, single_point_table)
 
 
 def test_canonical_constraint_order():
@@ -44,9 +43,9 @@ def spelled_out_rank(constraints):
     level, count = 1, 0
     for c in constraints:
         if max(c) >= 2:
-            if weight(c) > level:
-                level, count = weight(c), 1
-            elif weight(c) == level:
+            if sum(c) > level:
+                level, count = sum(c), 1
+            elif sum(c) == level:
                 count += 1
     return level, count
 
@@ -66,7 +65,7 @@ def test_diagram_codes_keep_key_order_rank_and_slots(cs):
     assert (e._rank(map(e._LEVEL.get, key)) == complexity(cs)
             == spelled_out_rank(cs))
     for q, c in zip(cs, codes):
-        k = weight(q)
+        k = sum(q)
         assert e._first[k + 1] - e._first[k] == len(partitions_of(k))
         if max(q) == 1:
             assert c == e._first[k]
@@ -285,14 +284,6 @@ def test_key_text_round_trip():
             parse_constraints(ptext.replace("|", ";")))) == key
 
 
-def write_cache(path, lines):
-    """A cache file holding lines with a valid digest, as if the program
-    had written it."""
-    lines = [(line + "\n").encode() for line in lines]
-    with open(path, "wb") as handle:
-        handle.writelines([header(lines)] + lines)
-
-
 def test_absorbed_values_are_used(tmp_path):
     path = str(tmp_path / "counts.txt")
     e = Engine()
@@ -312,10 +303,10 @@ def test_inconsistent_preload_is_detected(tmp_path):
     # weight 3 recomputes every weight-3 diagram next to (2) without
     # reading the record, and the harvest, which compares every computed
     # value with the file, must refuse it
-    path = str(tmp_path / "counts.txt")
-    write_cache(path, ["ht:cp2;2;(2,1)|(2)\t777"])
+    path = tmp_path / "counts.txt"
+    path.write_bytes(signed([b"ht:cp2;2;(2,1)|(2)\t777\n"]))
     e = Engine()
-    with CountCache(path) as cache:
+    with CountCache(str(path)) as cache:
         cache.preload(e)
         assert e.hat_invariant("cp2", 2, ((3,), (2,))) == \
             Engine().hat_invariant("cp2", 2, ((3,), (2,)))
@@ -327,10 +318,10 @@ def test_inconsistent_record_read_before_the_solve_is_detected(tmp_path):
     # the same corrupt record, read directly first: it is returned as
     # stored, the solve that re-derives it later does not use it, and the
     # harvest still refuses it
-    path = str(tmp_path / "counts.txt")
-    write_cache(path, ["ht:cp2;2;(2,1)|(2)\t777"])
+    path = tmp_path / "counts.txt"
+    path.write_bytes(signed([b"ht:cp2;2;(2,1)|(2)\t777\n"]))
     e = Engine()
-    with CountCache(path) as cache:
+    with CountCache(str(path)) as cache:
         cache.preload(e)
         assert e.hat_invariant("cp2", 2, ((2, 1), (2,))) == 777
         assert e.hat_invariant("cp2", 2, ((3,), (2,))) == \
@@ -467,7 +458,7 @@ def corrupt_top_solve(monkeypatch, by, degree=3, top=((3,), (3,), (2,)),
         solved = real(k, split_values, all_ones_value)
         calls.append(k)
         if len(calls) == last:
-            solved[solve_plan(weight(top[0])).parts.index(target) - 1] += by
+            solved[solve_plan(sum(top[0])).parts.index(target) - 1] += by
         return solved
 
     monkeypatch.setattr(engine_module, "solve_split_system", corrupt_last)
@@ -557,7 +548,7 @@ def per_key_memo_items(e):
     for (space, degree), vectors in e._vectors.items():
         on_shell = gw.chern_number(space, degree) - 1
         for rest, vector in vectors.items():
-            k = on_shell - sum(map(weight, map(m._diagram, rest)))
+            k = on_shell - sum(map(sum, map(m._diagram, rest)))
             for q, value in enumerate(vector, m._first[k] + 1):
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
                 text = encode_key(*m._decoded(key))
@@ -701,7 +692,7 @@ def shortcut_disagreements(e):
     for (space, degree), vectors in e._vectors.items():
         on_shell = gw.chern_number(space, degree) - 1
         for rest in vectors:
-            k = on_shell - sum(map(weight, map(m._diagram, rest)))
+            k = on_shell - sum(map(sum, map(m._diagram, rest)))
             rank = complexity(tuple(map(m._diagram, rest)) + ((k,),))
             for name, store in [("held", Everywhere), ("missing", Nowhere)]:
                 probe = Replay(space, degree, store)

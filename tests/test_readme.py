@@ -1,6 +1,7 @@
 """The annotated examples of README.md, run: each `compute` line marked
 `# -> N`, each line of the library block with a value after `#`, the
-`gw_blowup(...) == N` of the text, and the package names the text cites."""
+`gw_blowup(...) == N` of the text, the package names the text cites, and
+the package docstring's list of its public surface."""
 
 import ast
 import os
@@ -80,3 +81,11 @@ def test_prose_names_exist(readme):
     assert len(names) == 4
     assert [(owner, name) for owner, name in names
             if not hasattr(owners[owner], name)] == []
+
+
+def test_the_public_surface_list_names_all():
+    # the package docstring's "Public surface" list names exactly __all__
+    listing = tangentcount.__doc__.split("Public surface:\n\n", 1)[1]
+    names = re.findall(r"^  (\w+)", listing.split("\n\n", 1)[0], re.M)
+    assert set(names) == set(tangentcount.__all__) - {"__version__"}
+    assert len(names) == len(set(names))
