@@ -82,15 +82,15 @@ class Records:
     def __init__(self):
         self.lines = []
 
-    def get(self, key, default=None):
-        """The value of key's record, found by bisection, else default."""
+    def get(self, key):
+        """The value of key's record, found by bisection, else None."""
         head = b"ht:%s\t" % key.encode()
         i = bisect_left(self.lines, head)
         if i < len(self.lines) and self.lines[i].startswith(head):
             record = parse_line(self.lines[i])
             if record is not None:
                 return record[1]
-        return default
+        return None
 
     def __contains__(self, key):
         return self.get(key) is not None

@@ -115,15 +115,11 @@ def solve_split_system(k, split_values, all_ones_value):
     exactly and returns the list of invariants of every y except the single
     column, in solve_plan(k).parts[1:] order.  All results must come out
     integral; anything else means the inputs were inconsistent and raises
-    InconsistencyError.
+    InconsistencyError.  Its one caller, Engine._solve_at, solves at k >= 2
+    and builds split_values from the same plan, so neither is checked here.
     """
     parts, _, merges = solve_plan(k)
     t = len(parts)
-    if len(split_values) != t - 1:
-        raise ValueError("expected %d split values for weight %d, got %d"
-                         % (t - 1, k, len(split_values)))
-    if t == 1:  # weight 1: nothing to solve
-        return []
     # Unknown j is const[j] + coef[j] * top, top being the last unknown, the
     # single row (k); merge targets sit later in the order than their row.
     coef, b = _closure(k)

@@ -3,17 +3,79 @@ the a-priori vanishing predicate, the dual diagram, the complexity rank on
 diagrams, the merge expansion and its value term by term, and single-point
 tables with their zeros; and a cache file's bytes, signed and split.  None
 of them is a shortcut of the package; each gives a second route to a
-value the package computes."""
+value the package computes.
 
+It is also the one owner of the runs the tests share: the benchmark's two
+in-process questions (column, quadric_pass), a cold run of either with the
+work it did (cold), the one cold T_1..T_top per process (cold_run), and
+the only read of the blowup memo (blowup_memo)."""
+
+import time
+from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
-from tangentcount import canonical_constraints, gw, star
+from tangentcount import Engine, canonical_constraints, gw, star
 from tangentcount.cache import header, parse_line
 from tangentcount.engine import _rank
 from tangentcount.errors import InconsistencyError
 from tangentcount.partitions import aut_order, partitions_of
+
+
+# The benchmark's quadric_tables bidegrees.
+QUADRIC = ((3, 3), (4, 3), (4, 4), (5, 3), (5, 4))
+
+# A finished cold run: its Engine, what its work returned, the engine's
+# counters, gw.counters and the blowup memo as the work finished, and its
+# wall seconds.  Shared runs are read, never changed.
+Run = namedtuple("Run", "engine answers counters gw_counters blowup seconds")
+
+
+def cold_engine():
+    """An Engine on a cold blowup memo: gw.reset() first, so the blowup
+    classes and counters that follow are this engine's work alone."""
+    gw.reset()
+    return Engine()
+
+
+def column(engine, top):
+    """{d: T_d} for d = 1..top in order, T_d = N_d<(3d - 1)> the
+    full-tangency count: the benchmark's tangency_column question."""
+    return {d: engine.invariant("cp2", d, ((3 * d - 1,),))
+            for d in range(1, top + 1)}
+
+
+def quadric_pass(engine):
+    """The full table and the point-count identity of every bidegree in
+    QUADRIC: the benchmark's quadric_tables question."""
+    for bidegree in QUADRIC:
+        engine.full_table("p1xp1", bidegree)
+        engine.sum_identity("p1xp1", bidegree)
+
+
+def blowup_memo():
+    """A snapshot of the blowup memo, {(d, deep multiplicities): value}."""
+    return dict(gw._values)
+
+
+def cold(work, *args):
+    """The Run of work(engine, *args) on a cold_engine()."""
+    engine = cold_engine()
+    start = time.monotonic()
+    answers = work(engine, *args)
+    seconds = time.monotonic() - start
+    return Run(engine, answers, engine.counters.copy(), gw.counters.copy(),
+               blowup_memo(), seconds)
+
+
+@cache
+def cold_run(top):
+    """The Run of one cold T_1..T_top per process, shared by every test
+    that reads it; a test asks its engine for no key that would change
+    what another test counts."""
+    return cold(column, top)
 
 
 def complexity(constraints):

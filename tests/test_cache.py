@@ -22,12 +22,7 @@ from tangentcount.cli import _session, main, parse_constraints
 from tangentcount.engine import Engine, encode_key
 from tangentcount.partitions import diagram_text, partitions_of
 
-from reference import records_in, signed, split_header
-
-
-def fresh_state():
-    gw.reset()
-    return Engine()
+from reference import cold_engine, column, records_in, signed, split_header
 
 
 def rejected(path, reason, capsys):
@@ -43,14 +38,14 @@ def rejected(path, reason, capsys):
 
 def test_round_trip(tmp_path):
     path = str(tmp_path / "counts.txt")
-    engine = fresh_state()
+    engine = cold_engine()
     value = engine.invariant("cp2", 3, ((8,),))
     with CountCache(path) as cache:
         added = cache.harvest(engine)
         assert added > 0
     assert os.path.exists(path)
 
-    engine2 = fresh_state()
+    engine2 = cold_engine()
     with CountCache(path) as cache:
         loaded = cache.preload(engine2)
         assert loaded > 0
@@ -60,7 +55,7 @@ def test_round_trip(tmp_path):
 
 def test_file_is_compacted_sorted_and_unique(tmp_path):
     path = str(tmp_path / "counts.txt")
-    engine = fresh_state()
+    engine = cold_engine()
     engine.invariant("cp2", 2, ((5,),))
     with CountCache(path) as cache:
         cache.harvest(engine)
@@ -104,7 +99,7 @@ def test_malformed_entries_do_not_poison_engines(tmp_path):
              b"ht:cp2;3; (8)\t9\n"]      # space
     for data, held in ((b"".join(lines), 0), (signed(sorted(lines)), 6)):
         path.write_bytes(data)
-        engine = fresh_state()
+        engine = cold_engine()
         with CountCache(str(path)) as cache:
             assert cache.preload(engine) == held
             assert engine.invariant("cp2", 1, ((2,),)) == 1
@@ -123,7 +118,7 @@ def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path):
                     b"ht:cp2;3;(6,2)\t\xff\n", b"ht:cp2;3;(\xff)\t4\n",
                     b"gw:0;\t7\n"])
     path.write_bytes(signed(lines))
-    engine = fresh_state()
+    engine = cold_engine()
     with CountCache(str(path)) as cache:
         assert cache.preload(engine) == len(lines)
         assert records_in(cache.entries.lines) == {"cp2;1;(2)": 1}
@@ -141,7 +136,7 @@ def test_second_open_is_read_only(tmp_path, capsys):
     assert not first.read_only
     assert second.read_only
     assert "read-only" in capsys.readouterr().err
-    engine = fresh_state()
+    engine = cold_engine()
     engine.invariant("cp2", 1, ((2,),))
     second.harvest(engine)
     second.close()
@@ -152,13 +147,13 @@ def test_second_open_is_read_only(tmp_path, capsys):
 
 def test_append_then_compact_keeps_everything(tmp_path):
     path = str(tmp_path / "counts.txt")
-    engine = fresh_state()
+    engine = cold_engine()
     engine.invariant("cp2", 2, ((5,),))
     with CountCache(path) as cache:
         cache.harvest(engine)
         engine.invariant("cp2", 3, ((8,),))
         cache.harvest(engine)
-    engine2 = fresh_state()
+    engine2 = cold_engine()
     with CountCache(path) as cache:
         cache.preload(engine2)
     assert engine2.invariant("cp2", 2, ((5,),)) == 1
@@ -170,9 +165,8 @@ def test_a_read_copies_only_the_key_it_asks_for(tmp_path):
     # the file's records are the only copy: a cached read answers from the
     # one record it needs, memoises nothing, and so has nothing to append
     path = str(tmp_path / "counts.txt")
-    builder = fresh_state()
-    for d in range(1, 5):
-        builder.invariant("cp2", d, ((3 * d - 1,),))
+    builder = cold_engine()
+    column(builder, 4)
     with CountCache(path) as cache:
         cache.harvest(builder)
     engine = Engine()
@@ -193,7 +187,7 @@ def test_blowup_records_are_not_read(tmp_path):
     key = ((1, 1),) + ((1,),) * 6
     for data in (b"gw:3;2\t7\n", signed([b"gw:3;2\t7\n"])):
         path.write_bytes(data)
-        engine = fresh_state()
+        engine = cold_engine()
         with CountCache(str(path)) as cache:
             cache.preload(engine)
             assert engine.hat_invariant("cp2", 3, key) == 2
@@ -386,9 +380,7 @@ def test_a_write_merges_into_the_file_like_one_session(tmp_path, capsys):
     args = argparse.Namespace(no_cache=False, cache_file=str(one),
                               stats=False)
     with _session(args) as (engine, _):
-        for d in range(1, 5):
-            engine.invariant("cp2", d, ((3 * d - 1,),))
-        engine.invariant("cp2", 5, ((14,),))
+        column(engine, 5)
     assert path.read_bytes() == one.read_bytes()
 
 
@@ -434,7 +426,7 @@ def test_only_asked_keys_are_looked_up(tmp_path, monkeypatch):
     # a key it holds is answered with no solve, also by an engine that
     # computed before the file was handed to it
     path = str(tmp_path / "counts.txt")
-    builder = fresh_state()
+    builder = cold_engine()
     builder.invariant("cp2", 3, ((8,),))
     with CountCache(path) as cache:
         cache.harvest(builder)
@@ -442,8 +434,8 @@ def test_only_asked_keys_are_looked_up(tmp_path, monkeypatch):
     assert engine.hat_invariant("cp2", 3, ((1,),) * 8) == 12
     with CountCache(path) as cache:
         asked, get = [], cache.entries.get
-        monkeypatch.setattr(cache.entries, "get", lambda key, default=None:
-                            asked.append(key) or get(key, default))
+        monkeypatch.setattr(cache.entries, "get", lambda key:
+                            asked.append(key) or get(key))
         cache.preload(engine)
         assert engine.invariant("cp2", 4, ((11,),)) == 26
         assert asked == ["cp2;4;(11)"]

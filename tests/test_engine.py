@@ -5,6 +5,7 @@ the quadric surface cases."""
 import random
 import re
 from array import array
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,9 @@ from tangentcount.partitions import partitions_of
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
-from reference import (combine_forward, combined_value, complexity,
-                       cross_space_values, signed, single_point_table)
+from reference import (cold, cold_engine, cold_run, column, combine_forward,
+                       combined_value, complexity, cross_space_values,
+                       quadric_pass, signed, single_point_table)
 
 
 def test_canonical_constraint_order():
@@ -216,8 +218,7 @@ def test_quadric_degenerate_bidegrees():
     ("p1xp1", (1, 1, 1), ((3,),))])
 def test_a_malformed_degree_is_refused_before_any_work(space, degree,
                                                        constraints):
-    gw.reset()
-    e = Engine()
+    e = cold_engine()
     for call in (lambda: e.invariant(space, degree, constraints),
                  lambda: e.full_table(space, degree),
                  lambda: e.sum_identity(space, degree),
@@ -365,42 +366,25 @@ def test_cold_column_work_is_pinned():
     # the amount of work for cold T_1..T_6 in one Engine: every solve and
     # every stored key is still there, so speed comes from bookkeeping,
     # and the blowup recursion still visits the same classes
-    gw.reset()
-    e = Engine()
-    for d in range(1, 7):
-        e.invariant("cp2", d, ((3 * d - 1,),))
-    assert e.counters["solves"] == 6992
-    assert sum(1 for _ in e.memo_items()) == 66153
-    assert sum(1 for _ in gw.memo_items()) == 268
-
-
-def column_to_seven(e):
-    for d in range(1, 8):
-        e.invariant("cp2", d, ((3 * d - 1,),))
-
-
-def quadric_tables(e):
-    for bidegree in [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]:
-        e.full_table("p1xp1", bidegree)
-        e.sum_identity("p1xp1", bidegree)
+    run = cold(column, 6)
+    assert run.counters["solves"] == 6992
+    assert sum(1 for _ in run.engine.memo_items()) == 66153
+    assert len(run.blowup) == 268
 
 
 @pytest.mark.parametrize("work, pins", [
-    (column_to_seven, (29617, 30763, 385065, 1146, 371946, 631,
-                       118, 1, 10, 2503)),
-    (quadric_tables, (10508, 11314, 98581, 806, 95697, 915,
-                      248, 0, 21, 7656))])
+    ("column_to_seven", (29617, 30763, 385065, 1146, 371946, 631,
+                         118, 1, 10, 2503)),
+    ("quadric_tables", (10508, 11314, 98581, 806, 95697, 915,
+                        248, 0, 21, 7656))])
 def test_cold_work_is_pinned(work, pins):
     # the work of the benchmark's two in-process passes, counted: how the
     # memo stores its vectors must not change what is solved or kept, nor
     # what the blowup recursion solves and reduces
-    gw.reset()
-    e = Engine()
-    work(e)
-    c, g = e.counters, gw.counters
+    run = cold_run(7) if work == "column_to_seven" else cold(quadric_pass)
+    c, g = run.counters, run.gw_counters
     assert (c["solves"], c["evaluations"], c["memo_hits"], c["base_cases"],
-            sum(1 for _ in e.memo_items()),
-            sum(1 for _ in gw.memo_items()),
+            sum(1 for _ in run.engine.memo_items()), len(run.blowup),
             g["gw_wdvv_solves"], g["gw_point_free_solves"],
             g["gw_cremona_reductions"], g["gw_memo_hits"]) == pins
 
@@ -525,8 +509,7 @@ def test_memo_items_are_distinct_and_reproducible():
     # each memoized key is yielded once, and its value is what a fresh
     # engine computes for the key read back from its text
     e = Engine()
-    for d in range(1, 7):
-        e.invariant("cp2", d, ((3 * d - 1,),))
+    column(e, 6)
     items = list(e.memo_items())
     texts = [text for text, _ in items]
     assert len(set(texts)) == len(texts)
@@ -556,9 +539,8 @@ def per_key_memo_items(e):
     return out
 
 
-def cold_column(e):
-    for d in range(1, 7):
-        e.invariant("cp2", d, ((3 * d - 1,),))
+# T_1..T_6 in the test's engine; the id keeps the tests' names
+column_to_six = pytest.param(partial(column, top=6), id="cold_column")
 
 
 def quadric_table(e):
@@ -576,7 +558,7 @@ def shared_top_weight(e):
     assert held + len(e._values) > sum(1 for _ in e.memo_items())
 
 
-@pytest.mark.parametrize("work", [cold_column, quadric_table,
+@pytest.mark.parametrize("work", [column_to_six, quadric_table,
                                   shared_top_weight])
 def test_memo_items_match_the_per_key_enumeration(work):
     e = Engine()
@@ -720,7 +702,7 @@ def shortcut_disagreements(e):
     return bad
 
 
-@pytest.mark.parametrize("work", [cold_column, quadric_table])
+@pytest.mark.parametrize("work", [column_to_six, quadric_table])
 def test_solve_inputs_are_read_where_held_looks_first(work):
     e = Engine()
     work(e)

@@ -13,11 +13,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangentcount import Engine, gw
+from tangentcount import gw
 from tangentcount.errors import InconsistencyError
 
-from reference import (double_point_count, point_point_line_line,
-                       vanishing_filter)
+from reference import (cold, cold_run, double_point_count,
+                       point_point_line_line, quadric_pass, vanishing_filter)
 
 
 def test_plane_counts():
@@ -198,8 +198,11 @@ def test_relation_rejects_a_non_integer_count(wrong, asked):
     gw.reset()
     gw._values[wrong] = true + 1
     name = r"\(%d; %s\)$" % (asked[0], ",".join(map(str, asked[1])))
-    with pytest.raises(InconsistencyError, match="non-integer .* " + name):
-        gw._value(*asked)
+    try:
+        with pytest.raises(InconsistencyError, match="non-integer .* " + name):
+            gw._value(*asked)
+    finally:
+        gw.reset()  # no later test may read the wrong count
 
 
 # The point-free classes of degree 2..13 whose evaluation needs a point-free
@@ -282,8 +285,8 @@ def _cremona_images(memo):
                 yield d, value, (2 * d - a - b - c, image)
 
 
-def _memo_with_free_points():
-    return {(d, deep): value for (d, deep), value in gw._values.items()
+def _memo_with_free_points(memo):
+    return {(d, deep): value for (d, deep), value in memo.items()
             if 3 * d - 1 > sum(deep)}
 
 
@@ -296,19 +299,11 @@ def _cremona_mismatches(memo):
     return wrong, len(images), sum(image[0] != d for d, _, image in images)
 
 
-def _cold_column(top):
-    gw.reset()
-    engine = Engine()
-    for d in range(1, top + 1):
-        engine.invariant("cp2", d, ((3 * d - 1,),))
-
-
 def test_cremona_images_of_the_column_classes():
     # a second route to every blowup count with free points that a cold
     # T_1..T_7 asks for: its images under Cremona moves on any three slots,
     # most of them at another degree and reached by another recursion
-    _cold_column(7)
-    memo = _memo_with_free_points()
+    memo = _memo_with_free_points(cold_run(7).blowup)
     assert _cremona_mismatches(memo) == ([], 2476, 1981)
 
 
@@ -316,29 +311,26 @@ def test_cremona_images_of_the_column_classes():
                     reason="extended tier disabled "
                            "(TANGENTCOUNT_EXTENDED != 1)")
 def test_extended_cremona_images_of_the_quadric_and_degree_ten_classes():
-    # about five minutes and 850 MB: the classes of the five quadric tables
-    # and their sum identities (images up to degree 15), then those of a
-    # cold T_1..T_10 (images up to degree 17, most of the time)
-    gw.reset()
-    engine = Engine()
-    for bidegree in [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]:
-        engine.full_table("p1xp1", bidegree)
-        engine.sum_identity("p1xp1", bidegree)
-    assert _cremona_mismatches(_memo_with_free_points()) == ([], 7090, 5993)
-    _cold_column(10)
-    assert _cremona_mismatches(_memo_with_free_points()) == (
-        [], 44623, 38795)
+    # about two minutes beside the shared cold T_1..T_10 (two to three
+    # minutes and 900 MB, unless criterion 1's extended tier ran it): the
+    # classes of the five quadric tables and their sum identities (images
+    # up to degree 15), then those of the cold T_1..T_10 (images up to
+    # degree 17, most of the time)
+    memo = _memo_with_free_points(cold(quadric_pass).blowup)
+    assert _cremona_mismatches(memo) == ([], 7090, 5993)
+    memo = _memo_with_free_points(cold_run(10).blowup)
+    assert _cremona_mismatches(memo) == ([], 44623, 38795)
 
 
-def _point_point_line_line_mismatches():
-    """The classes of the gw memo with at least three free points whose
-    value the (pt, pt, L, L) relation does not give, and how many there
-    were; the memo is read before the relation adds to it."""
-    memo = {(d, deep): value for (d, deep), value in gw._values.items()
-            if 3 * d - 1 - sum(deep) >= 3}
-    wrong = [(d, deep) for (d, deep), value in memo.items()
+def _point_point_line_line_mismatches(memo):
+    """The classes of a blowup memo snapshot with at least three free
+    points whose value the (pt, pt, L, L) relation does not give, and how
+    many there were."""
+    classes = {(d, deep): value for (d, deep), value in memo.items()
+               if 3 * d - 1 - sum(deep) >= 3}
+    wrong = [(d, deep) for (d, deep), value in classes.items()
              if point_point_line_line(d, deep) != value]
-    return wrong, len(memo)
+    return wrong, len(classes)
 
 
 def test_point_point_line_line_is_kontsevich_without_multiplicities():
@@ -351,8 +343,7 @@ def test_point_point_line_line_is_kontsevich_without_multiplicities():
 def test_point_point_line_line_on_the_column_classes():
     # a second associativity instantiation for every blowup count with at
     # least three free points that a cold T_1..T_7 asks for
-    _cold_column(7)
-    assert _point_point_line_line_mismatches() == ([], 344)
+    assert _point_point_line_line_mismatches(cold_run(7).blowup) == ([], 344)
 
 
 @pytest.mark.skipif(os.environ.get("TANGENTCOUNT_EXTENDED") != "1",
@@ -361,12 +352,8 @@ def test_point_point_line_line_on_the_column_classes():
 def test_extended_point_point_line_line_on_the_quadric_classes():
     # about 15 s: the classes of the five quadric tables and their sum
     # identities
-    gw.reset()
-    engine = Engine()
-    for bidegree in [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]:
-        engine.full_table("p1xp1", bidegree)
-        engine.sum_identity("p1xp1", bidegree)
-    assert _point_point_line_line_mismatches() == ([], 539)
+    memo = cold(quadric_pass).blowup
+    assert _point_point_line_line_mismatches(memo) == ([], 539)
 
 
 def test_all_ones_folds_to_plane_count():

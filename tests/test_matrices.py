@@ -129,15 +129,6 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
         matrices._closure.__wrapped__(4)
 
 
-def test_solve_weight_one_is_empty():
-    assert solve_split_system(1, [], 7) == []
-
-
-def test_solve_input_length_checked():
-    with pytest.raises(ValueError):
-        solve_split_system(4, [1, 2, 3], 0)
-
-
 def gauss_solve(matrix, rhs_list):
     """Reference solve of matrix * x = rhs for every rhs in rhs_list by
     Fraction Gauss-Jordan elimination with row pivoting; it knows nothing

@@ -41,3 +41,15 @@ def test_code_lines_counts_only_code():
     # total, the late string, return: docstrings, comments and blank
     # lines are not code
     assert src_lines.code_lines(SOURCE) == 10
+
+
+def test_main_prints_each_module_and_the_total(tmp_path, capsys):
+    # any directory, as CI gives it tests/: one line per module under it,
+    # nested ones by their relative path, then the total
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# note\ny = 2\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    src_lines.main(["src_lines.py", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines() == [
+        "   10 a.py", "    2 pkg/b.py", "   12 total"]
