@@ -7,11 +7,17 @@ value the package computes.
 
 It is also the one owner of the runs the tests share: the benchmark's two
 in-process questions (column, quadric_pass), a cold run of either with the
-work it did (cold), the one cold T_1..T_top per process (cold_run), and
-the only read of the blowup memo (blowup_memo)."""
+work it did (cold), the one cold T_1..T_top per process (cold_run), the
+cache file a command line writes into a new file, once per process
+(written_by; cold_d4_file is table --max-d 4's), and the only read of the
+blowup memo (blowup_memo)."""
 
+import io
+import os
+import tempfile
 import time
 from collections import namedtuple
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -19,6 +25,7 @@ from math import comb
 
 from tangentcount import Engine, canonical_constraints, gw, star
 from tangentcount.cache import header, parse_line
+from tangentcount.cli import main
 from tangentcount.engine import _rank
 from tangentcount.errors import InconsistencyError
 from tangentcount.partitions import aut_order, partitions_of
@@ -107,6 +114,23 @@ def records_in(lines):
     """{key text: value} of the cache lines parse_line reads as records,
     such as a CountCache's entries.lines."""
     return dict(filter(None, map(parse_line, lines)))
+
+
+@cache
+def written_by(*argv):
+    """The bytes of the cache file that the command line argv writes into a
+    new file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.txt")
+        with redirect_stdout(io.StringIO()):
+            assert main([*argv, "--cache-file", path]) == 0
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+def cold_d4_file():
+    """The bytes of the cache file a table --max-d 4 writes anew."""
+    return written_by("table", "--max-d", "4")
 
 
 def self_intersection(space, degree, mults=()):

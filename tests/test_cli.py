@@ -24,7 +24,7 @@ from tangentcount.cli import main, parse_constraints, parse_degree
 from tangentcount.engine import Engine
 from tangentcount.partitions import partitions_of
 
-from reference import signed, split_header
+from reference import cold_d4_file, signed, split_header
 
 
 def run(capsys, *argv):
@@ -467,50 +467,67 @@ def test_verify_fails_on_a_point_count_mismatch(capsys, monkeypatch):
             "[(1, 1, 2), (2, 1, 2)]\n") in out
 
 
-def test_verify_recomputes_cache_records(tmp_path, capsys):
-    # a wrong record under a forged digest, which no check re-derives on
-    # its own, is caught, named with both values, and the published checks
-    # still run
-    path = tmp_path / "bad.txt"
-    path.write_bytes(signed([b"ht:cp2;3;(8)\t5\n"]))
-    code, out, _ = run(capsys, "verify", "--max-d", "3",
-                       "--cache-file", str(path))
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[0] == ("FAIL cache records of degree at most 3: "
-                        "cp2;3;(8) stored 5 computed 4")
-    assert all(line.startswith("PASS") for line in lines[1:])
-    # a file built cold passes
-    path = str(tmp_path / "good.txt")
-    assert run(capsys, "table", "--max-d", "4", "--cache-file", path)[0] == 0
-    code, out, _ = run(capsys, "verify", "--max-d", "4", "--cache-file", path)
-    assert code == 0
-    assert out.splitlines()[0] == "PASS cache records of degree at most 4"
-    assert all(line.startswith("PASS") for line in out.splitlines())
-
-
-def test_verify_fails_a_key_not_in_its_canonical_text(tmp_path, capsys):
+# Table B: signed files, as if with a forged digest, whose records no other
+# check re-derives.  Each row, by its id: the lines, and the first line of
+# verify's report on them to degree 3, which names what is wrong; the other
+# checks still run and pass.  None is the cold d <= 4 file, verified to 4.
+FAIL3 = "FAIL cache records of degree at most 3: "
+OUT_OF_ORDER = " is out of sort order or repeats a key"
+FAULTS = {
+    "a-wrong-value": (["ht:cp2;3;(8)\t5"],
+                      FAIL3 + "cp2;3;(8) stored 5 computed 4"),
     # no lookup asks for (1)|(7), so its right value passes no check of its
-    # own: verify fails it by its text, and the other records still pass
+    # own: verify fails it by its text
+    "a-key-in-no-canonical-text": (
+        ["ht:cp2;1;(2)\t1", "ht:cp2;3;(1)|(7)\t5", "ht:cp2;3;(8)\t4"],
+        FAIL3 + "cp2;3;(1)|(7) is not the canonical text of its key"),
+    "keys-that-do-not-parse": (
+        ["ht:cp2;3;(8)|oops\t4", "ht:nonsense\t1"],
+        FAIL3 + "cp2;3;(8)|oops stored 4 computed unreadable; "
+        "nonsense stored 1 computed unreadable"),
+    # lookups bisect and harvest merges on the assumption that the lines
+    # are sorted, one per key: right values out of order or twice are
+    # refused at the first such line
+    "out-of-order": (
+        ["ht:cp2;3;(8)\t4", "ht:cp2;1;(2)\t1", "ht:cp2;2;(5)\t1"],
+        FAIL3 + "line 3" + OUT_OF_ORDER),
+    "a-line-twice": (
+        ["ht:cp2;1;(2)\t1", "ht:cp2;1;(2)\t1", "ht:cp2;2;(5)\t1"],
+        FAIL3 + "line 3" + OUT_OF_ORDER),
+    "a-key-twice-with-two-values": (
+        ["ht:cp2;1;(2)\t1", "ht:cp2;2;(2,2,1)\t0", "ht:cp2;2;(2,2,1)\t1",
+         "ht:cp2;2;(5)\t1"],
+        FAIL3 + "line 4" + OUT_OF_ORDER
+        + "; cp2;2;(2,2,1) stored 1 computed 0"),
+    "a-value-too-long-for-int": (["ht:cp2;3;(8)\t" + "9" * 5000],
+                                 FAIL3 + "line 2 is no record"),
+    "a-line-with-no-tab": (["ht:cp2;3;(8) 4"], FAIL3 + "line 2 is no record"),
+    "the-cold-file": (None, "PASS cache records of degree at most 4"),
+}
+
+
+@pytest.mark.parametrize("lines, first", FAULTS.values(), ids=FAULTS)
+def test_verify_names_what_is_wrong_in_a_signed_file(tmp_path, capsys,
+                                                     lines, first):
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed([b"ht:cp2;1;(2)\t1\n", b"ht:cp2;3;(1)|(7)\t5\n",
-                             b"ht:cp2;3;(8)\t4\n"]))
-    code, out, err = run(capsys, "verify", "--max-d", "3",
+    if lines is None:  # the cold d <= 4 file, which passes
+        data, max_d = cold_d4_file(), "4"
+    else:
+        data, max_d = signed([(line + "\n").encode() for line in lines]), "3"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "verify", "--max-d", max_d,
                          "--cache-file", str(path))
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[0] == ("FAIL cache records of degree at most 3: "
-                        "cp2;3;(1)|(7) is not the canonical text of its key")
-    assert all(line.startswith("PASS") for line in lines[1:])
-    assert "Traceback" not in err
+    report = out.splitlines()
+    assert (code, report[0], err) == (int(first.startswith("FAIL")), first,
+                                      "")
+    assert report[1:] and all(line.startswith("PASS") for line in report[1:])
 
 
 def test_verify_skips_records_above_max_d(tmp_path, capsys, monkeypatch):
     # a d <= 4 file verified to degree 3 passes, and no degree-4 key is
     # asked of any engine
     path = tmp_path / "counts.txt"
-    assert run(capsys, "table", "--max-d", "4", "--cache-file",
-               str(path))[0] == 0
+    path.write_bytes(cold_d4_file())
     assert any(line.startswith("ht:cp2;4;") for line in written_records(path))
     asked, hat = set(), Engine.hat_invariant
 
@@ -526,39 +543,6 @@ def test_verify_skips_records_above_max_d(tmp_path, capsys, monkeypatch):
     assert asked == {1, 2, 3}
 
 
-def test_verify_names_a_record_whose_key_does_not_parse(tmp_path, capsys):
-    path = tmp_path / "counts.txt"
-    path.write_bytes(signed([b"ht:cp2;3;(8)|oops\t4\n", b"ht:nonsense\t1\n"]))
-    code, out, err = run(capsys, "verify", "--max-d", "3", "--cache-file",
-                         str(path))
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[0] == ("FAIL cache records of degree at most 3: "
-                        "cp2;3;(8)|oops stored 4 computed unreadable; "
-                        "nonsense stored 1 computed unreadable")
-    assert all(line.startswith("PASS") for line in lines[1:])
-    assert "Traceback" not in err
-
-
-def test_verify_fails_on_a_file_it_does_not_read(tmp_path, capsys):
-    # no records are read, so none can pass: the check fails saying why,
-    # and the published checks still run
-    path = tmp_path / "bad.txt"
-    for data, reason in ((b"ht:cp2;3;(8)\t5\n", "no header"),
-                         (signed([b"ht:cp2;3;(8)\t4\n"])[:-2] + b"5\n",
-                          "digest mismatch")):
-        path.write_bytes(data)
-        code, out, err = run(capsys, "verify", "--max-d", "3",
-                             "--cache-file", str(path))
-        assert code == 1
-        lines = out.splitlines()
-        assert lines[0] == ("FAIL cache records of degree at most 3: "
-                            "file not read (%s)" % reason)
-        assert all(line.startswith("PASS") for line in lines[1:])
-        assert err == ("cache %s not read (%s); replaced at the next write\n"
-                       % (path, reason))
-
-
 def parse_stats(err):
     for line in err.splitlines():
         if line.startswith("stats: "):
@@ -568,13 +552,11 @@ def parse_stats(err):
 
 
 def test_cache_round_trip_via_stats(tmp_path, capsys):
-    gw.reset()
     path = str(tmp_path / "counts.txt")
     code, out, err = run(capsys, "compute", "-d", "4", "-c", "(11)",
                          "--cache-file", path, "--stats")
     assert code == 0 and out.strip() == "26"
     assert parse_stats(err)["solves"] > 0
-    gw.reset()
     code, out, err = run(capsys, "compute", "-d", "4", "-c", "(11)",
                          "--cache-file", path, "--stats", "--format", "json")
     assert code == 0
@@ -587,7 +569,6 @@ def test_cache_round_trip_via_stats(tmp_path, capsys):
 
 
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    gw.reset()
     path = str(tmp_path / "env_cache.txt")
     monkeypatch.setenv("TANGENTCOUNT_CACHE", path)
     code, out, _ = run(capsys, "compute", "-d", "3", "-c", "(8)")
@@ -598,21 +579,18 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
 
 
 def test_plane_counts_in_a_cache_file_are_ignored(tmp_path, capsys):
-    # a plane count is recomputed, never read back: a poisoned record, in
-    # a file of an older writer or under a valid digest, neither changes
-    # the answer nor gets copied into the ht: section
-    for data in (b"gw:5;\t999\n", signed([b"gw:5;\t999\n"])):
-        gw.reset()
-        path = tmp_path / "counts.txt"
-        path.write_bytes(data)
-        code, out, _ = run(capsys, "compute", "-d", "5", "-c", ";".join(
-            ["(1)"] * 14), "--cache-file", str(path))
-        assert (code, out) == (0, "87304\n")
-        records = written_records(path)
-        assert "ht:cp2;5;" + "|".join(["(1)"] * 14) + "\t87304" in records
-        assert not any(line.startswith("ht:") and line.endswith("\t999")
-                       for line in records)
-    gw.reset()
+    # a plane count is recomputed, never read back: a poisoned record under
+    # a valid digest neither changes the answer nor gets copied into the
+    # ht: section
+    path = tmp_path / "counts.txt"
+    path.write_bytes(signed([b"gw:5;\t999\n"]))
+    code, out, _ = run(capsys, "compute", "-d", "5", "-c", ";".join(
+        ["(1)"] * 14), "--cache-file", str(path))
+    assert (code, out) == (0, "87304\n")
+    records = written_records(path)
+    assert "ht:cp2;5;" + "|".join(["(1)"] * 14) + "\t87304" in records
+    assert not any(line.startswith("ht:") and line.endswith("\t999")
+                   for line in records)
 
 
 def test_table_provenance_comes_from_the_file(tmp_path, capsys):
@@ -656,63 +634,11 @@ def test_cache_file_under_a_regular_file_runs_without_it(tmp_path, capsys,
     assert blocker.read_text() == ""
 
 
-def test_blowup_records_in_a_cache_file_are_ignored(tmp_path, capsys):
-    # blowup counts are recomputed, never read back: the older file that
-    # holds a poisoned gw: record is not read, so the record neither
-    # changes the answer nor gets copied into the ht: section, and the
-    # write drops it
-    gw.reset()
-    path = tmp_path / "counts.txt"
-    path.write_text("gw:3;2\t7\n")
-    code, out, err = run(capsys, "compute", "-d", "3", "-c",
-                         "(1,1);(1);(1);(1);(1);(1);(1)", "--hat",
-                         "--cache-file", str(path))
-    assert (code, out) == (0, "2\n")
-    assert "not read (no header)" in err and "Traceback" not in err
-    records = written_records(path)
-    assert "ht:cp2;3;(1,1)|(1)|(1)|(1)|(1)|(1)|(1)\t2" in records
-    assert not any(line.endswith("\t14") for line in records)
-    assert all(line.startswith("ht:") for line in records)
-    gw.reset()
-
-
-def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
-    # with the file it stands in, which the write replaces
-    path = tmp_path / "counts.txt"
-    path.write_bytes(b"ht:cp2;1;(2)\t1\n\xff\xfe garbage\n")
-    code, out, err = run(capsys, "compute", "-d", "1", "-c", "(2)",
-                         "--cache-file", str(path))
-    assert (code, out) == (0, "1\n")
-    assert "not read (no header)" in err and "Traceback" not in err
-    records = written_records(path)
-    assert "ht:cp2;1;(2)\t1" in records
-    assert all(line.startswith("ht:cp2;1;") for line in records)
-
-
-def test_a_value_too_long_for_int_is_skipped(tmp_path, capsys):
-    # more digits than int() parses at its default limit, in a file the
-    # program did not write: the file is not read, so the value is never
-    # parsed, and verify fails on the file
-    path = tmp_path / "counts.txt"
-    bad = "ht:cp2;3;(8)\t" + "9" * 5000
-    for argv, expected, exit_code in (
-            (["compute", "-d", "3", "-c", "(8)"], "4\n", 0),
-            (["table", "--max-d", "3"], None, 0),
-            (["verify", "--max-d", "3"], None, 1)):
-        path.write_text(bad)
-        code, out, err = run(capsys, *argv, "--cache-file", str(path))
-        assert code == exit_code
-        assert expected in (None, out)
-        assert "not read (no header)" in err
-        assert "Traceback" not in err
-        assert "ht:cp2;3;(8)\t4" in written_records(path)
-
-
 def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path, capsys):
     # under a forged digest, a value too long for int() and a line with no
     # tab are never read as records: compute prints the computed value, and
-    # exits 3 at harvest where the line holds the asked key; verify names
-    # the line and fails; neither ends in a traceback
+    # exits 3 at harvest where the line holds the asked key, with no
+    # traceback
     path = tmp_path / "counts.txt"
     long = "ht:cp2;3;(8)\t" + "9" * 5000
     for line, exit_code in ((long, 3), ("ht:cp2;3;(8) 4", 0)):
@@ -721,14 +647,6 @@ def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path, capsys):
                              "--cache-file", str(path))
         assert (code, out) == (exit_code, "4\n")
         assert "Traceback" not in err
-        path.write_bytes(signed([(line + "\n").encode()]))
-        code, out, err = run(capsys, "verify", "--max-d", "3",
-                             "--cache-file", str(path))
-        assert code == 1
-        lines = out.splitlines()
-        assert lines[0] == ("FAIL cache records of degree at most 3: "
-                            "line 2 is no record")
-        assert all(line.startswith("PASS") for line in lines[1:])
     # a value that is not UTF-8 is no record, and the conflict it makes at
     # harvest is said without raising on its bytes
     data = b"ht:cp2;3;(8)\t\xff\n"
@@ -738,29 +656,6 @@ def test_a_signed_line_that_does_not_parse_is_no_record(tmp_path, capsys):
     assert (code, out) == (3, "4\n")
     assert err == ("internal inconsistency: conflicting values \ufffd "
                    "(cache) and 4 (computed) for cp2;3;(8)\n")
-
-
-def test_verify_names_the_first_line_out_of_order(tmp_path, capsys):
-    # lookups bisect and harvest merges on the assumption that the lines
-    # are sorted, one per key; signed out of order or with a key twice,
-    # the right values are still refused by verify, at the first such line
-    path = tmp_path / "counts.txt"
-    for lines, n in ((("ht:cp2;3;(8)\t4", "ht:cp2;1;(2)\t1",
-                       "ht:cp2;2;(5)\t1"), 3),
-                     (("ht:cp2;1;(2)\t1", "ht:cp2;1;(2)\t1",
-                       "ht:cp2;2;(5)\t1"), 3),
-                     (("ht:cp2;1;(2)\t1", "ht:cp2;2;(2,2,1)\t0",
-                       "ht:cp2;2;(2,2,1)\t1", "ht:cp2;2;(5)\t1"), 4)):
-        path.write_bytes(signed([(line + "\n").encode() for line in lines]))
-        code, out, err = run(capsys, "verify", "--max-d", "3",
-                             "--cache-file", str(path))
-        assert code == 1
-        report = out.splitlines()
-        assert report[0].startswith(
-            "FAIL cache records of degree at most 3: line %d is out of sort "
-            "order or repeats a key" % n)
-        assert all(line.startswith("PASS") for line in report[1:])
-        assert "Traceback" not in err
 
 
 def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,

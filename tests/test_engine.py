@@ -285,20 +285,6 @@ def test_key_text_round_trip():
             parse_constraints(ptext.replace("|", ";")))) == key
 
 
-def test_absorbed_values_are_used(tmp_path):
-    path = str(tmp_path / "counts.txt")
-    e = Engine()
-    real = e.invariant("cp2", 3, ((8,),))
-    with CountCache(path) as cache:
-        cache.harvest(e)
-    e2 = Engine()
-    with CountCache(path) as cache:
-        cache.preload(e2)
-    assert e2.counters["solves"] == 0
-    assert e2.invariant("cp2", 3, ((8,),)) == real
-    assert e2.counters["solves"] == 0
-
-
 def test_inconsistent_preload_is_detected(tmp_path):
     # corrupt a key that the splitting solve will re-derive: the solve at
     # weight 3 recomputes every weight-3 diagram next to (2) without
