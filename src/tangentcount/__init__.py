@@ -21,7 +21,6 @@ Public surface:
   InconsistencyError     raised where an internal invariant fails
   star                   the diagram product and its structure constants
   move_matrix            the box-moving matrix of one weight
-  determinant            the exact determinant of an integer matrix
   gw_blowup              rational-curve counts on blowups of the plane
   kontsevich_count       plane curves through generic points
 
@@ -31,12 +30,12 @@ The command-line entry point is tangentcount.cli:main.
 from .engine import Engine, canonical_constraints
 from .errors import InconsistencyError
 from .gw import gw_blowup, kontsevich_count
-from .matrices import determinant, move_matrix
+from .matrices import move_matrix
 from .star import star
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Engine", "InconsistencyError", "canonical_constraints", "determinant",
-    "gw_blowup", "kontsevich_count", "move_matrix", "star", "__version__",
+    "Engine", "InconsistencyError", "canonical_constraints", "gw_blowup",
+    "kontsevich_count", "move_matrix", "star", "__version__",
 ]

@@ -29,15 +29,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from math import factorial
 
 from . import gw
 from .cache import CountCache
 from .engine import Engine, canonical_constraints, encode_key
 from .errors import InconsistencyError
-from .matrices import determinant, move_matrix
+from .matrices import move_determinant, move_matrix
 from .partitions import diagram_text, parse_diagram, partitions_of
-from .star import star, star_oracle
+from .star import combine_forward, star
 
 # Largest degree and row `compute` and `table` take in an on-shell key: a
 # usage guard at parse time, not a bound on the work.
@@ -225,7 +224,7 @@ def cmd_matrix(args, parser):
     mat = move_matrix(args.k)
     texts = [diagram_text(p) for p in partitions_of(args.k)]  # (1^k) first
     rows, cols = texts[:-1], texts[1:]
-    det = determinant(mat) if args.det else None
+    det = move_determinant(args.k) if args.det else None
     if args.format == "json":
         payload = {"k": args.k, "rows": rows, "cols": cols, "entries": mat}
         if args.det:
@@ -317,17 +316,30 @@ def cmd_verify(args, parser):
         report("point-count identity, degrees 1..%d" % hi, not bad,
                "mismatches %r" % bad)
 
-        bad = [k for k in range(2, 15)
-               if abs(determinant(move_matrix(k)))
-               != factorial(k - 1)]
-        report("move-matrix determinant law, weights 2..14", not bad,
-               "wrong at weights %r" % bad)
+        bad = []
+        for k in range(2, MATRIX_LIMIT + 1):
+            try:
+                move_determinant(k)
+            except InconsistencyError as exc:
+                bad.append(str(exc))
+        report("move-matrix determinant law, weights 2..%d" % MATRIX_LIMIT,
+               not bad, "; ".join(bad))
 
-        bad = sum(star(p1, p2) != star_oracle(p1, p2)
-                  for w1 in range(1, 5) for w2 in range(w1, 9 - w1)
-                  for p1 in partitions_of(w1) for p2 in partitions_of(w2))
-        report("diagram product against independent enumeration", bad == 0,
-               "%d mismatching pairs" % bad)
+        hi = min(max_d, 5)
+        bad = []
+        for d in range(1, hi + 1):  # each key (P1, P2) of weight 3d - 1 once
+            m = 3 * d - 1
+            for key in sorted({canonical_constraints((p1, p2))
+                               for w in range(1, m) for p1 in partitions_of(w)
+                               for p2 in partitions_of(m - w)}):
+                n = engine.invariant("cp2", d, key)
+                pushed = sum(c * engine.invariant("cp2", d, q)
+                             for c, q in combine_forward(key))
+                if n != pushed:
+                    bad.append("%s is %d, pushed together %s"
+                               % (encode_key("cp2", d, key), n, pushed))
+        report("push-together formula, two-point keys of degrees 1..%d" % hi,
+               not bad, "; ".join(bad))
     return 1 if failures else 0
 
 

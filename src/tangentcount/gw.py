@@ -310,8 +310,6 @@ def _split_sum(d, m, n, slot):
                 asl = a[slot]
                 bracket = (asl * d1 * (m[slot] - asl) * d2
                            - asl * asl * d2 * d2)
-                if not bracket:
-                    return
                 pairing = d1 * d2 - sum(ai * (mi - ai)
                                         for mi, ai in zip(m, a))
                 total += orbit * comb(n, n1) * pairing * bracket * c1 * c2

@@ -21,16 +21,20 @@ unit subdiagonal, and |det A| = (k-1)!.  Solving the system recovers all
 one-point invariants of weight k from the split two-point values, which have
 strictly smaller constraint weights.
 
-The determinant is computed by fraction-free Bareiss elimination; the linear
-solve exploits the Hessenberg shape by expressing every unknown as an affine
-function of the last one and closing the loop with the first equation, which
-costs only the number of nonzero entries.  The multiples of the last unknown
-depend on the weight alone, so they are built once per weight.
+The linear solve exploits the Hessenberg shape by expressing every unknown
+as an affine function of the last one and closing the loop with the first
+equation, which costs only the number of nonzero entries.  The multiples of
+the last unknown depend on the weight alone, so they are built once per
+weight, and with them the multiple b of the last unknown in the first
+equation.  That b is the determinant up to sign, so the determinant comes
+from the solve's closure, never from eliminating the dense matrix, and the
+closure checks the law |det A| = (k-1)! before any solve of its weight.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import InconsistencyError
 from .partitions import partition_list
@@ -52,35 +56,6 @@ def move_matrix(k):
         for j in cols + ((r - 1,) if r else ()):
             a[r][j] += 1
     return a
-
-
-def determinant(matrix):
-    """Exact determinant of a square integer matrix (Bareiss elimination).
-
-    Every intermediate division is exact, so all arithmetic stays in the
-    integers no matter how the entries grow.
-    """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for p in range(n - 1):
-        if m[p][p] == 0:
-            for r in range(p + 1, n):  # pivot search
-                if m[r][p] != 0:
-                    m[p], m[r] = m[r], m[p]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(p + 1, n):
-            for c in range(p + 1, n):
-                m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
-            m[r][p] = 0
-        prev = m[p][p]
-    return sign * m[n - 1][n - 1]
 
 
 SolvePlan = namedtuple("SolvePlan", "parts splits merges")
@@ -147,16 +122,26 @@ def solve_split_system(k, split_values, all_ones_value):
     return [c + m * top for c, m in zip(const, coef)]
 
 
+def move_determinant(k):
+    """det A of the weight-k move matrix, k >= 2: (-1)^(p(k)-2) b."""
+    return (-1) ** (len(solve_plan(k).parts) - 2) * _closure(k)[1]
+
+
 @lru_cache(maxsize=None)
 def _closure(k):
     """The part of the weight-k solve that no input enters, for k >= 2:
     coef[j], the multiple of top in unknown j, and b, the multiple of top
-    in the first equation, which closes the loop."""
+    in the first equation, which closes the loop.  A times coef is b e_1
+    and coef ends in 1, so by Cramer's rule det A is b times the minor
+    without the first row and last column, which is unit triangular, and
+    the sign (-1)^(p(k)-2).  Raises InconsistencyError unless |b| = (k-1)!,
+    the determinant law."""
     merges = solve_plan(k).merges
     coef = [0] * (len(merges) - 1) + [1]
     for r in range(len(merges) - 1, 0, -1):
         coef[r - 1] = -sum(map(coef.__getitem__, merges[r]))
     b = sum(map(coef.__getitem__, merges[0]))
-    if b == 0:
-        raise InconsistencyError("singular splitting system at weight %d" % k)
+    if abs(b) != factorial(k - 1):
+        raise InconsistencyError("determinant law broken at weight %d: "
+                                 "|det A| = %d" % (k, abs(b)))
     return tuple(coef), b

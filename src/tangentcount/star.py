@@ -18,13 +18,18 @@ positions, so for example
                       + 4*(5,3,1) + 2*(3,3,3).
 
 The total mass sum_Q c(P1,P2;Q) is sum_l binom(b,l)*binom(b',l)*l! where b, b'
-are the row counts.
+are the row counts.  Weighed by the row-permutation groups of the diagrams,
+the product turns into the formula by which invariants arise as two point
+constraints are pushed together (combine_forward); `verify` checks the
+engine's two-point counts against it.
 """
 
 from bisect import bisect, bisect_left
 from collections import defaultdict
+from fractions import Fraction
 
-from .partitions import as_diagram
+from .engine import canonical_constraints
+from .partitions import as_diagram, aut_order
 
 # Most rows star() writes: 12,710,655 for (8,7,...,1) * (8,7,...,1), 3-4 s.
 WORK_LIMIT = 14_000_000
@@ -57,28 +62,21 @@ def star(p1, p2):
     return {t[::-1]: n for (_, t), n in walks.items()}
 
 
-def star_oracle(p1, p2):
-    """Recomputation of star() one walk at a time, by row position.
+def combine_forward(constraints):
+    """The push-together formula: the expansion merging the two heaviest
+    constraints into one point, the reverse direction of the engine's
+    recursion.
 
-    Walks the rows of the second diagram one at a time; each row either
-    enters the result on its own or absorbs one not-yet-used row (chosen
-    by position) of the first diagram.  Every (matched subset, bijection)
-    pair of the closed-form enumeration is one walk, where star() merges
-    walks, so the two must agree coefficient by coefficient.  Kept
-    deliberately naive and unbounded; used by tests and `verify`.
+    Returns [(coefficient, merged key constraints)] with exact Fraction
+    coefficients: N<P1, P2, rest> equals the sum of coefficient *
+    N<Q, rest>.  Ordered branch counts combine with the bare star
+    coefficients c(P1, P2; Q); converting both sides to unordered counts
+    divides by the row-permutation group of each factor and multiplies
+    back by that of the result, c * |Aut(Q)| / (|Aut(P1)| * |Aut(P2)|).
+    Every coefficient is read from one star walk.  Fewer than two
+    constraints raise ValueError.
     """
-    p1, p2, out = as_diagram(p1), as_diagram(p2), {}
-
-    def go(i, used, placed):
-        if i == len(p2):
-            rest = [r for j, r in enumerate(p1) if j not in used]
-            q = as_diagram(placed + rest)
-            out[q] = out.get(q, 0) + 1
-            return
-        go(i + 1, used, placed + [p2[i]])
-        for j in range(len(p1)):
-            if j not in used:
-                go(i + 1, used | {j}, placed + [p1[j] + p2[i]])
-
-    go(0, frozenset(), [])
-    return out
+    p1, p2, *rest = canonical_constraints(constraints)
+    return [(Fraction(c * aut_order(q), aut_order(p1) * aut_order(p2)),
+             canonical_constraints((q, *rest)))
+            for q, c in sorted(star(p1, p2).items())]

@@ -1,9 +1,10 @@
 """Reference helpers that only the tests use: the adjunction counts behind
 the a-priori vanishing predicate, the dual diagram, the complexity rank on
-diagrams, the merge expansion and its value term by term, and single-point
-tables with their zeros; and a cache file's bytes, signed and split.  None
-of them is a shortcut of the package; each gives a second route to a
-value the package computes.
+diagrams, the value of the package's merge expansion term by term, an
+integer matrix's determinant by elimination, the diagram product one walk
+at a time, and single-point tables with their zeros; and a cache file's
+bytes, signed and split.  None of them is a shortcut of the package; each
+gives a second route to a value the package computes.
 
 It is also the one owner of the runs the tests share: the benchmark's two
 in-process questions (column, quadric_pass), a cold run of either with the
@@ -23,12 +24,13 @@ from functools import cache
 from itertools import product
 from math import comb
 
-from tangentcount import Engine, canonical_constraints, gw, star
+from tangentcount import Engine, gw
 from tangentcount.cache import header, parse_line
 from tangentcount.cli import main
 from tangentcount.engine import _rank
 from tangentcount.errors import InconsistencyError
-from tangentcount.partitions import aut_order, partitions_of
+from tangentcount.partitions import as_diagram, partitions_of
+from tangentcount.star import combine_forward
 
 
 # The benchmark's quadric_tables bidegrees.
@@ -183,31 +185,66 @@ def vanishing_filter(space, degree, diagram):
     return local_double_points(diagram) > double_point_count(space, degree)
 
 
-def combine_forward(constraints):
-    """Expansion merging the two heaviest constraints into one point, the
-    reverse direction of the engine's recursion.
+def determinant(matrix):
+    """Exact determinant of a square integer matrix by fraction-free
+    elimination (Bareiss 1968), a second route to matrices.move_determinant.
 
-    Returns [(coefficient, merged key constraints)] with exact Fraction
-    coefficients: N<P1, P2, rest> equals the sum of coefficient *
-    N<Q, rest>.  Ordered branch counts combine with the bare star
-    coefficients c(P1, P2; Q); converting both sides to unordered counts
-    divides by the row-permutation group of each factor and multiplies
-    back by that of the result, c * |Aut(Q)| / (|Aut(P1)| * |Aut(P2)|).
-    Every coefficient is read from one star walk.
+    Every intermediate division is exact, so all arithmetic stays in the
+    integers no matter how the entries grow.
     """
-    cs = canonical_constraints(constraints)
-    if len(cs) < 2:
-        raise ValueError("need at least two constraints to combine")
-    p1, p2, rest = cs[0], cs[1], cs[2:]
-    norm = aut_order(p1) * aut_order(p2)
-    return [(Fraction(c * aut_order(q), norm),
-             canonical_constraints((q,) + rest))
-            for q, c in sorted(star(p1, p2).items())]
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for p in range(n - 1):
+        if m[p][p] == 0:
+            for r in range(p + 1, n):  # pivot search
+                if m[r][p] != 0:
+                    m[p], m[r] = m[r], m[p]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(p + 1, n):
+            for c in range(p + 1, n):
+                m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
+            m[r][p] = 0
+        prev = m[p][p]
+    return sign * m[n - 1][n - 1]
+
+
+def star_oracle(p1, p2):
+    """Recomputation of star() one walk at a time, by row position.
+
+    Walks the rows of the second diagram one at a time; each row either
+    enters the result on its own or absorbs one not-yet-used row (chosen
+    by position) of the first diagram.  Every (matched subset, bijection)
+    pair of the closed-form enumeration is one walk, where star() merges
+    walks, so the two must agree coefficient by coefficient.  Kept
+    deliberately naive and unbounded.
+    """
+    p1, p2, out = as_diagram(p1), as_diagram(p2), {}
+
+    def go(i, used, placed):
+        if i == len(p2):
+            rest = [r for j, r in enumerate(p1) if j not in used]
+            q = as_diagram(placed + rest)
+            out[q] = out.get(q, 0) + 1
+            return
+        go(i + 1, used, placed + [p2[i]])
+        for j in range(len(p1)):
+            if j not in used:
+                go(i + 1, used | {j}, placed + [p1[j] + p2[i]])
+
+    go(0, frozenset(), [])
+    return out
 
 
 def combined_value(engine, space, degree, constraints):
-    """Evaluate combine_forward's expansion term by term (must be an
-    integer and must agree with engine.invariant)."""
+    """Evaluate the package's combine_forward expansion term by term (must
+    be an integer and must agree with engine.invariant)."""
     total = Fraction(0)
     for coeff, merged in combine_forward(constraints):
         total += coeff * engine.invariant(space, degree, merged)

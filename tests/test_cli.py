@@ -111,6 +111,34 @@ def test_on_shell_key_too_large_is_usage_error(capsys):
     assert "cp2;90;(269) is too large" in err.splitlines()[-1]
 
 
+def test_the_key_size_guard_admits_255_and_refuses_256(capsys, monkeypatch):
+    # an on-shell key at the limit reaches the engine; one past it is a
+    # usage error before any engine is built
+    calls = []
+
+    class Recorder:
+        def __init__(self):
+            calls.append("engine")
+
+        def invariant(self, space, degree, constraints):
+            calls.append((space, degree, constraints))
+            return 0
+
+    monkeypatch.setattr("tangentcount.cli.Engine", Recorder)
+    code, out, _ = run(capsys, "compute", "-d", "255", "-c", "(255,255,254)",
+                       "--no-cache")
+    assert (code, out) == (0, "0\n")
+    assert calls == ["engine", ("cp2", 255, ((255, 255, 254),))]
+    calls.clear()
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "-d", "256", "-c", "(256,256,255)", "--no-cache"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "tangentcount: error: key cp2;256;(256,256,255) is too large: the "
+        "degree and every row must be at most 255")
+    assert calls == []
+
+
 def test_table_key_too_large_is_usage_error(capsys):
     # checked before any work: the full mode would otherwise first list
     # every partition of 257
@@ -447,14 +475,20 @@ def test_matrix_weight_limit(capsys, monkeypatch):
     assert out.splitlines()[-1] == "det = -120"
     code, out, _ = run(capsys, "verify", "--max-d", "1", "--no-cache")
     assert code == 0
-    assert "PASS move-matrix determinant law, weights 2..14\n" in out
+    assert "PASS move-matrix determinant law, weights 2..24\n" in out
 
 
 def test_verify_small(capsys):
-    code, out, _ = run(capsys, "verify", "--max-d", "3", "--no-cache")
+    # each line names the range it checked
+    code, out, _ = run(capsys, "verify", "--max-d", "6", "--no-cache")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines and all(line.startswith("PASS") for line in lines)
+    assert out.splitlines() == [
+        "PASS full-tangency counts, degrees 1..6",
+        "PASS single-point tables, degrees 1..6",
+        "PASS point-count identity, degrees 1..6",
+        "PASS move-matrix determinant law, weights 2..24",
+        "PASS push-together formula, two-point keys of degrees 1..5",
+    ]
 
 
 def test_verify_fails_on_a_point_count_mismatch(capsys, monkeypatch):

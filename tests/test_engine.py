@@ -16,12 +16,13 @@ from tangentcount.engine import Engine, canonical_constraints, encode_key
 from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import solve_plan
 from tangentcount.partitions import partitions_of
+from tangentcount.star import combine_forward
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
-from reference import (cold, cold_engine, cold_run, column, combine_forward,
-                       combined_value, complexity, cross_space_values,
-                       quadric_pass, signed, single_point_table)
+from reference import (cold, cold_engine, cold_run, column, combined_value,
+                       complexity, cross_space_values, quadric_pass, signed,
+                       single_point_table)
 
 
 def test_canonical_constraint_order():

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from tangentcount import matrices
 from tangentcount.errors import InconsistencyError
-from tangentcount.matrices import (determinant, merge_top_into, move_matrix,
-                                   solve_plan, solve_split_system)
+from tangentcount.matrices import (merge_top_into, move_matrix, solve_plan,
+                                   solve_split_system)
 from tangentcount.partitions import partitions_of
 from tangentcount.star import star
+
+from reference import determinant
 
 
 def test_merge_top_into():
@@ -119,14 +121,18 @@ def test_solve_rejects_non_integral():
 
 def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
     # the first equation closes the loop through b, the multiple of top in
-    # it; a plan whose first row merges into no unknown makes b = 0, which
-    # must raise, not divide
+    # it and det A up to sign; a plan that breaks the law |b| = (k-1)! must
+    # raise before any solve of its weight
     plan = matrices.solve_plan(4)
-    monkeypatch.setattr(matrices, "solve_plan", lambda k: plan._replace(
-        merges=((),) + plan.merges[1:]))
-    with pytest.raises(InconsistencyError,
-                       match="singular splitting system at weight 4"):
-        matrices._closure.__wrapped__(4)
+    assert plan.merges[0] == (0, 0, 0)
+    for first_row, det in [
+            ((), 0),  # merging into no unknown: b = 0, which must not divide
+            ((0, 0, 1), 3)]:  # one merge entry changed: b = 3, not 3! = 6
+        monkeypatch.setattr(matrices, "solve_plan", lambda k: plan._replace(
+            merges=(first_row,) + plan.merges[1:]))
+        with pytest.raises(InconsistencyError, match=re.escape(
+                "determinant law broken at weight 4: |det A| = %d" % det)):
+            matrices._closure.__wrapped__(4)
 
 
 def gauss_solve(matrix, rhs_list):
