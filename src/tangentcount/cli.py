@@ -225,12 +225,13 @@ def cmd_matrix(args, parser):
     texts = [diagram_text(p) for p in partitions_of(args.k)]  # (1^k) first
     rows, cols = texts[:-1], texts[1:]
     det = move_determinant(args.k) if args.det else None
-    if args.format == "json":
-        payload = {"k": args.k, "rows": rows, "cols": cols, "entries": mat}
+    if args.format == "json":  # one matrix row a line, by the C encoder
+        head = {"k": args.k, "rows": rows, "cols": cols}
         if args.det:
-            payload["det"] = str(det)
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+            head["det"] = str(det)
+        print(json.dumps(head)[:-1] + ', "entries": [')
+        for i, row in enumerate(mat, 1 - len(mat)):  # i = 0 on the last
+            print(json.dumps(row), end=",\n" if i else "\n]}\n")
     else:
         records = [{"row": label, **dict(zip(cols, entries))}
                    for label, entries in zip(rows, mat)]
@@ -328,16 +329,17 @@ def cmd_verify(args, parser):
         hi = min(max_d, 5)
         bad = []
         for d in range(1, hi + 1):  # each key (P1, P2) of weight 3d - 1 once
-            m = 3 * d - 1
+            m, fresh = 3 * d - 1, Engine()  # its own solves, not the memo
             for key in sorted({canonical_constraints((p1, p2))
                                for w in range(1, m) for p1 in partitions_of(w)
                                for p2 in partitions_of(m - w)}):
-                n = engine.invariant("cp2", d, key)
+                n = fresh.invariant("cp2", d, key)
+                run = engine.invariant("cp2", d, key)
                 pushed = sum(c * engine.invariant("cp2", d, q)
                              for c, q in combine_forward(key))
-                if n != pushed:
-                    bad.append("%s is %d, pushed together %s"
-                               % (encode_key("cp2", d, key), n, pushed))
+                if not n == run == pushed:
+                    bad.append("%s is %d, %d in the run, pushed together %s"
+                               % (encode_key("cp2", d, key), n, run, pushed))
         report("push-together formula, two-point keys of degrees 1..%d" % hi,
                not bad, "; ".join(bad))
     return 1 if failures else 0

@@ -21,16 +21,35 @@ coefficients throughout:
     both smaller.  One exact solve recovers hat-H for every diagram of
     weight k at that point simultaneously, memoized as one vector.
 
+A third case answers a key without a solve.  By adjunction a
+somewhere-injective rational curve in class A has
+delta(A) = (A.A - c1(A))/2 + 1 double points, counted with multiplicity:
+(d - 1)(d - 2)/2 on cp2 and (a - 1)(b - 1) for bidegree (a, b), the
+plane class of degree a + b with points of multiplicity b and a
+(translate_to_plane).  Two branches with contact orders p >= q at one
+point of the local divisor meet at least q times there, so a diagram P
+(rows descending) forces sum_i i * P_i double points at its point, the
+(1^b) of a b-fold point b(b - 1)/2.  The points of a key are distinct, so
+these local counts add, and a key whose sum exceeds delta(A) is counted by
+no curve: its invariant is 0 (McDuff-Siegel's vanishing argument).  On an
+all-ones key this is the blowup recursion's own adjunction filter.  A
+ruling (a, 0) has delta = 1 - a: negative for a > 1, so every key of such
+a multiple fiber class vanishes, as such a class has no somewhere-injective
+curve; for (1, 0) it is 0, so the line meets each point in one branch.
+hat_invariant answers an asked key past the budget with 0 as it answers an
+off-shell one, and _solve_at sets each input past what rest leaves of it to
+0 before any lookup, solve or base case.
+
 Termination is governed by the complexity rank (level, count): the maximal
 weight of a constraint containing a branch of order >= 2, and how many
 constraints realize it.  Every recursive call strictly decreases the rank
 lexicographically.  The engine has one method per case: _base answers an
 all-ones key, and _solve_at one solve, which resolves each input key
-itself: an all-ones key by _base, any other read from a vector that holds
-it, else solved in place beside the key less its top level code, after a
-runtime check that its rank is below the solve's.  A public key is
-resolved the same way, so every frame between it and a base case is a
-_solve_at.
+itself: a key past the adjunction budget as 0, an all-ones key by _base,
+any other read from a vector that holds it, else solved in place beside
+the key less its top level code, after a runtime check that its rank is
+below the solve's.  A public key is resolved the same way, so every frame
+between it and a base case is a _solve_at.
 
 Inside the engine a diagram of weight w is one int, its code: _first[w]
 plus its index in partitions_of(w), the blocks of p(w) codes laid out in
@@ -120,14 +139,40 @@ def _text(c):
 
 
 @lru_cache(maxsize=None)
+def _nodes(q):
+    """The double points diagram q forces at its point: branches of contact
+    orders a >= b meet at least b times, and over the pairs of a descending
+    q these minima add up to sum_i i * q_i."""
+    return sum(i * r for i, r in enumerate(q))
+
+
+def _plane(space, degree, sizes=()):
+    """The plane class (d, mults) of the class with points of
+    multiplicities sizes: itself on cp2, translate_to_plane's on p1xp1."""
+    return (gw.translate_to_plane(degree, sizes) if space == "p1xp1"
+            else (degree, sizes))
+
+
+@lru_cache(maxsize=None)
+def _budget(space, degree):
+    """The double points of a rational curve in the class,
+    (A.A - c1(A))/2 + 1, from its plane class (d; m) as (d - 1)(d - 2)/2
+    less m_i(m_i - 1)/2 per point."""
+    d, mults = _plane(space, degree)
+    return ((d - 1) * (d - 2) - sum(m * (m - 1) for m in mults)) // 2
+
+
+@lru_cache(maxsize=None)
 def _solve_inputs(k):
     """The codes a weight-k solve sets beside rest, splits then (1,)*k, each
-    with its top level code first; and those codes' slots (None if none)."""
+    with its top level code first; those codes' slots (None if none); and
+    the double points their diagrams force."""
     inputs = tuple(tuple(sorted(map(_code, pair), reverse=True,
                                 key=lambda c: (c in _LEVEL, c)))
                    for pair in (*solve_plan(k).splits, ((1,) * k,)))
-    return inputs, tuple(c - _first[_LEVEL[c]] - 1 if c in _LEVEL else None
-                         for c, *_ in inputs)
+    return (inputs, tuple(c - _first[_LEVEL[c]] - 1 if c in _LEVEL else None
+                          for c, *_ in inputs),
+            tuple(sum(_nodes(_diagram(c)) for c in codes) for codes in inputs))
 
 
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
@@ -166,17 +211,21 @@ class Engine:
         self._values = {}  # all-ones base cases
         self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
-                         "memo_hits": 0}
+                         "memo_hits": 0, "adjunction_zeros": 0}
 
     # ------------------------------------------------------------- public API
 
     def hat_invariant(self, space, degree, constraints):
-        """The ordered-branch invariant hat-H for the given key (0 off-shell):
-        its record in stored if there is one, else a base case for an
-        all-ones key, else read from the vector _held finds or solved
-        beside the key less its top level code."""
+        """The ordered-branch invariant hat-H for the given key (0 off-shell
+        or past the adjunction budget): its record in stored if there is
+        one, else a base case for an all-ones key, else read from the
+        vector _held finds or solved beside the key less its top level
+        code."""
         cs = canonical_constraints(constraints)
         if sum(map(sum, cs)) != gw.chern_number(space, degree) - 1:
+            return 0
+        if sum(map(_nodes, cs)) > _budget(space, degree):
+            self.counters["adjunction_zeros"] += 1
             return 0
         hit = self.stored.get(encode_key(space, degree, cs))
         if hit is None:
@@ -257,30 +306,33 @@ class Engine:
         self.counters["evaluations"] += 1
         self.counters["base_cases"] += 1
         sizes = tuple(len(_diagram(c)) for c in cs)
-        if space == "p1xp1":
-            d, mults = gw.translate_to_plane(degree, sizes)
-        else:
-            d, mults = degree, sizes
         return self._values.setdefault(key, prod(
-            factorial(b) for b in sizes) * gw.gw_blowup(d, mults))
+            factorial(b) for b in sizes) * gw.gw_blowup(*_plane(
+                space, degree, sizes)))
 
     def _solve_at(self, space, degree, rest, k, rank):
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
         against the vector _held finds for its key (skipping rest's, which
-        is not stored yet).  An input with a level code is read from the
-        vector _held tries first, near: beside its key less the top level
-        code (rest's top t, or the input's if larger).  If near is missing
-        and the key has another code of that weight, _held tries the key's
-        later holders, skipping near.  If none holds it, near is solved
+        is not stored yet).  An input whose double points exceed what rest
+        leaves of the class's _budget is 0.  Another with a level code is
+        read from the vector _held tries first, near: beside its key less the
+        top level code (rest's top t, or the input's if larger).  If near is
+        missing and the key has another code of that weight, _held tries the
+        key's later holders, skipping near.  If none holds it, near is solved
         here, at the key's _rank (top's level once if others has no code of
         it), which must be below rank.  An all-ones input goes to _base."""
         vectors, values, hits = self._vectors[space, degree], [], 0
+        left = _budget(space, degree) - sum(_nodes(_diagram(c)) for c in rest)
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
             rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
-        for codes, slot in zip(*_solve_inputs(k)):
+        for codes, slot, nodes in zip(*_solve_inputs(k)):
+            if nodes > left:
+                self.counters["adjunction_zeros"] += 1
+                values.append(0)
+                continue
             near = None  # stays None for an all-ones key
             if slot is not None and codes[0] > t:
                 top, near = codes[0], rest + codes[1:]

@@ -9,22 +9,24 @@ gives a second route to a value the package computes.
 It is also the one owner of the runs the tests share: the benchmark's two
 in-process questions (column, quadric_pass), a cold run of either with the
 work it did (cold), the one cold T_1..T_top per process (cold_run), the
-cache file a command line writes into a new file, once per process
-(written_by; cold_d4_file is table --max-d 4's), and the only read of the
-blowup memo (blowup_memo)."""
+same work with the engine's adjunction rule off, once per process
+(unpruned), the cache file a command line writes into a new file, once per
+process (written_by; cold_d4_file is table --max-d 4's), and the only read
+of the blowup memo (blowup_memo)."""
 
 import io
+import math
 import os
 import tempfile
 import time
 from collections import namedtuple
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
-from tangentcount import Engine, gw
+from tangentcount import Engine, engine as engine_module, gw
 from tangentcount.cache import header, parse_line
 from tangentcount.cli import main
 from tangentcount.engine import _rank
@@ -85,6 +87,83 @@ def cold_run(top):
     that reads it; a test asks its engine for no key that would change
     what another test counts."""
     return cold(column, top)
+
+
+@contextmanager
+def adjunction_rule_off():
+    """Engines that answer no key by the adjunction rule while this lasts:
+    the budget is infinite, so every key is solved or read as it was
+    before the rule."""
+    budget = engine_module._budget
+    engine_module._budget = lambda space, degree: math.inf
+    try:
+        yield
+    finally:
+        engine_module._budget = budget
+
+
+@cache
+def unpruned(work, *args):
+    """The Run of work(engine, *args) on a cold_engine() with the
+    adjunction rule off, once per process: the recursion every pruned run
+    must agree with, and the blowup classes it reaches."""
+    with adjunction_rule_off():
+        return cold(work, *args)
+
+
+def _memo_value(engine, space, degree, key):
+    """The value engine's memo holds for the coded key, or None."""
+    level = _rank(map(engine_module._LEVEL.get, key))[0]
+    if level == 1:
+        return engine._values.get((space, degree, key))
+    return engine._held(space, degree, key, level)[1]
+
+
+def unpruned_disagreements(run, full):
+    """Where the Run run, pruned by the adjunction rule, disagrees with the
+    unpruned Run full of the same work, and how many solve inputs the rule
+    answered in run.  Each vector of run must equal full's vector at the
+    same rest, and each base case full's.  Each input of run's solves whose
+    summed local_double_points exceed the class's double_point_count is one
+    the rule answered, and must be 0 in full.  A key full never reached is
+    asked of full's engine with the rule off: the engine grows, its Run's
+    snapshots do not."""
+    m, bad, answered = engine_module, [], 0
+    nodes_of = cache(lambda c: local_double_points(m._diagram(c)))
+    with adjunction_rule_off():
+
+        def unpruned_value(space, degree, key):
+            value = _memo_value(full.engine, space, degree, key)
+            if value is None:
+                value = full.engine.hat_invariant(
+                    space, degree, tuple(map(m._diagram, key)))
+            return value
+
+        for key, value in run.engine._values.items():
+            if unpruned_value(*key) != value:
+                bad.append(("base case", key, value))
+        for (space, degree), vectors in run.engine._vectors.items():
+            budget = double_point_count(space, degree)
+            on_shell = gw.chern_number(space, degree) - 1
+            held = full.engine._vectors[space, degree]
+            for rest, vector in vectors.items():
+                k = on_shell - sum(map(sum, map(m._diagram, rest)))
+                targets = range(m._first[k] + 1, m._first[k + 1])
+                other = held.get(rest)
+                if other is None:
+                    other = [unpruned_value(space, degree, tuple(sorted(
+                        rest + (q,), reverse=True))) for q in targets]
+                bad += [("slot", (space, degree, rest), q, value)
+                        for q, value, expected in zip(targets, vector, other)
+                        if value != expected]
+                left = budget - sum(map(nodes_of, rest))
+                for codes in m._solve_inputs(k)[0]:
+                    if sum(map(nodes_of, codes)) > left:
+                        answered += 1
+                        key = tuple(sorted(rest + codes, reverse=True))
+                        if unpruned_value(space, degree, key) != 0:
+                            bad.append(("answered", (space, degree, key)))
+    return bad, answered
 
 
 def complexity(constraints):
@@ -152,11 +231,11 @@ def local_double_points(p):
     """Number of nodes forced at a single point carrying all branches of p.
 
     Two branches with contact orders a and b meeting at the same point of the
-    divisor intersect each other at least min(a, b) = b times there (rows
-    sorted), and summing the pairwise minima of a sorted diagram gives
-    sum_i (i - 1) * p_i.  Requires p weakly decreasing.
+    divisor intersect each other at least min(a, b) times there: the sum of
+    that over the pairs of branches, taken pair by pair (the package sums
+    the closed form sum_i (i - 1) * p_i of a sorted p instead).
     """
-    return sum(i * r for i, r in enumerate(p))
+    return sum(min(a, b) for a, b in combinations(p, 2))
 
 
 def dual(p):

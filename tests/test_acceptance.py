@@ -3,10 +3,11 @@
 Each test prints one PASS line (visible with -s or -rA; the test name
 itself carries the verdict under -v).  Timed criteria assert their stated
 budget.  The extended tier of criterion 1 (degrees 9 and 10 and the
-degree-10 sum identity, a separate one-hour budget) runs only when
-TANGENTCOUNT_EXTENDED=1 is set, since its cold T_1..T_10 adds two to
-three minutes and 900 MB to an otherwise fast suite; tests/test_gw.py
-reads the same run (reference.cold_run) in the same process.
+degree-10 sum identity, a separate one-hour budget, and the same column
+with the adjunction rule off) runs only when TANGENTCOUNT_EXTENDED=1 is
+set, since its two cold T_1..T_10 add minutes and a gigabyte or more to an
+otherwise fast suite; tests/test_gw.py reads the unpruned run
+(reference.unpruned) in the same process.
 
 The frozen numbers below are deliberately restated literally rather than
 imported from the package, so an accidental edit of packaged data cannot
@@ -28,7 +29,8 @@ from tangentcount.star import star
 
 from reference import (cold, cold_run, column, complexity,
                        cross_space_values, determinant, dual,
-                       local_double_points, single_point_table, star_oracle)
+                       local_double_points, single_point_table, star_oracle,
+                       unpruned, unpruned_disagreements)
 
 TANGENCY_MAX = {1: 1, 2: 1, 3: 4, 4: 26, 5: 217, 6: 2110, 7: 22744,
                 8: 264057}
@@ -67,10 +69,11 @@ def test_criterion_01_full_tangency_counts_cold():
     run = cold(column, max(TANGENCY_MAX))  # a genuinely cold start
     assert run.answers == TANGENCY_MAX
     # the work of the cold column, counted: how a solve resolves its
-    # inputs must not change what is solved, evaluated or read
+    # inputs must not change what is solved, evaluated, read or answered by
+    # the adjunction rule
     c = run.counters
-    assert (c["solves"], c["evaluations"], c["memo_hits"],
-            c["base_cases"]) == (122768, 125169, 2074553, 2401)
+    assert (c["solves"], c["evaluations"], c["memo_hits"], c["base_cases"],
+            c["adjunction_zeros"]) == (104385, 104683, 1487892, 298, 443311)
     elapsed = run.seconds
     assert elapsed < 300, "budget is five minutes, took %.1fs" % elapsed
     print("PASS criterion 1: T_1..T_8 exact, cold cache, %.1fs "
@@ -94,6 +97,21 @@ def test_criterion_01_extended_degrees_nine_and_ten():
     print("PASS criterion 1 extended: T_9, T_10 and the degree-10 sum "
           "identity exact, cold T_1..T_10 and the identity %.1fs "
           "(budget 3600s)" % elapsed)
+
+
+def test_criterion_01_extended_pruned_against_unpruned():
+    if os.environ.get("TANGENTCOUNT_EXTENDED") != "1":
+        pytest.skip("extended tier disabled (TANGENTCOUNT_EXTENDED != 1)")
+    # the shared cold T_1..T_10 against the same column with the adjunction
+    # rule off (about three minutes and 900 MB more): every vector and base
+    # case agrees, and every solve input the rule answered is 0 unpruned
+    run, full = cold_run(max(TANGENCY_MAX_EXTENDED)), unpruned(
+        column, max(TANGENCY_MAX_EXTENDED))
+    bad, answered = unpruned_disagreements(run, full)
+    assert bad == [] and answered > 0
+    assert run.answers == full.answers
+    print("PASS criterion 1 extended: cold T_1..T_10 with the adjunction "
+          "rule equals it without, %d inputs answered by the rule" % answered)
 
 
 def test_criterion_02_single_point_tables():
@@ -235,10 +253,13 @@ def test_criterion_10_property_suites():
     assert probe.violations == []
     assert probe.counters["solves"] > 0
     assert probe.base_ranks == {(1, 0)}  # only all-ones keys reach _base
-    # every key evaluated or read went through the probe, memo hits included
+    # every key evaluated, read or answered by the adjunction rule went
+    # through the probe, memo hits included
     assert probe.calls["inputs"] > probe.counters["solves"]
     assert sum(probe.calls.values()) == (probe.counters["evaluations"]
-                                         + probe.counters["memo_hits"])
+                                         + probe.counters["memo_hits"]
+                                         + probe.counters["adjunction_zeros"])
+    assert probe.counters["adjunction_zeros"] > 0
 
     # memo determinism under randomized evaluation order
     rng = random.Random(1)

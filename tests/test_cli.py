@@ -437,6 +437,20 @@ def test_matrix_output(capsys):
     assert payload["det"] == "-6"
 
 
+@pytest.mark.parametrize("k, det", [(2, True), (7, False), (12, True)])
+def test_matrix_json_reads_back_as_its_payload(capsys, k, det):
+    # written one matrix row a line, the output is still one JSON object
+    code, out, _ = run(capsys, "matrix", "-k", str(k), "--format", "json",
+                       *["--det"] * det)
+    texts = [partitions.diagram_text(p) for p in partitions_of(k)]
+    payload = {"k": k, "rows": texts[:-1], "cols": texts[1:],
+               "entries": matrices.move_matrix(k)}
+    if det:
+        payload["det"] = str(matrices.move_determinant(k))
+    assert code == 0 and json.loads(out) == payload
+    assert out.count("\n") == len(texts) + 1
+
+
 def test_star_past_its_bound_is_usage_error(capsys):
     # (15,...,1) * (9,...,1) merges almost no walks: a usage error, exit 2,
     # before the walk's next row would pass the bound

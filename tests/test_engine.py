@@ -20,9 +20,11 @@ from tangentcount.star import combine_forward
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
-from reference import (cold, cold_engine, cold_run, column, combined_value,
-                       complexity, cross_space_values, quadric_pass, signed,
-                       single_point_table)
+from reference import (QUADRIC, cold, cold_engine, cold_run, column,
+                       combined_value, complexity, cross_space_values,
+                       double_point_count, local_double_points, quadric_pass,
+                       signed, single_point_table, unpruned,
+                       unpruned_disagreements)
 
 
 def test_canonical_constraint_order():
@@ -288,33 +290,34 @@ def test_key_text_round_trip():
 
 def test_inconsistent_preload_is_detected(tmp_path):
     # corrupt a key that the splitting solve will re-derive: the solve at
-    # weight 3 recomputes every weight-3 diagram next to (2) without
+    # weight 6 recomputes every weight-6 diagram next to (2) without
     # reading the record, and the harvest, which compares every computed
     # value with the file, must refuse it
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed([b"ht:cp2;2;(2,1)|(2)\t777\n"]))
+    path.write_bytes(signed([b"ht:cp2;3;(5,1)|(2)\t777\n"]))
     e = Engine()
     with CountCache(str(path)) as cache:
         cache.preload(e)
-        assert e.hat_invariant("cp2", 2, ((3,), (2,))) == \
-            Engine().hat_invariant("cp2", 2, ((3,), (2,)))
-        with pytest.raises(InconsistencyError, match=r"cp2;2;\(2,1\)\|\(2\)"):
+        assert e.hat_invariant("cp2", 3, ((6,), (2,))) == \
+            Engine().hat_invariant("cp2", 3, ((6,), (2,)))
+        with pytest.raises(InconsistencyError, match=r"cp2;3;\(5,1\)\|\(2\)"):
             cache.harvest(e)
 
 
 def test_inconsistent_record_read_before_the_solve_is_detected(tmp_path):
     # the same corrupt record, read directly first: it is returned as
     # stored, the solve that re-derives it later does not use it, and the
-    # harvest still refuses it
+    # harvest still refuses it.  The key is inside the adjunction budget,
+    # which a record does not override
     path = tmp_path / "counts.txt"
-    path.write_bytes(signed([b"ht:cp2;2;(2,1)|(2)\t777\n"]))
+    path.write_bytes(signed([b"ht:cp2;3;(5,1)|(2)\t777\n"]))
     e = Engine()
     with CountCache(str(path)) as cache:
         cache.preload(e)
-        assert e.hat_invariant("cp2", 2, ((2, 1), (2,))) == 777
-        assert e.hat_invariant("cp2", 2, ((3,), (2,))) == \
-            Engine().hat_invariant("cp2", 2, ((3,), (2,)))
-        with pytest.raises(InconsistencyError, match=r"cp2;2;\(2,1\)\|\(2\)"):
+        assert e.hat_invariant("cp2", 3, ((5, 1), (2,))) == 777
+        assert e.hat_invariant("cp2", 3, ((6,), (2,))) == \
+            Engine().hat_invariant("cp2", 3, ((6,), (2,)))
+        with pytest.raises(InconsistencyError, match=r"cp2;3;\(5,1\)\|\(2\)"):
             cache.harvest(e)
 
 
@@ -333,14 +336,16 @@ def test_a_solve_given_a_rank_its_input_does_not_descend_from_raises():
 
 def test_a_hat_value_its_branch_groups_do_not_divide_is_refused():
     # a vector planted one off at the slot of (2, 2) makes hat-H of
-    # ((2, 2), (1,)) odd, which |Aut((2, 2))| = 2 cannot divide
+    # ((2, 2), (1,) * 7) at degree 4, 20, odd, which |Aut((2, 2))| = 2
+    # cannot divide
     code, e = engine_module._code, Engine()
-    assert e.invariant("cp2", 2, ((2, 2), (1,))) == 0
-    e._vectors["cp2", 2][code((1,)),][
+    key = ((2, 2),) + ((1,),) * 7
+    assert e.invariant("cp2", 4, key) == 10
+    e._vectors["cp2", 4][(code((1,)),) * 7][
         code((2, 2)) - engine_module._first[4] - 1] += 1
     with pytest.raises(InconsistencyError,
-                       match="hat invariant 1 not divisible by 2"):
-        e.invariant("cp2", 2, ((2, 2), (1,)))
+                       match="hat invariant 21 not divisible by 2"):
+        e.invariant("cp2", 4, key)
 
 
 def test_a_table_needs_chern_number_two():
@@ -354,26 +359,61 @@ def test_cold_column_work_is_pinned():
     # every stored key is still there, so speed comes from bookkeeping,
     # and the blowup recursion still visits the same classes
     run = cold(column, 6)
-    assert run.counters["solves"] == 6992
-    assert sum(1 for _ in run.engine.memo_items()) == 66153
-    assert len(run.blowup) == 268
+    assert run.counters["solves"] == 5139
+    assert sum(1 for _ in run.engine.memo_items()) == 57396
+    assert len(run.blowup) == 73
 
 
 @pytest.mark.parametrize("work, pins", [
-    ("column_to_seven", (29617, 30763, 385065, 1146, 371946, 631,
-                         118, 1, 10, 2503)),
-    ("quadric_tables", (10508, 11314, 98581, 806, 95697, 915,
-                        248, 0, 21, 7656))])
+    ("column_to_seven", (23524, 23653, 246099, 129, 100930, 335687, 178,
+                         118, 1, 10, 2447)),
+    ("quadric_tables", (8120, 8229, 60692, 109, 28393, 85352, 402,
+                        248, 0, 21, 7608))])
 def test_cold_work_is_pinned(work, pins):
     # the work of the benchmark's two in-process passes, counted: how the
-    # memo stores its vectors must not change what is solved or kept, nor
-    # what the blowup recursion solves and reduces
+    # memo stores its vectors must not change what is solved, answered by
+    # the adjunction rule or kept, nor what the blowup recursion solves and
+    # reduces
     run = cold_run(7) if work == "column_to_seven" else cold(quadric_pass)
     c, g = run.counters, run.gw_counters
     assert (c["solves"], c["evaluations"], c["memo_hits"], c["base_cases"],
-            sum(1 for _ in run.engine.memo_items()), len(run.blowup),
-            g["gw_wdvv_solves"], g["gw_point_free_solves"],
+            c["adjunction_zeros"], sum(1 for _ in run.engine.memo_items()),
+            len(run.blowup), g["gw_wdvv_solves"], g["gw_point_free_solves"],
             g["gw_cremona_reductions"], g["gw_memo_hits"]) == pins
+
+
+def test_the_adjunction_counts_are_the_reference_ones():
+    # the engine's closed form for a diagram's double points against the
+    # sum over its pairs of branches, and its budget, from the plane class,
+    # against (A.A - c1(A))/2 + 1, the rulings (a, 0) and (0, b) included
+    m = engine_module
+    assert all(m._nodes(p) == local_double_points(p)
+               for w in range(1, 13) for p in partitions_of(w))
+    classes = [("cp2", d) for d in range(12)] + [
+        ("p1xp1", (a, b)) for a in range(7) for b in range(7)]
+    assert all(m._budget(space, degree) == double_point_count(space, degree)
+               for space, degree in classes)
+
+
+@pytest.mark.parametrize("work", ["column_to_seven", "quadric_tables"])
+def test_the_adjunction_rule_answers_only_zeros(work):
+    # the same work with the rule off (reference.unpruned): every vector and
+    # base case of the pruned run agrees with it, and every solve input the
+    # rule answered, found again from the reference adjunction counts, is 0
+    # there.  The rule also answers quadric_pass's asked table diagrams past
+    # the class's budget, each twice: by full_table and by sum_identity's
+    if work == "column_to_seven":
+        run, full, asked = cold_run(7), unpruned(column, 7), 0
+    else:
+        run, full = cold(quadric_pass), unpruned(quadric_pass)
+        asked = 2 * sum(local_double_points(p) > double_point_count(
+            "p1xp1", ab) for ab in QUADRIC for p in partitions_of(
+                gw.chern_number("p1xp1", ab) - 1))
+    bad, answered = unpruned_disagreements(run, full)
+    assert bad == []
+    assert run.answers == full.answers
+    assert answered + asked == run.counters["adjunction_zeros"] > asked
+    assert full.counters["adjunction_zeros"] == 0
 
 
 def test_vectors_are_the_narrowest_int_arrays(monkeypatch):
@@ -413,12 +453,17 @@ def test_vectors_are_the_narrowest_int_arrays(monkeypatch):
         assert value == expected[text] + (shifts[d] if top else 0), text
 
 
-def corrupt_top_solve(monkeypatch, by, degree=3, top=((3,), (3,), (2,)),
-                      target=(2, 1)):
-    """An Engine holding top (by default ((3,), (3,), (2,)) at degree 3)
-    whose last solve, the one next to top less its first diagram, stored
-    its target entry plus by, and the true value of that entry's key (by
-    default ((3,), (2, 1), (2,)))."""
+# three free points beside ((3,), (3,), (2,)) put the keys with (2, 1)
+# twice inside degree 4's adjunction budget, 3
+POINTS = ((1,),) * 3
+
+
+def corrupt_top_solve(monkeypatch, by, degree=4,
+                      top=((3,), (3,), (2,)) + POINTS, target=(2, 1)):
+    """An Engine holding top (by default ((3,), (3,), (2,)) and POINTS at
+    degree 4) whose last solve, the one next to top less its first diagram,
+    stored its target entry plus by, and the true value of that entry's key
+    (by default ((3,), (2, 1), (2,)) and POINTS)."""
     clean = Engine()
     clean.hat_invariant("cp2", degree, top)
     last = clean.counters["solves"]  # the top solve comes after its inputs
@@ -438,30 +483,35 @@ def corrupt_top_solve(monkeypatch, by, degree=3, top=((3,), (3,), (2,)),
     return e, clean.hat_invariant("cp2", degree, (target,) + top[1:])
 
 
+# how an error message prints the key ((3,), (2, 1), (2,)) and POINTS
+THREE_TWO_ONE = (r"\('cp2', 4, \(\(3,\), \(2, 1\), \(2,\), \(1,\), \(1,\), "
+                 r"\(1,\)\)\)")
+
+
 def test_overlapping_solve_vectors_are_cross_checked(monkeypatch):
-    # ((3,), (2, 1), (2,)) is held by two weight-3 solve vectors: the one
-    # next to ((3,), (2,)) and the one next to ((2, 1), (2,)).  Corrupt its
-    # entry in the first; the second solve re-derives it and must refuse
+    # ((3,), (2, 1), (2,)) with POINTS is held by two weight-3 solve
+    # vectors: the one next to ((3,), (2,)) and the one next to ((2, 1),
+    # (2,)), each with POINTS.  Corrupt its entry in the first; the second
+    # solve re-derives it and must refuse
     e, _ = corrupt_top_solve(monkeypatch, 1)
     with pytest.raises(InconsistencyError,
                        match=r"conflicting values \d+ and \d+ for "
-                             r"\('cp2', 3, \(\(3,\), \(2, 1\), \(2,\)\)\)"):
-        e.hat_invariant("cp2", 3, ((2, 1), (2, 1), (2,)))
+                             + THREE_TWO_ONE):
+        e.hat_invariant("cp2", 4, ((2, 1), (2, 1), (2,)) + POINTS)
 
 
 def test_a_first_holder_is_cross_checked_from_a_later_one(monkeypatch):
     # the same key the other way round: corrupt its entry in the vector
-    # next to ((2, 1), (2,)), the first _held tries.  The solve next to
-    # ((3,), (2,)) re-derives it as its target (2, 1), which is not the
-    # key's top code: its check skips only the vector beside the key less
-    # (2, 1) and must refuse
-    e, value = corrupt_top_solve(monkeypatch, 1, 3, ((2, 1), (2, 1), (2,)),
-                                 (3,))
+    # next to ((2, 1), (2,)) and POINTS, the first _held tries.  The solve
+    # next to ((3,), (2,)) and POINTS re-derives it as its target (2, 1),
+    # which is not the key's top code: its check skips only the vector
+    # beside the key less (2, 1) and must refuse
+    e, value = corrupt_top_solve(monkeypatch, 1, 4,
+                                 ((2, 1), (2, 1), (2,)) + POINTS, (3,))
     with pytest.raises(InconsistencyError,
                        match=r"conflicting values %d and %d for "
-                             r"\('cp2', 3, \(\(3,\), \(2, 1\), \(2,\)\)\)"
-                             % (value + 1, value)):
-        e.hat_invariant("cp2", 3, ((3,), (3,), (2,)))
+                             % (value + 1, value) + THREE_TWO_ONE):
+        e.hat_invariant("cp2", 4, ((3,), (3,), (2,)) + POINTS)
 
 
 def test_a_holder_past_a_missing_one_is_cross_checked(monkeypatch):
@@ -485,11 +535,11 @@ def test_an_array_and_a_tuple_that_conflict_are_refused(monkeypatch):
     # the same corruption past int64: the corrupt vector is a tuple, the
     # one that re-derives the entry an int array, and both values are exact
     e, value = corrupt_top_solve(monkeypatch, 2**70)
-    kinds = [type(v) for v in e._vectors["cp2", 3].values()]
+    kinds = [type(v) for v in e._vectors["cp2", 4].values()]
     assert kinds.count(tuple) == 1 and kinds.count(array) == len(kinds) - 1
     with pytest.raises(InconsistencyError, match=r"conflicting values %d and "
-                       r"%d for " % (value + 2**70, value)):
-        e.hat_invariant("cp2", 3, ((2, 1), (2, 1), (2,)))
+                       r"%d for " % (value + 2**70, value) + THREE_TWO_ONE):
+        e.hat_invariant("cp2", 4, ((2, 1), (2, 1), (2,)) + POINTS)
 
 
 def test_memo_items_are_distinct_and_reproducible():
@@ -655,11 +705,14 @@ def shortcut_disagreements(e):
     read from the vector and slot _held tries first.  Where none does
     ("missing"), such a key is solved in place, beside the key less its top
     level code, ranked by its level and how many codes have it, and read at
-    that code's slot.  In both, a key with a level code never reaches _base,
-    and a key with none must reach it, which finds a base case."""
+    that code's slot.  In both, a key past the class's adjunction budget
+    (by the reference counts) is read as 0 and reaches no vector and not
+    _base, another key with a level code never reaches _base, and a key with
+    none must reach it, which finds a base case."""
     m, bad = engine_module, []
     for (space, degree), vectors in e._vectors.items():
         on_shell = gw.chern_number(space, degree) - 1
+        budget = double_point_count(space, degree)
         for rest in vectors:
             k = on_shell - sum(map(sum, map(m._diagram, rest)))
             rank = complexity(tuple(map(m._diagram, rest)) + ((k,),))
@@ -672,8 +725,11 @@ def shortcut_disagreements(e):
                 for codes, read in zip(m._solve_inputs(k)[0],
                                        stop.value.args[0]):
                     key = tuple(sorted(rest + codes, reverse=True))
-                    level, count = complexity(tuple(map(m._diagram, key)))
-                    if level == 1:
+                    diagrams = tuple(map(m._diagram, key))
+                    level, count = complexity(diagrams)
+                    if sum(map(local_double_points, diagrams)) > budget:
+                        ok = key not in probe.asked and read == 0
+                    elif level == 1:
                         ok = key in probe.asked and type(read) is int
                     elif name == "held":
                         ok = key not in probe.asked and read == probe._held(
@@ -704,7 +760,8 @@ def test_a_wrong_slot_offset_is_a_disagreement(monkeypatch):
     e.invariant("cp2", 3, ((8,),))
     real = engine_module._solve_inputs
     monkeypatch.setattr(engine_module, "_solve_inputs", lambda k: (
-        real(k)[0], tuple(s if s is None else s + 1 for s in real(k)[1])))
+        real(k)[0], tuple(s if s is None else s + 1 for s in real(k)[1]),
+        real(k)[2]))
     assert {bad[0] for bad in shortcut_disagreements(e)} == {"held",
                                                              "missing"}
 
@@ -727,22 +784,25 @@ class Asked(Engine):
 
 
 def test_a_sole_holder_miss_never_reaches_base():
-    # the top solve, beside ((3,), (2, 1), (1,)), needs the key lower: it
+    # at degree 5, with POINTS, inside the adjunction budget, 6: the top
+    # solve, beside ((3,), (2, 1), (1,)) and POINTS, needs the key lower: it
     # holds (2, 1) below (3,), so a vector beside (3,) may hold it too.  That
     # one is missing as well, so lower is solved in place beside the key less
     # (3,), ranked (3, 2).  Its solve needs the key sole, whose only code of
     # weight 3 is (2, 1): it is solved in place, beside the rest, ranked
     # (3, 1).  Only all-ones keys reach _base
     e = Asked()
-    top = ((4,), (3,), (2, 1), (1,))
-    assert e.hat_invariant("cp2", 4, top) == Engine().hat_invariant(
-        "cp2", 4, top)
-    lower = canonical_constraints(((3,), (2, 1), (1, 1, 1), (1,), (1,)))
-    sole = canonical_constraints(((2, 1), (2,), (1, 1, 1), (1,), (1,), (1,)))
+    top = ((4,), (3,), (2, 1), (1,)) + POINTS
+    assert e.hat_invariant("cp2", 5, top) == Engine().hat_invariant(
+        "cp2", 5, top)
+    lower = canonical_constraints(((3,), (2, 1), (1, 1, 1), (1,), (1,))
+                                  + POINTS)
+    sole = canonical_constraints(((2, 1), (2,), (1, 1, 1), (1,), (1,), (1,))
+                                 + POINTS)
     assert lower not in e.asked and sole not in e.asked
     assert (lower[1:], (3, 2)) in e.ranks
-    assert (canonical_constraints(((2,), (1, 1, 1), (1,), (1,), (1,))),
-            (3, 1)) in e.ranks
+    assert (canonical_constraints(((2,), (1, 1, 1), (1,), (1,), (1,))
+                                  + POINTS), (3, 1)) in e.ranks
     assert e.asked
     for key in e.asked:  # a key reaching _base has no level code
         assert complexity(key) == (1, 0), key
@@ -755,8 +815,9 @@ def test_a_later_holder_answers_a_levelled_input():
     # ((4,), (2, 2), (2,)), is stored but not its first, beside ((3, 1),
     # (2, 2), (2,)).  As the input ((4,), (2,)) of the weight-6 solve beside
     # ((3, 1), (2, 2)) it is read from the second holder: one memo hit, no
-    # evaluation, no solve and no _base.  Every other input misses.  _held
-    # told to skip (4,) does not probe the first holder
+    # evaluation, no solve and no _base.  Every other input misses or is
+    # past the adjunction budget.  _held told to skip (4,) does not probe
+    # the first holder
     code = engine_module._code
     e = Engine()
     e.hat_invariant("cp2", 5, ((4,), (4,), (2, 2), (2,)))
@@ -778,8 +839,12 @@ def test_a_later_holder_answers_a_levelled_input():
     inputs = engine_module._solve_inputs(6)[0]
     read = stop.value.args[0][inputs.index((code((4,)), code((2,))))]
     assert read == value and probe.asked == []
-    assert probe.counters == {"evaluations": len(inputs) - 1, "solves": 0,
-                              "base_cases": 0, "memo_hits": 1}
+    zeros = sum(sum(map(local_double_points, ((3, 1), (2, 2)) + tuple(map(
+        engine_module._diagram, codes)))) > double_point_count("cp2", 5)
+        for codes in inputs)
+    assert zeros and probe.counters == {
+        "evaluations": len(inputs) - 1 - zeros, "solves": 0, "base_cases": 0,
+        "memo_hits": 1, "adjunction_zeros": zeros}
 
 
 def test_a_key_with_its_top_level_code_twice_is_ranked_two():

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from tangentcount import gw
 from tangentcount.errors import InconsistencyError
 
-from reference import (cold, cold_run, double_point_count,
-                       point_point_line_line, quadric_pass, vanishing_filter)
+from reference import (column, double_point_count, point_point_line_line,
+                       quadric_pass, unpruned, vanishing_filter)
 
 
 def test_plane_counts():
@@ -301,9 +301,10 @@ def _cremona_mismatches(memo):
 
 def test_cremona_images_of_the_column_classes():
     # a second route to every blowup count with free points that a cold
-    # T_1..T_7 asks for: its images under Cremona moves on any three slots,
+    # T_1..T_7 asks for with the adjunction rule off (the rule leaves most
+    # of them unasked): its images under Cremona moves on any three slots,
     # most of them at another degree and reached by another recursion
-    memo = _memo_with_free_points(cold_run(7).blowup)
+    memo = _memo_with_free_points(unpruned(column, 7).blowup)
     assert _cremona_mismatches(memo) == ([], 2476, 1981)
 
 
@@ -311,14 +312,15 @@ def test_cremona_images_of_the_column_classes():
                     reason="extended tier disabled "
                            "(TANGENTCOUNT_EXTENDED != 1)")
 def test_extended_cremona_images_of_the_quadric_and_degree_ten_classes():
-    # about two minutes beside the shared cold T_1..T_10 (two to three
-    # minutes and 900 MB, unless criterion 1's extended tier ran it): the
+    # about two minutes beside the shared unpruned cold T_1..T_10 (about
+    # three minutes and 900 MB, unless another extended test ran it): the
     # classes of the five quadric tables and their sum identities (images
     # up to degree 15), then those of the cold T_1..T_10 (images up to
-    # degree 17, most of the time)
-    memo = _memo_with_free_points(cold(quadric_pass).blowup)
+    # degree 17, most of the time), both with the adjunction rule off, so
+    # that the classes the rule leaves unasked are checked too
+    memo = _memo_with_free_points(unpruned(quadric_pass).blowup)
     assert _cremona_mismatches(memo) == ([], 7090, 5993)
-    memo = _memo_with_free_points(cold_run(10).blowup)
+    memo = _memo_with_free_points(unpruned(column, 10).blowup)
     assert _cremona_mismatches(memo) == ([], 44623, 38795)
 
 
@@ -342,8 +344,10 @@ def test_point_point_line_line_is_kontsevich_without_multiplicities():
 
 def test_point_point_line_line_on_the_column_classes():
     # a second associativity instantiation for every blowup count with at
-    # least three free points that a cold T_1..T_7 asks for
-    assert _point_point_line_line_mismatches(cold_run(7).blowup) == ([], 344)
+    # least three free points that a cold T_1..T_7 asks for with the
+    # adjunction rule off
+    assert _point_point_line_line_mismatches(
+        unpruned(column, 7).blowup) == ([], 344)
 
 
 @pytest.mark.skipif(os.environ.get("TANGENTCOUNT_EXTENDED") != "1",
@@ -351,8 +355,8 @@ def test_point_point_line_line_on_the_column_classes():
                            "(TANGENTCOUNT_EXTENDED != 1)")
 def test_extended_point_point_line_line_on_the_quadric_classes():
     # about 15 s: the classes of the five quadric tables and their sum
-    # identities
-    memo = cold(quadric_pass).blowup
+    # identities, with the adjunction rule off
+    memo = unpruned(quadric_pass).blowup
     assert _point_point_line_line_mismatches(memo) == ([], 539)
 
 
