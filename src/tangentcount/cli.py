@@ -225,13 +225,11 @@ def cmd_matrix(args, parser):
     texts = [diagram_text(p) for p in partitions_of(args.k)]  # (1^k) first
     rows, cols = texts[:-1], texts[1:]
     det = move_determinant(args.k) if args.det else None
-    if args.format == "json":  # one matrix row a line, by the C encoder
-        head = {"k": args.k, "rows": rows, "cols": cols}
+    if args.format == "json":  # no indent: the C encoder writes it all
+        payload = {"k": args.k, "rows": rows, "cols": cols, "entries": mat}
         if args.det:
-            head["det"] = str(det)
-        print(json.dumps(head)[:-1] + ', "entries": [')
-        for i, row in enumerate(mat, 1 - len(mat)):  # i = 0 on the last
-            print(json.dumps(row), end=",\n" if i else "\n]}\n")
+            payload["det"] = str(det)
+        sys.stdout.write(json.dumps(payload) + "\n")
     else:
         records = [{"row": label, **dict(zip(cols, entries))}
                    for label, entries in zip(rows, mat)]

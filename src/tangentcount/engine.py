@@ -155,11 +155,9 @@ def _plane(space, degree, sizes=()):
 
 @lru_cache(maxsize=None)
 def _budget(space, degree):
-    """The double points of a rational curve in the class,
-    (A.A - c1(A))/2 + 1, from its plane class (d; m) as (d - 1)(d - 2)/2
-    less m_i(m_i - 1)/2 per point."""
-    d, mults = _plane(space, degree)
-    return ((d - 1) * (d - 2) - sum(m * (m - 1) for m in mults)) // 2
+    """The double points of a rational curve in the class: those of its
+    plane class, gw.double_points."""
+    return gw.double_points(*_plane(space, degree))
 
 
 @lru_cache(maxsize=None)

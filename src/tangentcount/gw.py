@@ -112,6 +112,14 @@ def translate_to_plane(bidegree, mults=()):
     return a + b, (b, a) + tuple(mults)
 
 
+def double_points(d, mults=()):
+    """The double points of a rational curve in the plane class (d; m),
+    (A.A - c1(A))/2 + 1 by adjunction: (d - 1)(d - 2)/2 less
+    m_i(m_i - 1)/2 per point.  Negative: no such curve is
+    somewhere-injective."""
+    return ((d - 1) * (d - 2) - sum(m * (m - 1) for m in mults)) // 2
+
+
 def descendant_average(d):
     """The comparison column of the tangency table: (3d-2)!/(d!)^3, exact."""
     if d < 1:
@@ -205,7 +213,7 @@ def _value(d, mults):
     if key in _values:
         counters["gw_memo_hits"] += 1
         return _values[key]
-    if sum(m * (m - 1) for m in deep) > (d - 1) * (d - 2):  # adjunction
+    if double_points(d, deep) < 0:  # adjunction
         _values[key] = 0
         return 0
     npts = 3 * d - sum(deep) - 1

@@ -10,7 +10,8 @@ It is also the one owner of the runs the tests share: the benchmark's two
 in-process questions (column, quadric_pass), a cold run of either with the
 work it did (cold), the one cold T_1..T_top per process (cold_run), the
 same work with the engine's adjunction rule off, once per process
-(unpruned), the cache file a command line writes into a new file, once per
+(unpruned; compared_with_unpruned for T_1..T_top, kept without its
+engine), the cache file a command line writes into a new file, once per
 process (written_by; cold_d4_file is table --max-d 4's), and the only read
 of the blowup memo (blowup_memo)."""
 
@@ -164,6 +165,18 @@ def unpruned_disagreements(run, full):
                         if unpruned_value(space, degree, key) != 0:
                             bad.append(("answered", (space, degree, key)))
     return bad, answered
+
+
+@cache
+def compared_with_unpruned(top):
+    """unpruned_disagreements of cold_run(top) and the same column with the
+    adjunction rule off, once per process, and that unpruned Run without
+    its engine: later tests read only its answers and snapshots, so the
+    engine, larger than the pruned one, is freed once compared."""
+    with adjunction_rule_off():
+        full = cold(column, top)
+    return (*unpruned_disagreements(cold_run(top), full),
+            full._replace(engine=None))
 
 
 def complexity(constraints):

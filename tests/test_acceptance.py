@@ -6,8 +6,8 @@ budget.  The extended tier of criterion 1 (degrees 9 and 10 and the
 degree-10 sum identity, a separate one-hour budget, and the same column
 with the adjunction rule off) runs only when TANGENTCOUNT_EXTENDED=1 is
 set, since its two cold T_1..T_10 add minutes and a gigabyte or more to an
-otherwise fast suite; tests/test_gw.py reads the unpruned run
-(reference.unpruned) in the same process.
+otherwise fast suite; tests/test_gw.py reads the unpruned run's blowup
+classes (reference.compared_with_unpruned) in the same process.
 
 The frozen numbers below are deliberately restated literally rather than
 imported from the package, so an accidental edit of packaged data cannot
@@ -27,10 +27,9 @@ from tangentcount.matrices import move_determinant, move_matrix
 from tangentcount.partitions import multinomial, partitions_of
 from tangentcount.star import star
 
-from reference import (cold, cold_run, column, complexity,
-                       cross_space_values, determinant, dual,
-                       local_double_points, single_point_table, star_oracle,
-                       unpruned, unpruned_disagreements)
+from reference import (cold, cold_run, column, compared_with_unpruned,
+                       complexity, cross_space_values, determinant, dual,
+                       local_double_points, single_point_table, star_oracle)
 
 TANGENCY_MAX = {1: 1, 2: 1, 3: 4, 4: 26, 5: 217, 6: 2110, 7: 22744,
                 8: 264057}
@@ -103,11 +102,12 @@ def test_criterion_01_extended_pruned_against_unpruned():
     if os.environ.get("TANGENTCOUNT_EXTENDED") != "1":
         pytest.skip("extended tier disabled (TANGENTCOUNT_EXTENDED != 1)")
     # the shared cold T_1..T_10 against the same column with the adjunction
-    # rule off (about three minutes and 900 MB more): every vector and base
-    # case agrees, and every solve input the rule answered is 0 unpruned
-    run, full = cold_run(max(TANGENCY_MAX_EXTENDED)), unpruned(
-        column, max(TANGENCY_MAX_EXTENDED))
-    bad, answered = unpruned_disagreements(run, full)
+    # rule off (about three minutes and 900 MB more while they are compared):
+    # every vector and base case agrees, and every solve input the rule
+    # answered is 0 unpruned
+    top = max(TANGENCY_MAX_EXTENDED)
+    bad, answered, full = compared_with_unpruned(top)
+    run = cold_run(top)
     assert bad == [] and answered > 0
     assert run.answers == full.answers
     print("PASS criterion 1 extended: cold T_1..T_10 with the adjunction "

@@ -1,13 +1,15 @@
 """Cross-checks between independent computation routes: the a-priori
-vanishing predicate against computed zeros, nonnegativity of the curve
-counts, and the exhaustive merge/split round trip at low total weight."""
+vanishing predicate against zeros the recursion computes with the engine's
+adjunction rule off, nonnegativity of the curve counts, and the exhaustive
+merge/split round trip at low total weight."""
 
 import pytest
 
 from tangentcount.engine import Engine
 from tangentcount.partitions import partitions_of
 
-from reference import combined_value, single_point_table, vanishing_filter
+from reference import (adjunction_rule_off, combined_value,
+                       single_point_table, vanishing_filter)
 
 
 @pytest.fixture(scope="module")
@@ -15,44 +17,64 @@ def engine():
     return Engine()
 
 
+@pytest.fixture(scope="module")
+def recursion():
+    """invariant(space, degree, constraints) of an engine only ever asked
+    with the adjunction rule off: the full recursion's value, also on a key
+    the rule would answer with 0."""
+    unpruned = Engine()
+
+    def invariant(space, degree, constraints):
+        with adjunction_rule_off():
+            value = unpruned.invariant(space, degree, constraints)
+        assert unpruned.counters["adjunction_zeros"] == 0
+        return value
+    return invariant
+
+
 # ------------------------------------------------- forced vanishing vs values
 
 
-def test_forced_vanishing_matches_computed_zero_plane(engine):
+def test_forced_vanishing_matches_computed_zero_plane(engine, recursion):
     # The predicate must never flag a key whose computed value is nonzero,
-    # for every single-point key of the plane classes with d <= 5.
+    # for every single-point key of the plane classes with d <= 5; the
+    # engine with its rule on gives the same value.
     flagged = 0
     for d in range(1, 6):
         for p in partitions_of(3 * d - 1):
             if vanishing_filter("cp2", d, p):
                 flagged += 1
+                assert recursion("cp2", d, (p,)) == 0, (d, p)
                 assert engine.invariant("cp2", d, (p,)) == 0, (d, p)
     assert flagged > 0  # the sweep actually exercised the predicate
 
     # worked instance: two branches of contact 6 and 2 on a cubic
     assert vanishing_filter("cp2", 3, (6, 2))
-    assert engine.invariant("cp2", 3, ((6, 2),)) == 0
+    assert recursion("cp2", 3, ((6, 2),)) == 0
 
 
-def test_forced_vanishing_matches_computed_zero_quadric(engine):
+def test_forced_vanishing_matches_computed_zero_quadric(engine, recursion):
     # bidegree (1,1): only single-branch constraints survive
     for p in partitions_of(3):
         vanishes = vanishing_filter("p1xp1", (1, 1), p)
-        value = engine.invariant("p1xp1", (1, 1), (p,))
+        value = recursion("p1xp1", (1, 1), (p,))
         assert vanishes == (value == 0), p
+        assert engine.invariant("p1xp1", (1, 1), (p,)) == value, p
     # a multiple of one ruling carries no counts at all
     for p in partitions_of(3):
         assert vanishing_filter("p1xp1", (2, 0), p)
+        assert recursion("p1xp1", (2, 0), (p,)) == 0, p
         assert engine.invariant("p1xp1", (2, 0), (p,)) == 0, p
 
 
-def test_predicate_is_not_a_shortcut(engine):
-    # Keys the predicate flags are still evaluated through the full
-    # recursion; the agreement above is a genuine consistency statement.
+def test_predicate_is_not_a_shortcut(recursion):
+    # With the adjunction rule off, keys the predicate flags are evaluated
+    # through the full recursion, so the agreement above is a genuine
+    # consistency statement and not the rule checked against itself.
     # Here: a flagged key participates as input to a solve without damage.
-    assert engine.invariant("cp2", 2, ((4, 1),)) == 0
+    assert recursion("cp2", 2, ((4, 1),)) == 0
     assert vanishing_filter("cp2", 2, (4, 1))
-    assert engine.invariant("cp2", 2, ((5,),)) == 1
+    assert recursion("cp2", 2, ((5,),)) == 1
 
 
 # ------------------------------------------------------------- nonnegativity

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from tangentcount import gw
 from tangentcount.errors import InconsistencyError
 
-from reference import (column, double_point_count, point_point_line_line,
-                       quadric_pass, unpruned, vanishing_filter)
+from reference import (column, compared_with_unpruned, double_point_count,
+                       point_point_line_line, quadric_pass, unpruned,
+                       vanishing_filter)
 
 
 def test_plane_counts():
@@ -312,15 +313,16 @@ def test_cremona_images_of_the_column_classes():
                     reason="extended tier disabled "
                            "(TANGENTCOUNT_EXTENDED != 1)")
 def test_extended_cremona_images_of_the_quadric_and_degree_ten_classes():
-    # about two minutes beside the shared unpruned cold T_1..T_10 (about
-    # three minutes and 900 MB, unless another extended test ran it): the
+    # about two minutes beside the unpruned cold T_1..T_10 and its
+    # comparison with the shared pruned one (about five minutes, unless
+    # another extended test ran them): the
     # classes of the five quadric tables and their sum identities (images
     # up to degree 15), then those of the cold T_1..T_10 (images up to
     # degree 17, most of the time), both with the adjunction rule off, so
     # that the classes the rule leaves unasked are checked too
     memo = _memo_with_free_points(unpruned(quadric_pass).blowup)
     assert _cremona_mismatches(memo) == ([], 7090, 5993)
-    memo = _memo_with_free_points(unpruned(column, 10).blowup)
+    memo = _memo_with_free_points(compared_with_unpruned(10)[2].blowup)
     assert _cremona_mismatches(memo) == ([], 44623, 38795)
 
 
