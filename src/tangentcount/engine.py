@@ -37,19 +37,24 @@ ruling (a, 0) has delta = 1 - a: negative for a > 1, so every key of such
 a multiple fiber class vanishes, as such a class has no somewhere-injective
 curve; for (1, 0) it is 0, so the line meets each point in one branch.
 hat_invariant answers an asked key past the budget with 0 as it answers an
-off-shell one, and _solve_at sets each input past what rest leaves of it to
-0 before any lookup, solve or base case.
+off-shell one.  A solve beside rest uses the rule on its unknowns: a
+diagram forcing more than left, what rest leaves of the budget, has
+invariant 0 there, so the solve reads only the inputs of its closure
+(matrices.solve_closure): the rows of the unknowns left nonzero and one row
+that closes the loop.  Of those, only (1,)*k, read when the loop closes on the
+first row, can be past left; it is set to 0 before any lookup, solve or
+base case.
 
 Termination is governed by the complexity rank (level, count): the maximal
 weight of a constraint containing a branch of order >= 2, and how many
 constraints realize it.  Every recursive call strictly decreases the rank
 lexicographically.  The engine has one method per case: _base answers an
-all-ones key, and _solve_at one solve, which resolves each input key
-itself: a key past the adjunction budget as 0, an all-ones key by _base,
-any other read from a vector that holds it, else solved in place beside
-the key less its top level code, after a runtime check that its rank is
-below the solve's.  A public key is resolved the same way, so every frame
-between it and a base case is a _solve_at.
+all-ones key, and _solve_at one solve, which resolves each input key it
+reads itself: a key past the adjunction budget as 0, an all-ones key by
+_base, any other read from a vector that holds it, else solved in place
+beside the key less its top level code, after a runtime check that its rank
+is below the solve's.  A public key is resolved the same way, so every
+frame between it and a base case is a _solve_at.
 
 Inside the engine a diagram of weight w is one int, its code: _first[w]
 plus its index in partitions_of(w), the blocks of p(w) codes laid out in
@@ -60,7 +65,6 @@ from partition counts; a weight's other diagrams are listed (by
 partition_list, as its solve_plan lists them) once one of them is coded.
 """
 
-from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from functools import lru_cache
@@ -68,9 +72,9 @@ from math import factorial, isqrt, prod
 
 from . import gw
 from .errors import InconsistencyError
-from .matrices import solve_plan, solve_split_system
+from .matrices import packed, solve_closure, solve_split_system
 from .partitions import (as_diagram, aut_order, diagram_text, multinomial,
-                         partition_list, partitions_of)
+                         nodes, partition_list, partitions_of)
 
 
 def canonical_constraints(constraints):
@@ -138,14 +142,6 @@ def _text(c):
     return diagram_text(_diagram(c))
 
 
-@lru_cache(maxsize=None)
-def _nodes(q):
-    """The double points diagram q forces at its point: branches of contact
-    orders a >= b meet at least b times, and over the pairs of a descending
-    q these minima add up to sum_i i * q_i."""
-    return sum(i * r for i, r in enumerate(q))
-
-
 def _plane(space, degree, sizes=()):
     """The plane class (d, mults) of the class with points of
     multiplicities sizes: itself on cp2, translate_to_plane's on p1xp1."""
@@ -162,30 +158,29 @@ def _budget(space, degree):
 
 @lru_cache(maxsize=None)
 def _solve_inputs(k):
-    """The codes a weight-k solve sets beside rest, splits then (1,)*k, each
-    with its top level code first; those codes' slots (None if none); and
-    the double points their diagrams force."""
-    inputs = tuple(tuple(sorted(map(_code, pair), reverse=True,
-                                key=lambda c: (c in _LEVEL, c)))
-                   for pair in (*solve_plan(k).splits, ((1,) * k,)))
-    return (inputs, tuple(c - _first[_LEVEL[c]] - 1 if c in _LEVEL else None
-                          for c, *_ in inputs),
-            tuple(sum(_nodes(_diagram(c)) for c in codes) for codes in inputs))
+    """Per input a weight-k solve may read beside rest, indexed as
+    solve_closure reads them (the split (top row, rest) of each row's
+    diagram, then (1,)*k): its codes, top level code first; that code's
+    slot (None if none); and the double points its diagrams force."""
+    pairs = [((y[0],), y[1:]) for y in partition_list(k)[:-1]]
+    inputs = [tuple(sorted(map(_code, pair), reverse=True,
+                           key=lambda c: (c in _LEVEL, c)))
+              for pair in (*pairs, ((1,) * k,))]
+    return tuple((codes, codes[0] - _first[_LEVEL[codes[0]]] - 1
+                  if codes[0] in _LEVEL else None,
+                  sum(nodes(_diagram(c)) for c in codes)) for codes in inputs)
+
+
+@lru_cache(maxsize=None)
+def _reads(k, left):
+    """The closure of a weight-k solve beside a rest that leaves left
+    double points, and the _solve_inputs it reads, in its order."""
+    closure, inputs = solve_closure(k, left), _solve_inputs(k)
+    return closure, tuple(map(inputs.__getitem__, closure.reads))
 
 
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
     return key[:2] + (tuple(map(_diagram, key[2])),)
-
-
-def _packed(values):
-    """A solve's values as the narrowest int array holding them: typecode
-    'i', else 'q', else (past int64) a tuple of the ints."""
-    for typecode in "iq":
-        try:
-            return array(typecode, values)
-        except OverflowError:
-            pass
-    return tuple(values)
 
 
 class Engine:
@@ -222,7 +217,7 @@ class Engine:
         cs = canonical_constraints(constraints)
         if sum(map(sum, cs)) != gw.chern_number(space, degree) - 1:
             return 0
-        if sum(map(_nodes, cs)) > _budget(space, degree):
+        if sum(map(nodes, cs)) > _budget(space, degree):
             self.counters["adjunction_zeros"] += 1
             return 0
         hit = self.stored.get(encode_key(space, degree, cs))
@@ -312,22 +307,25 @@ class Engine:
         """One box-moving solve: hat-H for every diagram of weight k beside
         rest, indexed like solve_plan(k).parts[1:], each value checked
         against the vector _held finds for its key (skipping rest's, which
-        is not stored yet).  An input whose double points exceed what rest
-        leaves of the class's _budget is 0.  Another with a level code is
-        read from the vector _held tries first, near: beside its key less the
-        top level code (rest's top t, or the input's if larger).  If near is
-        missing and the key has another code of that weight, _held tries the
-        key's later holders, skipping near.  If none holds it, near is solved
-        here, at the key's _rank (top's level once if others has no code of
-        it), which must be below rank.  An all-ones input goes to _base."""
+        is not stored yet).  It reads the inputs _reads lists for left, what
+        rest leaves of the class's _budget, and its closure sets the
+        unknowns past left to 0.  An input past left is 0 (only (1,)*k can
+        be).  Another with a level code is read from the vector _held tries
+        first, near: beside its key less the top level code (rest's top t,
+        or the input's if larger).  If near is missing and the key has
+        another code of that weight, _held tries the key's later holders,
+        skipping near.  If none holds it, near is solved here, at the key's
+        _rank (top's level once if others has no code of it), which must be
+        below rank.  An all-ones input goes to _base."""
         vectors, values, hits = self._vectors[space, degree], [], 0
-        left = _budget(space, degree) - sum(_nodes(_diagram(c)) for c in rest)
+        left = _budget(space, degree) - sum(map(nodes, map(_diagram, rest)))
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
             rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
-        for codes, slot, nodes in zip(*_solve_inputs(k)):
-            if nodes > left:
+        closure, reads = _reads(k, left)
+        for codes, slot, forced in reads:
+            if forced > left:
                 self.counters["adjunction_zeros"] += 1
                 values.append(0)
                 continue
@@ -366,7 +364,7 @@ class Engine:
                     % (rank, lower, _decoded(key)))
             values.append(self._solve_at(space, degree, near, w, lower)[slot])
         self.counters["memo_hits"] += hits
-        solved = solve_split_system(k, values[:-1], values[-1])
+        solved = solve_split_system(k, closure, values)
         self.counters["solves"] += 1
         if rank[1] > 1:  # else no other vector holds a key
             for q, value in enumerate(solved, _first[k] + 1):
@@ -376,7 +374,7 @@ class Engine:
                     raise InconsistencyError(
                         "conflicting values %d and %d for %s"
                         % (old, value, _decoded(key)))
-        vectors[rest] = _packed(solved)
+        vectors[rest] = packed(solved)
         return solved
 
     # --------------------------------------------------------- cache plumbing

@@ -22,22 +22,49 @@ one-point invariants of weight k from the split two-point values, which have
 strictly smaller constraint weights.
 
 The linear solve exploits the Hessenberg shape by expressing every unknown
-as an affine function of the last one and closing the loop with the first
+as an affine function of the last one and closing the loop with one more
 equation, which costs only the number of nonzero entries.  The multiples of
 the last unknown depend on the weight alone, so they are built once per
 weight, and with them the multiple b of the last unknown in the first
 equation.  That b is the determinant up to sign, so the determinant comes
 from the solve's closure, never from eliminating the dense matrix, and the
 closure checks the law |det A| = (k-1)! before any solve of its weight.
+
+A solve beside rest knows more.  By adjunction (engine.py) the unknown of
+a diagram y with nodes(y) > left is 0, left being what rest leaves of the
+class's double points.  The row of a diagram y other than the column only
+defines y's unknown from later ones, so the row of a vanishing unknown, and
+the input it reads, are not needed for the others: the live unknowns are
+again affine in top, with multiples coef built over the live rows alone (0
+at a vanishing unknown).  The single row (k) forces no double points, so
+top is always live.  The loop closes on any other row, the first or a
+vanishing unknown's (whose own term is 0), whose multiple b of top, the sum
+of coef over its merge targets, is nonzero.  One always is.  A is
+invertible, so its live columns A_L have full column rank; coef restricted
+to them ends in 1, so A_L coef is nonzero; and each live row has entry 0 in
+A_L coef by the construction of coef, so the nonzero entry sits in a row
+that can close.  A row whose input is past the budget never closes: merging
+its top row into a lower one lowers no pairwise minimum of rows, so its
+merge targets vanish too and its b is 0.  So every closing row is read.
+The first row closes only when its one merge target (2,1^(k-2)) is live, at
+left >= (k-1)(k-2)/2, the most any unknown forces.  There every unknown is
+live and the closure is the unpruned one: the first row, b = +-(k-1)!.
+Below it the vanishing row with the largest |b| closes (the latest of
+equals), which keeps the integrality check as strong as the closure allows.
+Where that |b| is 1 the check cannot fire, as every integer is a multiple
+of 1: on cold T_1..T_7, 13 of the 166 closures the solves use close so, and
+997 of its 21,671 solves.  solve_closure builds one closure per weight and
+left, capped at (k-1)(k-2)/2, and solve_split_system solves it.
 """
 
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 
 from .errors import InconsistencyError
-from .partitions import partition_list
+from .partitions import nodes, partition_list
 
 
 def merge_top_into(y, i):
@@ -58,63 +85,78 @@ def move_matrix(k):
     return a
 
 
-SolvePlan = namedtuple("SolvePlan", "parts splits merges")
+SolvePlan = namedtuple("SolvePlan", "parts merges")
 
 
 @lru_cache(maxsize=None)
 def solve_plan(k):
     """What the weight-k system needs besides its right-hand side, built
-    once: the partitions of k in increasing order, the split pair (top
-    row, rest) of every non-horizontal diagram, and per row the unknowns
+    once: the partitions of k in increasing order and per row the unknowns
     of its merge targets, one per lower row (unknown j is parts[j + 1])."""
     parts = partition_list(k)
     pos = {q: j for j, q in enumerate(parts)}
-    rows = parts[:-1]
-    return SolvePlan(
-        parts,
-        tuple(((y[0],), y[1:]) for y in rows),
-        tuple(tuple(pos[merge_top_into(y, i)] - 1 for i in range(1, len(y)))
-              for y in rows))
+    return SolvePlan(parts, tuple(
+        tuple(pos[merge_top_into(y, i)] - 1 for i in range(1, len(y)))
+        for y in parts[:-1]))
 
 
-def solve_split_system(k, split_values, all_ones_value):
+# A weight-k solve beside a rest that leaves left double points, row r
+# being the equation of parts[r]: reads, the inputs it reads in order
+# (input r < p(k) - 1 is row r's split, input p(k) - 1 is (1,)*k), that is
+# rows, then close, then (1,)*k if close is row 0; rows, the rows r >= 1 of
+# the live unknowns, last first; close, the row that closes the loop; and
+# coef and b as in _closure.
+Closure = namedtuple("Closure", "reads rows close coef b")
+
+
+def solve_closure(k, left):
+    """The Closure of a weight-k solve whose unknowns with more than left
+    double points are 0, for k >= 2; equal for every left at or past
+    (k-1)(k-2)/2, so left is capped there.  Raises InconsistencyError
+    unless the weight's unpruned closure keeps the determinant law."""
+    return _closure(k, min(left, (k - 1) * (k - 2) // 2))
+
+
+def solve_split_system(k, closure, values):
     """Recover all one-point invariants of weight k from split values.
 
-    split_values lists, for each non-horizontal y in increasing order, the
-    two-point invariant with constraints (top row of y) and (rest of y); the
-    separately supplied all_ones_value is the invariant with the fully split
-    constraint (1,...,1).  Solves
+    The split value of row y, for each non-horizontal y in increasing
+    order, is the two-point invariant with constraints (top row of y) and
+    (rest of y); the invariant with the fully split constraint (1,...,1)
+    is the all-ones value.  Solves
 
         split_values = all_ones_value * e_1 + A * unknowns
 
-    exactly and returns the list of invariants of every y except the single
-    column, in solve_plan(k).parts[1:] order.  All results must come out
-    integral; anything else means the inputs were inconsistent and raises
+    exactly, given the unknowns that closure (solve_closure) sets to 0 and
+    values, the inputs closure.reads lists in its order, and returns the
+    list of invariants of every y except the single column, in
+    solve_plan(k).parts[1:] order.  All results must come out integral;
+    anything else means the inputs were inconsistent and raises
     InconsistencyError.  Its one caller, Engine._solve_at, solves at k >= 2
-    and builds split_values from the same plan, so neither is checked here.
+    and builds values from the same closure, so neither is checked here.
     """
-    parts, _, merges = solve_plan(k)
-    t = len(parts)
+    parts, merges = solve_plan(k)
+    _, rows, close, coef, b = closure
     # Unknown j is const[j] + coef[j] * top, top being the last unknown, the
-    # single row (k); merge targets sit later in the order than their row.
-    coef, b = _closure(k)
-    const = [0] * (t - 1)
-    for r in range(t - 2, 0, -1):
-        a = split_values[r]
+    # single row (k); merge targets sit later in the order than their row,
+    # and a vanishing unknown keeps const 0 and coef 0.
+    const = [0] * len(merges)
+    for r, a in zip(rows, values):
         for j in merges[r]:
             a -= const[j]
         const[r - 1] = a
-    # First equation (the single-column diagram) closes the loop.
-    a = all_ones_value
-    for j in merges[0]:
-        a += const[j]
+    # The closing row's split, less the all-ones value on row 0.
+    n = len(rows)
+    a = values[n] - sum(values[n + 1:])
+    for j in merges[close]:
+        a -= const[j]
     # Every unknown is an integer exactly when top is, since top is one of
     # them and the others are integer affine functions of it.
-    top, remainder = divmod(split_values[0] - a, b)
+    top, remainder = divmod(a, b)
     if remainder:
-        top = Fraction(split_values[0] - a, b)
-        for j in range(t - 1):
-            value = const[j] + coef[j] * top
+        top = Fraction(a, b)
+        for j, (c, m) in enumerate(zip(const, coef)):
+            value = c + m * top
             if value.denominator != 1:
                 raise InconsistencyError(
                     "non-integral invariant %s for constraint %s at weight %d"
@@ -124,24 +166,56 @@ def solve_split_system(k, split_values, all_ones_value):
 
 def move_determinant(k):
     """det A of the weight-k move matrix, k >= 2: (-1)^(p(k)-2) b."""
-    return (-1) ** (len(solve_plan(k).parts) - 2) * _closure(k)[1]
+    return (-1) ** (len(solve_plan(k).parts) - 2) * solve_closure(k, inf).b
 
 
 @lru_cache(maxsize=None)
-def _closure(k):
-    """The part of the weight-k solve that no input enters, for k >= 2:
-    coef[j], the multiple of top in unknown j, and b, the multiple of top
-    in the first equation, which closes the loop.  A times coef is b e_1
-    and coef ends in 1, so by Cramer's rule det A is b times the minor
-    without the first row and last column, which is unit triangular, and
-    the sign (-1)^(p(k)-2).  Raises InconsistencyError unless |b| = (k-1)!,
-    the determinant law."""
+def _closure(k, left):
+    """The part of the weight-k solve that no input enters, for k >= 2 and
+    left at most the cap (k-1)(k-2)/2, as a Closure: coef[j], the multiple
+    of top in unknown j, and b, the multiple of top in the closing row,
+    chosen as the module docstring says.  At the cap (every unknown live)
+    the first row closes, A times coef is b e_1 and coef ends in 1, so by
+    Cramer's rule det A is b times the minor without the first row and
+    last column, which is unit triangular, and the sign (-1)^(p(k)-2).
+    Raises InconsistencyError unless there |b| = (k-1)!, the determinant
+    law; a closure below the cap checks it on the cap's first."""
+    cap = (k - 1) * (k - 2) // 2
+    if left < cap:
+        _closure(k, cap)
     merges = solve_plan(k).merges
+    whole, split = _forced(k)
+    rows = tuple(r for r in range(len(merges) - 1, 0, -1) if whole[r] <= left)
     coef = [0] * (len(merges) - 1) + [1]
-    for r in range(len(merges) - 1, 0, -1):
+    for r in rows:
         coef[r - 1] = -sum(map(coef.__getitem__, merges[r]))
-    b = sum(map(coef.__getitem__, merges[0]))
-    if abs(b) != factorial(k - 1):
+    # the rows that can close: row 0 and the vanishing unknowns' rows, less
+    # those whose split is past the budget, as their merge targets vanish
+    # too; at the cap that leaves row 0 alone
+    bs = {r: sum(map(coef.__getitem__, merges[r]))
+          for r in range(len(merges)) if split[r] <= left < whole[r]}
+    if left == cap and abs(bs[0]) != factorial(k - 1):
         raise InconsistencyError("determinant law broken at weight %d: "
-                                 "|det A| = %d" % (k, abs(b)))
-    return tuple(coef), b
+                                 "|det A| = %d" % (k, abs(bs[0])))
+    close = max((r for r in bs if bs[r]), key=lambda r: (abs(bs[r]), r))
+    reads = rows + ((close,) if close else (0, len(merges)))
+    return Closure(reads, rows, close, packed(coef), bs[close])
+
+
+@lru_cache(maxsize=None)
+def _forced(k):
+    """The double points of each diagram y of weight k, in increasing
+    order, and those of its split (top row of y, rest of y)."""
+    parts = partition_list(k)
+    return tuple(map(nodes, parts)), tuple(nodes(y[1:]) for y in parts)
+
+
+def packed(values):
+    """Ints as the narrowest int array holding them: typecode 'i', else
+    'q', else (past int64) a tuple of the ints."""
+    for typecode in "iq":
+        try:
+            return array(typecode, values)
+        except OverflowError:
+            pass
+    return tuple(values)

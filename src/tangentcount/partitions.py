@@ -71,6 +71,14 @@ def partition_list(k):
     return tuple(partitions_of(k))
 
 
+@lru_cache(maxsize=None)
+def nodes(q):
+    """The double points diagram q forces at its point: branches of contact
+    orders a >= b meet at least b times, and over the pairs of a descending
+    q these minima add up to sum_i i * q_i."""
+    return sum(i * r for i, r in enumerate(q))
+
+
 def aut_order(p):
     """Order of the group permuting equal rows: product of (multiplicity)!.
 

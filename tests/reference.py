@@ -32,6 +32,7 @@ from tangentcount.cache import header, parse_line
 from tangentcount.cli import main
 from tangentcount.engine import _rank
 from tangentcount.errors import InconsistencyError
+from tangentcount.matrices import solve_closure
 from tangentcount.partitions import as_diagram, partitions_of
 from tangentcount.star import combine_forward
 
@@ -122,14 +123,17 @@ def _memo_value(engine, space, degree, key):
 
 def unpruned_disagreements(run, full):
     """Where the Run run, pruned by the adjunction rule, disagrees with the
-    unpruned Run full of the same work, and how many solve inputs the rule
-    answered in run.  Each vector of run must equal full's vector at the
-    same rest, and each base case full's.  Each input of run's solves whose
-    summed local_double_points exceed the class's double_point_count is one
-    the rule answered, and must be 0 in full.  A key full never reached is
+    unpruned Run full of the same work, how many solve inputs the rule
+    answered in run, and at how many of run's rests full solved nothing.
+    Each vector of run must equal full's vector at the same rest, each slot
+    the solve set to 0 by the rule included, and each base case full's.
+    Each input a solve of run reads (solve_closure's reads) whose summed
+    local_double_points exceed what rest leaves of the class's
+    double_point_count is one the rule answered, and must be 0 in full.  A
+    key full never reached, such as a slot of a rest full never solved, is
     asked of full's engine with the rule off: the engine grows, its Run's
     snapshots do not."""
-    m, bad, answered = engine_module, [], 0
+    m, bad, answered, unsolved = engine_module, [], 0, 0
     nodes_of = cache(lambda c: local_double_points(m._diagram(c)))
     with adjunction_rule_off():
 
@@ -152,19 +156,22 @@ def unpruned_disagreements(run, full):
                 targets = range(m._first[k] + 1, m._first[k + 1])
                 other = held.get(rest)
                 if other is None:
+                    unsolved += 1
                     other = [unpruned_value(space, degree, tuple(sorted(
                         rest + (q,), reverse=True))) for q in targets]
                 bad += [("slot", (space, degree, rest), q, value)
                         for q, value, expected in zip(targets, vector, other)
                         if value != expected]
                 left = budget - sum(map(nodes_of, rest))
-                for codes in m._solve_inputs(k)[0]:
+                inputs = m._solve_inputs(k)
+                for r in solve_closure(k, left).reads:
+                    codes = inputs[r][0]
                     if sum(map(nodes_of, codes)) > left:
                         answered += 1
                         key = tuple(sorted(rest + codes, reverse=True))
                         if unpruned_value(space, degree, key) != 0:
                             bad.append(("answered", (space, degree, key)))
-    return bad, answered
+    return bad, answered, unsolved
 
 
 @cache

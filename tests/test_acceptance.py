@@ -23,8 +23,9 @@ import pytest
 
 from tangentcount import engine as engine_module, gw
 from tangentcount.engine import Engine
-from tangentcount.matrices import move_determinant, move_matrix
-from tangentcount.partitions import multinomial, partitions_of
+from tangentcount.matrices import (move_determinant, move_matrix,
+                                   solve_closure)
+from tangentcount.partitions import multinomial, nodes, partitions_of
 from tangentcount.star import star
 
 from reference import (cold, cold_run, column, compared_with_unpruned,
@@ -72,7 +73,7 @@ def test_criterion_01_full_tangency_counts_cold():
     # the adjunction rule
     c = run.counters
     assert (c["solves"], c["evaluations"], c["memo_hits"], c["base_cases"],
-            c["adjunction_zeros"]) == (104385, 104683, 1487892, 298, 443311)
+            c["adjunction_zeros"]) == (99625, 99923, 1198617, 298, 18211)
     elapsed = run.seconds
     assert elapsed < 300, "budget is five minutes, took %.1fs" % elapsed
     print("PASS criterion 1: T_1..T_8 exact, cold cache, %.1fs "
@@ -103,15 +104,16 @@ def test_criterion_01_extended_pruned_against_unpruned():
         pytest.skip("extended tier disabled (TANGENTCOUNT_EXTENDED != 1)")
     # the shared cold T_1..T_10 against the same column with the adjunction
     # rule off (about three minutes and 900 MB more while they are compared):
-    # every vector and base case agrees, and every solve input the rule
+    # every vector and base case agrees, every solve input the rule
     # answered is 0 unpruned
     top = max(TANGENCY_MAX_EXTENDED)
-    bad, answered, full = compared_with_unpruned(top)
+    bad, answered, unsolved, full = compared_with_unpruned(top)
     run = cold_run(top)
     assert bad == [] and answered > 0
     assert run.answers == full.answers
     print("PASS criterion 1 extended: cold T_1..T_10 with the adjunction "
-          "rule equals it without, %d inputs answered by the rule" % answered)
+          "rule equals it without, %d inputs answered by the rule, %d rests "
+          "solved by the pruned run alone" % (answered, unsolved))
 
 
 def test_criterion_02_single_point_tables():
@@ -215,10 +217,10 @@ def test_criterion_09_vanishing():
 
 class RankProbe(Engine):
     """Engine that records every complexity-rank transition it is asked
-    to make: each solve's input keys, those read from the memo included,
-    and each top-level call; and the rank of each key that reaches a base
-    case.  Internal keys are coded, so each is decoded back to diagrams
-    first."""
+    to make: each input key a solve reads (its closure's reads), those
+    read from the memo included, and each top-level call; and the rank of
+    each key that reaches a base case.  Internal keys are coded, so each is
+    decoded back to diagrams first."""
 
     def __init__(self):
         super().__init__()
@@ -236,7 +238,11 @@ class RankProbe(Engine):
         return super()._base(space, degree, cs)
 
     def _solve_at(self, space, degree, rest, k, rank):
-        for codes in engine_module._solve_inputs(k)[0]:
+        m = engine_module
+        left = m._budget(space, degree) - sum(
+            nodes(m._diagram(c)) for c in rest)
+        for r in solve_closure(k, left).reads:
+            codes = m._solve_inputs(k)[r][0]
             self.calls["inputs"] += 1
             diagrams = tuple(map(engine_module._diagram, rest + codes))
             if not complexity(diagrams) < rank:

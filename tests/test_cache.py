@@ -145,7 +145,7 @@ def test_a_read_copies_only_the_key_it_asks_for(tmp_path):
     engine = Engine()
     with CountCache(path) as cache:
         assert cache.preload(engine) == len(
-            records_in(cache.entries.lines)) > 1000
+            records_in(cache.entries.lines)) == 874
         assert engine.hat_invariant("cp2", 4, ((11,),)) == 26
         assert list(engine.memo_items()) == []
         assert cache.harvest(engine) == 0
@@ -171,10 +171,10 @@ def test_cold_table_file_is_pinned():
     head, lines = split_header(data)
     body = data[len(head):]
     assert head == header(lines)
-    assert body.count(b"\n") == len(lines) == 1327
-    assert len(body) == 40099
+    assert body.count(b"\n") == len(lines) == 874
+    assert len(body) == 27182
     assert hashlib.sha256(body).hexdigest() == (
-        "000bc31575e4cea0de8aabf1925f027e7d62f8f825da0e0fabda6cfe3cde17b8")
+        "c573b04eee6c6b54bd80f75fcd8300ad96f21094b53655f18eddc796fcff2f7b")
 
 
 def test_the_header_is_the_sha256_of_the_joined_lines():
@@ -358,8 +358,7 @@ def test_a_file_this_program_did_not_write_is_not_read(
     assert (code, first, err) == (1, "FAIL cache records of degree at most "
                                      "4: file not read (%s)" % reason, said)
     assert rest and all(line.startswith("PASS") for line in rest)
-    head, written = split_header(path.read_bytes())
-    assert head == header(written) and set(written) <= set(lines)
+    assert path.read_bytes() == written_by("verify", "--max-d", "4")
     argv, value = key
     assert run("compute", *argv) == (0, "%d\n" % value, said)
     assert path.read_bytes() == written_by("compute", *argv)

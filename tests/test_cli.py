@@ -723,8 +723,8 @@ def test_a_heavy_record_is_read_without_its_solve_plan(tmp_path, capsys,
         listed.append(k)
         return real_list(k)
 
+    monkeypatch.setattr(matrices, "solve_plan", planning)
     for module in (matrices, engine_module):
-        monkeypatch.setattr(module, "solve_plan", planning)
         monkeypatch.setattr(module, "partition_list", listing)
     code, out, _ = run(capsys, "compute", "-d", "16", "-c", "(47)",
                        "--cache-file", str(path))

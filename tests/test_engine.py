@@ -14,8 +14,8 @@ from tangentcount.cache import CountCache
 from tangentcount.cli import parse_constraints, parse_degree
 from tangentcount.engine import Engine, canonical_constraints, encode_key
 from tangentcount.errors import InconsistencyError
-from tangentcount.matrices import solve_plan
-from tangentcount.partitions import partitions_of
+from tangentcount.matrices import solve_closure, solve_plan
+from tangentcount.partitions import nodes, partitions_of
 from tangentcount.star import combine_forward
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
@@ -355,19 +355,18 @@ def test_a_table_needs_chern_number_two():
 
 
 def test_cold_column_work_is_pinned():
-    # the amount of work for cold T_1..T_6 in one Engine: every solve and
-    # every stored key is still there, so speed comes from bookkeeping,
-    # and the blowup recursion still visits the same classes
+    # the amount of work for cold T_1..T_6 in one Engine: what is solved
+    # and what is stored, and the classes the blowup recursion visits
     run = cold(column, 6)
-    assert run.counters["solves"] == 5139
-    assert sum(1 for _ in run.engine.memo_items()) == 57396
+    assert run.counters["solves"] == 4450
+    assert sum(1 for _ in run.engine.memo_items()) == 50182
     assert len(run.blowup) == 73
 
 
 @pytest.mark.parametrize("work, pins", [
-    ("column_to_seven", (23524, 23653, 246099, 129, 100930, 335687, 178,
+    ("column_to_seven", (21671, 21800, 181450, 129, 4160, 310936, 178,
                          118, 1, 10, 2447)),
-    ("quadric_tables", (8120, 8229, 60692, 109, 28393, 85352, 402,
+    ("quadric_tables", (7474, 7583, 43866, 109, 2965, 79102, 402,
                         248, 0, 21, 7608))])
 def test_cold_work_is_pinned(work, pins):
     # the work of the benchmark's two in-process passes, counted: how the
@@ -387,7 +386,7 @@ def test_the_adjunction_counts_are_the_reference_ones():
     # sum over its pairs of branches, and its budget, from the plane class,
     # against (A.A - c1(A))/2 + 1, the rulings (a, 0) and (0, b) included
     m = engine_module
-    assert all(m._nodes(p) == local_double_points(p)
+    assert all(nodes(p) == local_double_points(p)
                for w in range(1, 13) for p in partitions_of(w))
     classes = [("cp2", d) for d in range(12)] + [
         ("p1xp1", (a, b)) for a in range(7) for b in range(7)]
@@ -409,8 +408,11 @@ def test_the_adjunction_rule_answers_only_zeros(work):
         asked = 2 * sum(local_double_points(p) > double_point_count(
             "p1xp1", ab) for ab in QUADRIC for p in partitions_of(
                 gw.chern_number("p1xp1", ab) - 1))
-    bad, answered = unpruned_disagreements(run, full)
+    bad, answered, unsolved = unpruned_disagreements(run, full)
     assert bad == []
+    # every rest the pruned run solved, the unpruned run solved too, so each
+    # of its vectors is compared with a vector
+    assert unsolved == 0
     assert run.answers == full.answers
     assert answered + asked == run.counters["adjunction_zeros"] > asked
     assert full.counters["adjunction_zeros"] == 0
@@ -428,8 +430,8 @@ def test_vectors_are_the_narrowest_int_arrays(monkeypatch):
     shifts = {2: 0, 3: 2**40, 4: 2**70}
     real, shift = engine_module.solve_split_system, [0]
 
-    def shifted(k, split_values, all_ones_value):
-        solved = real(k, split_values, all_ones_value)
+    def shifted(k, closure, values):
+        solved = real(k, closure, values)
         return [v + shift[0] for v in solved] if k == 3 else solved
 
     monkeypatch.setattr(engine_module, "solve_split_system", shifted)
@@ -470,8 +472,8 @@ def corrupt_top_solve(monkeypatch, by, degree=4,
     real = engine_module.solve_split_system
     calls = []
 
-    def corrupt_last(k, split_values, all_ones_value):
-        solved = real(k, split_values, all_ones_value)
+    def corrupt_last(k, closure, values):
+        solved = real(k, closure, values)
         calls.append(k)
         if len(calls) == last:
             solved[solve_plan(sum(top[0])).parts.index(target) - 1] += by
@@ -664,8 +666,11 @@ class Inputs(Exception):
     """Raised in place of a solve, with the inputs it was given."""
 
 
-def read_inputs(k, split_values, all_ones_value):
-    raise Inputs(split_values + [all_ones_value])
+def read_inputs(k, closure, values):
+    """Stop a solve: raise Inputs with the codes of each input it read,
+    beside its rest, and the value read."""
+    inputs = engine_module._solve_inputs(k)
+    raise Inputs([inputs[r][0] for r in closure.reads], values)
 
 
 class Replay(Engine):
@@ -722,8 +727,7 @@ def shortcut_disagreements(e):
                     patch.setattr(m, "solve_split_system", read_inputs)
                     with pytest.raises(Inputs) as stop:
                         probe._solve_at(space, degree, rest, k, rank)
-                for codes, read in zip(m._solve_inputs(k)[0],
-                                       stop.value.args[0]):
+                for codes, read in zip(*stop.value.args):
                     key = tuple(sorted(rest + codes, reverse=True))
                     diagrams = tuple(map(m._diagram, key))
                     level, count = complexity(diagrams)
@@ -753,17 +757,38 @@ def test_solve_inputs_are_read_where_held_looks_first(work):
 
 
 def test_a_wrong_slot_offset_is_a_disagreement(monkeypatch):
-    # _solve_inputs keeps the slots of the inputs' own top codes; a slot
-    # one off for each is found, both where the input is read from its
-    # vector and where it is solved in place
+    # _solve_inputs keeps the slots of the inputs' own top codes, and _reads
+    # gives a solve those it reads; a slot one off for each is found, both
+    # where the input is read from its vector and where it is solved in
+    # place
     e = Engine()
     e.invariant("cp2", 3, ((8,),))
-    real = engine_module._solve_inputs
-    monkeypatch.setattr(engine_module, "_solve_inputs", lambda k: (
-        real(k)[0], tuple(s if s is None else s + 1 for s in real(k)[1]),
-        real(k)[2]))
+    real = engine_module._reads
+    monkeypatch.setattr(engine_module, "_reads", lambda k, left: (
+        real(k, left)[0], tuple((codes, s if s is None else s + 1, forced)
+                                for codes, s, forced in real(k, left)[1])))
     assert {bad[0] for bad in shortcut_disagreements(e)} == {"held",
                                                              "missing"}
+
+
+def test_solve_inputs_are_the_row_splits_then_all_ones():
+    # input r < p(k) - 1 of a weight-k solve is partition r split into its
+    # top row and the rest, input p(k) - 1 is (1,)*k; a level code comes
+    # first, with its slot, and the double points are the diagrams' sum
+    m = engine_module
+    for k in range(2, 13):
+        parts = partitions_of(k)
+        inputs = m._solve_inputs(k)
+        assert [sorted(map(m._diagram, codes)) for codes, *_ in inputs] == [
+            sorted([(y[0],), y[1:]]) for y in parts[:-1]] + [[(1,) * k]]
+        for codes, slot, forced in inputs:
+            top = codes[0]
+            assert all(top in m._LEVEL and top >= c
+                       for c in codes[1:] if c in m._LEVEL)
+            assert slot == (top - m._first[m._LEVEL[top]] - 1
+                            if top in m._LEVEL else None)
+            assert forced == sum(map(local_double_points,
+                                     map(m._diagram, codes)))
 
 
 class Asked(Engine):
@@ -815,9 +840,8 @@ def test_a_later_holder_answers_a_levelled_input():
     # ((4,), (2, 2), (2,)), is stored but not its first, beside ((3, 1),
     # (2, 2), (2,)).  As the input ((4,), (2,)) of the weight-6 solve beside
     # ((3, 1), (2, 2)) it is read from the second holder: one memo hit, no
-    # evaluation, no solve and no _base.  Every other input misses or is
-    # past the adjunction budget.  _held told to skip (4,) does not probe
-    # the first holder
+    # evaluation, no solve and no _base.  Every other input it reads
+    # misses.  _held told to skip (4,) does not probe the first holder
     code = engine_module._code
     e = Engine()
     e.hat_invariant("cp2", 5, ((4,), (4,), (2, 2), (2,)))
@@ -836,15 +860,23 @@ def test_a_later_holder_answers_a_levelled_input():
         patch.setattr(engine_module, "solve_split_system", read_inputs)
         with pytest.raises(Inputs) as stop:
             probe._solve_at("cp2", 5, (code((3, 1)), code((2, 2))), 6, (6, 1))
-    inputs = engine_module._solve_inputs(6)[0]
-    read = stop.value.args[0][inputs.index((code((4,)), code((2,))))]
+    inputs, values = stop.value.args
+    read = values[inputs.index((code((4,)), code((2,))))]
     assert read == value and probe.asked == []
-    zeros = sum(sum(map(local_double_points, ((3, 1), (2, 2)) + tuple(map(
+    # (3, 1) and (2, 2) leave 3 of the class's 6 double points: the solve
+    # reads the rows of the 4 unknowns below (6,) that force at most 3, and
+    # the row of (3, 1, 1, 1), which forces 6, to close the loop.  Of the 6
+    # of its 11 inputs it leaves, 3 are past the budget, and 3 are the rows
+    # of other unknowns that force more than 3
+    past = [sum(map(local_double_points, ((3, 1), (2, 2)) + tuple(map(
         engine_module._diagram, codes)))) > double_point_count("cp2", 5)
-        for codes in inputs)
-    assert zeros and probe.counters == {
-        "evaluations": len(inputs) - 1 - zeros, "solves": 0, "base_cases": 0,
-        "memo_hits": 1, "adjunction_zeros": zeros}
+        for codes, *_ in engine_module._solve_inputs(6)]
+    assert solve_closure(6, 3).reads == (9, 8, 7, 6, 4)
+    assert len(inputs) == 5 and not any(past[r] for r in (9, 8, 7, 6, 4))
+    assert past.count(True) == 3
+    assert probe.counters == {
+        "evaluations": len(inputs) - 1, "solves": 0, "base_cases": 0,
+        "memo_hits": 1, "adjunction_zeros": 0}
 
 
 def test_a_key_with_its_top_level_code_twice_is_ranked_two():

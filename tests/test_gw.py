@@ -322,7 +322,7 @@ def test_extended_cremona_images_of_the_quadric_and_degree_ten_classes():
     # that the classes the rule leaves unasked are checked too
     memo = _memo_with_free_points(unpruned(quadric_pass).blowup)
     assert _cremona_mismatches(memo) == ([], 7090, 5993)
-    memo = _memo_with_free_points(compared_with_unpruned(10)[2].blowup)
+    memo = _memo_with_free_points(compared_with_unpruned(10)[-1].blowup)
     assert _cremona_mismatches(memo) == ([], 44623, 38795)
 
 

@@ -1,6 +1,7 @@
 """The box-moving matrix: frozen small cases, structure, the determinant
 law, and exactness of the splitting solve."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -11,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from tangentcount import matrices
 from tangentcount.errors import InconsistencyError
-from tangentcount.matrices import (merge_top_into, move_matrix, solve_plan,
+from tangentcount.matrices import (merge_top_into, move_matrix,
+                                   solve_closure, solve_plan,
                                    solve_split_system)
-from tangentcount.partitions import partitions_of
+from tangentcount.partitions import nodes, partitions_of
 from tangentcount.star import star
 
 from reference import determinant
@@ -101,6 +103,13 @@ def matvec(k, w_by_part, w1):
     return out
 
 
+def solve_unpruned(k, split, w1):
+    """solve_split_system with no unknown set to 0 (left infinite), given
+    the split values and w1 in the order its closure reads them."""
+    closure, inputs = solve_closure(k, math.inf), split + [w1]
+    return solve_split_system(k, closure, [inputs[r] for r in closure.reads])
+
+
 @settings(max_examples=60)
 @given(st.integers(2, 8), st.data())
 def test_solve_round_trip(k, data):
@@ -109,14 +118,14 @@ def test_solve_round_trip(k, data):
          for q in parts[1:]}
     w1 = data.draw(st.integers(-50, 50), label="all-ones")
     split = matvec(k, w, w1)
-    assert solve_split_system(k, split, w1) == [w[q] for q in parts[1:]]
+    assert solve_unpruned(k, split, w1) == [w[q] for q in parts[1:]]
 
 
 def test_solve_rejects_non_integral():
     # weight 3: the equations force 2 * w(2,1) = split(1,1,1) - w1,
     # so an odd difference cannot come from integer invariants
     with pytest.raises(InconsistencyError):
-        solve_split_system(3, [1, 0], 0)
+        solve_unpruned(3, [1, 0], 0)
 
 
 def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
@@ -125,6 +134,7 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
     # raise before any solve of its weight
     plan = matrices.solve_plan(4)
     assert plan.merges[0] == (0, 0, 0)
+    assert matrices.solve_closure(4, math.inf) == matrices._closure(4, 3)
     for first_row, det in [
             ((), 0),  # merging into no unknown: b = 0, which must not divide
             ((0, 0, 1), 3)]:  # one merge entry changed: b = 3, not 3! = 6
@@ -132,7 +142,13 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
             merges=(first_row,) + plan.merges[1:]))
         with pytest.raises(InconsistencyError, match=re.escape(
                 "determinant law broken at weight 4: |det A| = %d" % det)):
-            matrices._closure.__wrapped__(4)
+            matrices._closure.__wrapped__(4, 3)
+        # a closure capped down, with none of weight 4 cached, checks the
+        # uncapped one first; a raising call caches nothing
+        matrices._closure.cache_clear()
+        with pytest.raises(InconsistencyError, match=re.escape(
+                "determinant law broken at weight 4: |det A| = %d" % det)):
+            matrices.solve_closure(4, 1)
 
 
 def gauss_solve(matrix, rhs_list):
@@ -155,9 +171,8 @@ def gauss_solve(matrix, rhs_list):
 
 def test_plan_merges_reproduce_move_matrix():
     for k in range(1, 15):
-        parts, splits, merges = solve_plan(k)
+        parts, merges = solve_plan(k)
         assert list(parts) == partitions_of(k)
-        assert splits == tuple(((y[0],), y[1:]) for y in parts[:-1])
         n = len(parts) - 1
         rebuilt = [[0] * n for _ in range(n)]
         for r, targets in enumerate(merges):
@@ -192,7 +207,7 @@ def test_solve_matches_fraction_oracle():
             oracle = dict(zip(parts[1:], x))
             if all(v.denominator == 1 for v in x):
                 outcomes.add("integral")
-                got = solve_split_system(k, split, w1)
+                got = solve_unpruned(k, split, w1)
                 assert got == list(oracle.values())
                 assert all(type(v) is int for v in got)
             else:
@@ -201,6 +216,39 @@ def test_solve_matches_fraction_oracle():
                              if v.denominator != 1)
                 with pytest.raises(InconsistencyError, match=re.escape(
                         "for constraint %s at" % (first,))):
-                    solve_split_system(k, split, w1)
+                    solve_unpruned(k, split, w1)
         # |det A_2| = 1: only from weight 3 on can a solve fail
         assert outcomes == {"integral", "non-integral"} or k == 2, k
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_a_pruned_solve_recovers_every_value_the_rule_allows(k):
+    # for every left up to the cap (k-1)(k-2)/2, and past it: integer
+    # unknowns drawn at random but 0 where a diagram forces more than left
+    # double points, the all-ones value included, come back exactly from
+    # the split values of the rows the closure reads, and from only those.
+    # It reads every live unknown's row, last first, then one closing row,
+    # row 0 (with the all-ones value) or a vanishing unknown's row
+    rng = random.Random(k)
+    parts = partitions_of(k)
+    n, cap = len(parts) - 1, (k - 1) * (k - 2) // 2
+    for left in [*range(cap + 1), math.inf]:
+        closure = solve_closure(k, left)
+        live = tuple(r for r in range(n - 1, 0, -1) if nodes(parts[r]) <= left)
+        assert closure.rows == live
+        assert closure.reads == live + ((closure.close,) if closure.close
+                                        else (0, n))
+        assert closure.close == 0 or nodes(parts[closure.close]) > left
+        for _ in range(3):
+            w = {q: rng.randint(-10**6, 10**6) if nodes(q) <= left else 0
+                 for q in parts}
+            inputs = matvec(k, w, w[parts[0]]) + [w[parts[0]]]
+            assert solve_split_system(k, closure, [
+                inputs[r] for r in closure.reads]) == [w[q] for q in parts[1:]]
+    # at the cap, the unpruned closure: its multiples of top are A's inverse
+    # applied to e_1, scaled to end in 1, by elimination, and b = +-(k-1)!
+    x, = gauss_solve(move_matrix(k), [[1] + [0] * (n - 1)])
+    assert solve_closure(k, cap) == solve_closure(k, math.inf)
+    assert list(solve_closure(k, cap).coef) == [v / x[-1] for v in x]
+    assert solve_closure(k, cap).b == 1 / x[-1]
+    assert abs(solve_closure(k, cap).b) == factorial(k - 1)
