@@ -104,7 +104,7 @@ def test_criterion_01_extended_pruned_against_unpruned():
         pytest.skip("extended tier disabled (TANGENTCOUNT_EXTENDED != 1)")
     # the shared cold T_1..T_10 against the same column with the adjunction
     # rule off (about three minutes and 900 MB more while they are compared):
-    # every vector and base case agrees, every solve input the rule
+    # every vector and base case agrees, and every solve input the rule
     # answered is 0 unpruned
     top = max(TANGENCY_MAX_EXTENDED)
     bad, answered, unsolved, full = compared_with_unpruned(top)
