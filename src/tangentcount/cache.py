@@ -7,7 +7,9 @@ of their arguments (engine.encode_key), sorted, one line per key.  That
 order is the read index: Records answers get and in, and nothing else,
 each bisecting for ``ht:key<TAB>`` and parsing the one value it finds.
 The engine looks up only the keys its callers ask for, never a key of its
-recursion, so no record enters a solve.
+recursion, so no record enters a solve.  A harvest writes no key whose
+constraints are all ones: the engine keeps none, as the blowup memo
+recomputes it, but an older file's record of one still answers it.
 
 A file is read only if this program wrote it: one with no header or a wrong
 digest (damaged, edited by hand, or older than the header) opens with no

@@ -37,24 +37,23 @@ ruling (a, 0) has delta = 1 - a: negative for a > 1, so every key of such
 a multiple fiber class vanishes, as such a class has no somewhere-injective
 curve; for (1, 0) it is 0, so the line meets each point in one branch.
 hat_invariant answers an asked key past the budget with 0 as it answers an
-off-shell one.  A solve beside rest uses the rule on its unknowns: a
-diagram forcing more than left, what rest leaves of the budget, has
-invariant 0 there, so the solve reads only the inputs of its closure
-(matrices.solve_closure): the rows of the unknowns left nonzero and one row
-that closes the loop.  Of those, only (1,)*k, read when the loop closes on the
-first row, can be past left; it is set to 0 before any lookup, solve or
-base case.
+off-shell one.  A solve beside rest leaves the rule to its closure
+(matrices.solve_closure): a diagram forcing more than left, what rest
+leaves of the budget, has invariant 0 there, so the solve reads the rows of
+the unknowns left nonzero, one row that closes the loop, and (1,)*k only
+if it forces at most left.  No input it reads is past left.
 
 Termination is governed by the complexity rank (level, count): the maximal
 weight of a constraint containing a branch of order >= 2, and how many
 constraints realize it.  Every recursive call strictly decreases the rank
 lexicographically.  The engine has one method per case: _base answers an
 all-ones key, and _solve_at one solve, which resolves each input key it
-reads itself: a key past the adjunction budget as 0, an all-ones key by
-_base, any other read from a vector that holds it, else solved in place
-beside the key less its top level code, after a runtime check that its rank
-is below the solve's.  A public key is resolved the same way, so every
-frame between it and a base case is a _solve_at.
+reads itself: an all-ones key by _base, any other read from a vector that
+holds it, else solved in place beside the key less its top level code,
+after a runtime check that its rank is below the solve's.  A public key
+is resolved the same way, so every frame between it and a base case is a
+_solve_at.  Neither keeps a base case: the blowup memo, shared by all
+engines, answers it again.
 
 Inside the engine a diagram of weight w is one int, its code: _first[w]
 plus its index in partitions_of(w), the blocks of p(w) codes laid out in
@@ -160,15 +159,14 @@ def _budget(space, degree):
 def _solve_inputs(k):
     """Per input a weight-k solve may read beside rest, indexed as
     solve_closure reads them (the split (top row, rest) of each row's
-    diagram, then (1,)*k): its codes, top level code first; that code's
-    slot (None if none); and the double points its diagrams force."""
+    diagram, then (1,)*k): its codes, top level code first, and that
+    code's slot (None if none)."""
     pairs = [((y[0],), y[1:]) for y in partition_list(k)[:-1]]
     inputs = [tuple(sorted(map(_code, pair), reverse=True,
                            key=lambda c: (c in _LEVEL, c)))
               for pair in (*pairs, ((1,) * k,))]
     return tuple((codes, codes[0] - _first[_LEVEL[codes[0]]] - 1
-                  if codes[0] in _LEVEL else None,
-                  sum(nodes(_diagram(c)) for c in codes)) for codes in inputs)
+                  if codes[0] in _LEVEL else None) for codes in inputs)
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +184,9 @@ def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
 class Engine:
     """Memoizing evaluator for tangency invariants over one process.
 
-    The memo keeps one vector per solve, plus base case values; a key of
-    level k is answered by the first weight-k vector holding it (_held).
+    The memo keeps one vector per solve; a key of level k is answered by
+    the first weight-k vector holding it (_held), and an all-ones key by
+    the blowup memo (_base).
     A vector is the solve's list, in solve_plan(k).parts[1:] order, packed
     into the narrowest int array that holds it (a tuple past int64).
     Instances share only the diagram codes and the blowup backend memo,
@@ -201,7 +200,6 @@ class Engine:
 
     def __init__(self):
         self._vectors = defaultdict(dict)  # {(space, degree): {rest: vector}}
-        self._values = {}  # all-ones base cases
         self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0, "adjunction_zeros": 0}
@@ -232,7 +230,7 @@ class Engine:
             return hit
         self.counters["evaluations"] += 1
         i = next(i for i, c in enumerate(key) if c in _LEVEL)
-        return self._solve_at(space, degree, key[:i] + key[i + 1:], k,
+        return self._solve_at(space, degree, key[:i] + key[i + 1:],
                               (k, count))[key[i] - _first[k] - 1]
 
     def invariant(self, space, degree, constraints):
@@ -287,48 +285,39 @@ class Engine:
         return None, None
 
     def _base(self, space, degree, cs):
-        """hat-H of the all-ones coded key cs: a memo hit, else one
-        evaluation and one base case.  Branch orders are 1 everywhere, so
-        the count is a blowup invariant with one multiplicity-b_i point per
-        constraint, times b_i! for the ordered branches."""
-        key = (space, degree, cs)
-        hit = self._values.get(key)
-        if hit is not None:
-            self.counters["memo_hits"] += 1
-            return hit
+        """hat-H of the all-ones coded key cs: one evaluation and one base
+        case, whose count the blowup memo keeps.  Branch orders are 1
+        everywhere, so the count is a blowup invariant with one
+        multiplicity-b_i point per constraint, times b_i! for the ordered
+        branches."""
         self.counters["evaluations"] += 1
         self.counters["base_cases"] += 1
         sizes = tuple(len(_diagram(c)) for c in cs)
-        return self._values.setdefault(key, prod(
-            factorial(b) for b in sizes) * gw.gw_blowup(*_plane(
-                space, degree, sizes)))
+        return prod(map(factorial, sizes)) * gw.gw_blowup(
+            *_plane(space, degree, sizes))
 
-    def _solve_at(self, space, degree, rest, k, rank):
-        """One box-moving solve: hat-H for every diagram of weight k beside
-        rest, indexed like solve_plan(k).parts[1:], each value checked
-        against the vector _held finds for its key (skipping rest's, which
-        is not stored yet).  It reads the inputs _reads lists for left, what
-        rest leaves of the class's _budget, and its closure sets the
-        unknowns past left to 0.  An input past left is 0 (only (1,)*k can
-        be).  Another with a level code is read from the vector _held tries
-        first, near: beside its key less the top level code (rest's top t,
-        or the input's if larger).  If near is missing and the key has
-        another code of that weight, _held tries the key's later holders,
-        skipping near.  If none holds it, near is solved here, at the key's
-        _rank (top's level once if others has no code of it), which must be
-        below rank.  An all-ones input goes to _base."""
-        vectors, values, hits = self._vectors[space, degree], [], 0
+    def _solve_at(self, space, degree, rest, rank):
+        """One box-moving solve at weight k = rank[0]: hat-H for every
+        diagram of weight k beside rest, indexed like
+        solve_plan(k).parts[1:], each value its closure does not set to 0
+        checked against the vector _held finds for its key (skipping
+        rest's, which is not stored yet).  It reads the inputs _reads lists
+        for left, what rest leaves of the class's _budget.  An input with a
+        level code is read from the vector _held tries first, near: beside
+        its key less the top level code (rest's top t, or the input's if
+        larger).  If near is missing and the key has another code of that
+        weight, _held tries the key's later holders, skipping near.  If none
+        holds it, near is solved here, at the key's _rank (top's level once
+        if others has no code of it), which must be below rank.  An
+        all-ones input goes to _base."""
+        k, vectors, values, hits = rank[0], self._vectors[space, degree], [], 0
         left = _budget(space, degree) - sum(map(nodes, map(_diagram, rest)))
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
             rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
         closure, reads = _reads(k, left)
-        for codes, slot, forced in reads:
-            if forced > left:
-                self.counters["adjunction_zeros"] += 1
-                values.append(0)
-                continue
+        for codes, slot in reads:
             near = None  # stays None for an all-ones key
             if slot is not None and codes[0] > t:
                 top, near = codes[0], rest + codes[1:]
@@ -362,12 +351,13 @@ class Engine:
                 raise InconsistencyError(
                     "complexity failed to decrease: %s -> %s at %s"
                     % (rank, lower, _decoded(key)))
-            values.append(self._solve_at(space, degree, near, w, lower)[slot])
+            values.append(self._solve_at(space, degree, near, lower)[slot])
         self.counters["memo_hits"] += hits
         solved = solve_split_system(k, closure, values)
         self.counters["solves"] += 1
         if rank[1] > 1:  # else no other vector holds a key
-            for q, value in enumerate(solved, _first[k] + 1):
+            for j in closure.live:  # a target past left is 0 at every holder
+                q, value = _first[k] + 1 + j, solved[j]
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
                 old = self._held(*key, k, q)[1]  # rest: not yet stored
                 if old not in (None, value):
@@ -384,8 +374,6 @@ class Engine:
         key is yielded by the vector _held finds for it, so only vectors
         beside rest's own larger targets can come first.  A vector's key
         texts share the text of rest around the target's."""
-        for key, value in self._values.items():  # all-ones: in no vector
-            yield encode_key(*_decoded(key)), value
         for (space, degree), vectors in self._vectors.items():
             on_shell = gw.chern_number(space, degree) - 1
             head = encode_key(space, degree, ())

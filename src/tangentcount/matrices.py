@@ -48,13 +48,16 @@ its top row into a lower one lowers no pairwise minimum of rows, so its
 merge targets vanish too and its b is 0.  So every closing row is read.
 The first row closes only when its one merge target (2,1^(k-2)) is live, at
 left >= (k-1)(k-2)/2, the most any unknown forces.  There every unknown is
-live and the closure is the unpruned one: the first row, b = +-(k-1)!.
-Below it the vanishing row with the largest |b| closes (the latest of
-equals), which keeps the integrality check as strong as the closure allows.
+live and the closure is the unpruned one: the first row, b = +-(k-1)!.  It
+reads the all-ones value only at left >= k(k-1)/2, what (1,)*k forces;
+below, that value is 0 by the same rule, and no other input a closure reads
+can be past left.  Below (k-1)(k-2)/2 the vanishing row with the largest
+|b| closes (the latest of equals), which keeps the integrality check as
+strong as the closure allows.
 Where that |b| is 1 the check cannot fire, as every integer is a multiple
-of 1: on cold T_1..T_7, 13 of the 166 closures the solves use close so, and
+of 1: on cold T_1..T_7, 14 of the 181 closures the solves use close so, and
 997 of its 21,671 solves.  solve_closure builds one closure per weight and
-left, capped at (k-1)(k-2)/2, and solve_split_system solves it.
+left, capped at k(k-1)/2, and solve_split_system solves it.
 """
 
 from array import array
@@ -103,18 +106,20 @@ def solve_plan(k):
 # A weight-k solve beside a rest that leaves left double points, row r
 # being the equation of parts[r]: reads, the inputs it reads in order
 # (input r < p(k) - 1 is row r's split, input p(k) - 1 is (1,)*k), that is
-# rows, then close, then (1,)*k if close is row 0; rows, the rows r >= 1 of
-# the live unknowns, last first; close, the row that closes the loop; and
-# coef and b as in _closure.
-Closure = namedtuple("Closure", "reads rows close coef b")
+# rows, then close, then (1,)*k if it forces at most left; rows, the rows
+# r >= 1 of the live unknowns, last first; live, the live unknowns j (of
+# parts[j + 1]) in increasing order; close, the row that closes the loop;
+# and coef and b as in _closure.
+Closure = namedtuple("Closure", "reads rows live close coef b")
 
 
 def solve_closure(k, left):
-    """The Closure of a weight-k solve whose unknowns with more than left
+    """The Closure of a weight-k solve whose diagrams with more than left
     double points are 0, for k >= 2; equal for every left at or past
-    (k-1)(k-2)/2, so left is capped there.  Raises InconsistencyError
-    unless the weight's unpruned closure keeps the determinant law."""
-    return _closure(k, min(left, (k - 1) * (k - 2) // 2))
+    k(k-1)/2, what (1,)*k forces, so left is capped there.  Raises
+    InconsistencyError unless the weight's unpruned closure keeps the
+    determinant law."""
+    return _closure(k, min(left, k * (k - 1) // 2))
 
 
 def solve_split_system(k, closure, values):
@@ -136,7 +141,7 @@ def solve_split_system(k, closure, values):
     and builds values from the same closure, so neither is checked here.
     """
     parts, merges = solve_plan(k)
-    _, rows, close, coef, b = closure
+    _, rows, _, close, coef, b = closure
     # Unknown j is const[j] + coef[j] * top, top being the last unknown, the
     # single row (k); merge targets sit later in the order than their row,
     # and a vanishing unknown keeps const 0 and coef 0.
@@ -145,7 +150,7 @@ def solve_split_system(k, closure, values):
         for j in merges[r]:
             a -= const[j]
         const[r - 1] = a
-    # The closing row's split, less the all-ones value on row 0.
+    # The closing row's split, less the all-ones value on row 0 if read.
     n = len(rows)
     a = values[n] - sum(values[n + 1:])
     for j in merges[close]:
@@ -172,17 +177,17 @@ def move_determinant(k):
 @lru_cache(maxsize=None)
 def _closure(k, left):
     """The part of the weight-k solve that no input enters, for k >= 2 and
-    left at most the cap (k-1)(k-2)/2, as a Closure: coef[j], the multiple
-    of top in unknown j, and b, the multiple of top in the closing row,
-    chosen as the module docstring says.  At the cap (every unknown live)
-    the first row closes, A times coef is b e_1 and coef ends in 1, so by
-    Cramer's rule det A is b times the minor without the first row and
-    last column, which is unit triangular, and the sign (-1)^(p(k)-2).
-    Raises InconsistencyError unless there |b| = (k-1)!, the determinant
-    law; a closure below the cap checks it on the cap's first."""
-    cap = (k - 1) * (k - 2) // 2
-    if left < cap:
-        _closure(k, cap)
+    left at most k(k-1)/2, as a Closure: coef[j], the multiple of top in
+    unknown j, and b, the multiple of top in the closing row, chosen as the
+    module docstring says.  From full = (k-1)(k-2)/2 on every unknown is
+    live and the first row closes, so A times coef is b e_1 and coef ends
+    in 1: by Cramer's rule det A is b times the minor without the first row
+    and last column, which is unit triangular, and the sign (-1)^(p(k)-2).
+    Raises InconsistencyError unless at full |b| = (k-1)!, the determinant
+    law; a closure at any other left checks it on full's first."""
+    full = (k - 1) * (k - 2) // 2
+    if left != full:
+        _closure(k, full)
     merges = solve_plan(k).merges
     whole, split = _forced(k)
     rows = tuple(r for r in range(len(merges) - 1, 0, -1) if whole[r] <= left)
@@ -191,15 +196,18 @@ def _closure(k, left):
         coef[r - 1] = -sum(map(coef.__getitem__, merges[r]))
     # the rows that can close: row 0 and the vanishing unknowns' rows, less
     # those whose split is past the budget, as their merge targets vanish
-    # too; at the cap that leaves row 0 alone
+    # too; from full on that leaves row 0 alone
     bs = {r: sum(map(coef.__getitem__, merges[r]))
-          for r in range(len(merges)) if split[r] <= left < whole[r]}
-    if left == cap and abs(bs[0]) != factorial(k - 1):
+          for r in range(len(merges))
+          if split[r] <= left and (not r or left < whole[r])}
+    if left == full and abs(bs[0]) != factorial(k - 1):
         raise InconsistencyError("determinant law broken at weight %d: "
                                  "|det A| = %d" % (k, abs(bs[0])))
     close = max((r for r in bs if bs[r]), key=lambda r: (abs(bs[r]), r))
-    reads = rows + ((close,) if close else (0, len(merges)))
-    return Closure(reads, rows, close, packed(coef), bs[close])
+    # (1,)*k forces more than full, so it is read only where row 0 closes
+    reads = rows + (close,) + ((len(merges),) if whole[0] <= left else ())
+    live = tuple(j for j in range(len(merges)) if whole[j + 1] <= left)
+    return Closure(reads, rows, live, close, packed(coef), bs[close])
 
 
 @lru_cache(maxsize=None)

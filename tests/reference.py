@@ -113,24 +113,17 @@ def unpruned(work, *args):
         return cold(work, *args)
 
 
-def _memo_value(engine, space, degree, key):
-    """The value engine's memo holds for the coded key, or None."""
-    level = _rank(map(engine_module._LEVEL.get, key))[0]
-    if level == 1:
-        return engine._values.get((space, degree, key))
-    return engine._held(space, degree, key, level)[1]
-
-
 def unpruned_disagreements(run, full):
     """Where the Run run, pruned by the adjunction rule, disagrees with the
     unpruned Run full of the same work, how many solve inputs the rule
     answered in run, and at how many of run's rests full solved nothing.
     Each vector of run must equal full's vector at the same rest, each slot
-    the solve set to 0 by the rule included, and each base case full's.
-    Each input a solve of run reads (solve_closure's reads) whose summed
-    local_double_points exceed what rest leaves of the class's
-    double_point_count is one the rule answered, and must be 0 in full.  A
-    key full never reached, such as a slot of a rest full never solved, is
+    the solve set to 0 by the rule included.  No input a solve of run reads
+    (solve_closure's reads) may have summed local_double_points above what
+    rest leaves of the class's double_point_count.  The all-ones input of
+    a solve whose loop closes on the first row without reading it is one
+    the rule answered: it must be past that budget, and 0 in full.  A key
+    full never reached, such as a slot of a rest full never solved, is
     asked of full's engine with the rule off: the engine grows, its Run's
     snapshots do not."""
     m, bad, answered, unsolved = engine_module, [], 0, 0
@@ -138,15 +131,14 @@ def unpruned_disagreements(run, full):
     with adjunction_rule_off():
 
         def unpruned_value(space, degree, key):
-            value = _memo_value(full.engine, space, degree, key)
+            # an all-ones key, of level 1, is held by no vector
+            level = _rank(map(m._LEVEL.get, key))[0]
+            value = full.engine._held(space, degree, key, level)[1]
             if value is None:
                 value = full.engine.hat_invariant(
                     space, degree, tuple(map(m._diagram, key)))
             return value
 
-        for key, value in run.engine._values.items():
-            if unpruned_value(*key) != value:
-                bad.append(("base case", key, value))
         for (space, degree), vectors in run.engine._vectors.items():
             budget = double_point_count(space, degree)
             on_shell = gw.chern_number(space, degree) - 1
@@ -163,14 +155,19 @@ def unpruned_disagreements(run, full):
                         for q, value, expected in zip(targets, vector, other)
                         if value != expected]
                 left = budget - sum(map(nodes_of, rest))
-                inputs = m._solve_inputs(k)
-                for r in solve_closure(k, left).reads:
+                inputs, closure = m._solve_inputs(k), solve_closure(k, left)
+                for r in closure.reads:
                     codes = inputs[r][0]
                     if sum(map(nodes_of, codes)) > left:
-                        answered += 1
                         key = tuple(sorted(rest + codes, reverse=True))
-                        if unpruned_value(space, degree, key) != 0:
-                            bad.append(("answered", (space, degree, key)))
+                        bad.append(("read", (space, degree, key)))
+                if closure.close == 0 and len(inputs) - 1 not in closure.reads:
+                    answered += 1
+                    codes = inputs[-1][0]
+                    key = tuple(sorted(rest + codes, reverse=True))
+                    if (sum(map(nodes_of, codes)) <= left
+                            or unpruned_value(space, degree, key) != 0):
+                        bad.append(("answered", (space, degree, key)))
     return bad, answered, unsolved
 
 

@@ -134,7 +134,7 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
     # raise before any solve of its weight
     plan = matrices.solve_plan(4)
     assert plan.merges[0] == (0, 0, 0)
-    assert matrices.solve_closure(4, math.inf) == matrices._closure(4, 3)
+    assert matrices.solve_closure(4, math.inf) == matrices._closure(4, 6)
     for first_row, det in [
             ((), 0),  # merging into no unknown: b = 0, which must not divide
             ((0, 0, 1), 3)]:  # one merge entry changed: b = 3, not 3! = 6
@@ -143,12 +143,14 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
         with pytest.raises(InconsistencyError, match=re.escape(
                 "determinant law broken at weight 4: |det A| = %d" % det)):
             matrices._closure.__wrapped__(4, 3)
-        # a closure capped down, with none of weight 4 cached, checks the
-        # uncapped one first; a raising call caches nothing
-        matrices._closure.cache_clear()
-        with pytest.raises(InconsistencyError, match=re.escape(
-                "determinant law broken at weight 4: |det A| = %d" % det)):
-            matrices.solve_closure(4, 1)
+        # a closure at another left, below or above 3, with none of weight
+        # 4 cached, checks the one at 3 first; a raising call caches nothing
+        for left in (1, math.inf):
+            matrices._closure.cache_clear()
+            with pytest.raises(InconsistencyError, match=re.escape(
+                    "determinant law broken at weight 4: |det A| = %d"
+                    % det)):
+                matrices.solve_closure(4, left)
 
 
 def gauss_solve(matrix, rhs_list):
@@ -223,21 +225,25 @@ def test_solve_matches_fraction_oracle():
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_a_pruned_solve_recovers_every_value_the_rule_allows(k):
-    # for every left up to the cap (k-1)(k-2)/2, and past it: integer
-    # unknowns drawn at random but 0 where a diagram forces more than left
-    # double points, the all-ones value included, come back exactly from
-    # the split values of the rows the closure reads, and from only those.
-    # It reads every live unknown's row, last first, then one closing row,
-    # row 0 (with the all-ones value) or a vanishing unknown's row
+    # for every left up to the cap k(k-1)/2, what (1,)*k forces, and past
+    # it: integer unknowns drawn at random but 0 where a diagram forces more
+    # than left double points, the all-ones value included, come back
+    # exactly from the split values of the rows the closure reads, and from
+    # only those.  It reads every live unknown's row, last first, then one
+    # closing row, row 0 or a vanishing unknown's row, then the all-ones
+    # value exactly when (1,)*k forces at most left; live is every unknown
+    # inside the budget
     rng = random.Random(k)
     parts = partitions_of(k)
-    n, cap = len(parts) - 1, (k - 1) * (k - 2) // 2
+    n, cap = len(parts) - 1, k * (k - 1) // 2
     for left in [*range(cap + 1), math.inf]:
         closure = solve_closure(k, left)
-        live = tuple(r for r in range(n - 1, 0, -1) if nodes(parts[r]) <= left)
-        assert closure.rows == live
-        assert closure.reads == live + ((closure.close,) if closure.close
-                                        else (0, n))
+        rows = tuple(r for r in range(n - 1, 0, -1) if nodes(parts[r]) <= left)
+        assert closure.rows == rows
+        assert closure.reads == rows + (closure.close,) + (
+            (n,) if nodes(parts[0]) <= left else ())
+        assert closure.live == tuple(j for j in range(n)
+                                     if nodes(parts[j + 1]) <= left)
         assert closure.close == 0 or nodes(parts[closure.close]) > left
         for _ in range(3):
             w = {q: rng.randint(-10**6, 10**6) if nodes(q) <= left else 0
@@ -245,10 +251,15 @@ def test_a_pruned_solve_recovers_every_value_the_rule_allows(k):
             inputs = matvec(k, w, w[parts[0]]) + [w[parts[0]]]
             assert solve_split_system(k, closure, [
                 inputs[r] for r in closure.reads]) == [w[q] for q in parts[1:]]
-    # at the cap, the unpruned closure: its multiples of top are A's inverse
-    # applied to e_1, scaled to end in 1, by elimination, and b = +-(k-1)!
+    # from (k-1)(k-2)/2 on, the unpruned closure: its multiples of top are
+    # A's inverse applied to e_1, scaled to end in 1, by elimination, and
+    # b = +-(k-1)!; it differs from the one at the cap in its reads alone
+    full = (k - 1) * (k - 2) // 2
     x, = gauss_solve(move_matrix(k), [[1] + [0] * (n - 1)])
     assert solve_closure(k, cap) == solve_closure(k, math.inf)
-    assert list(solve_closure(k, cap).coef) == [v / x[-1] for v in x]
-    assert solve_closure(k, cap).b == 1 / x[-1]
-    assert abs(solve_closure(k, cap).b) == factorial(k - 1)
+    for left in range(full, cap + 1):
+        closure = solve_closure(k, left)
+        assert closure[1:] == solve_closure(k, cap)[1:]
+        assert list(closure.coef) == [v / x[-1] for v in x]
+        assert closure.b == 1 / x[-1]
+        assert abs(closure.b) == factorial(k - 1)
