@@ -639,6 +639,24 @@ def test_plane_counts_in_a_cache_file_are_ignored(tmp_path, capsys):
     assert path.read_bytes() == data
 
 
+def test_an_all_ones_record_of_an_older_file_still_answers(tmp_path,
+                                                           capsys):
+    # no harvest writes an all-ones key, but a file that holds one, as
+    # files written by earlier versions of the program do, answers it as a
+    # record, and the run has nothing to write
+    path = tmp_path / "counts.txt"
+    data = signed([b"ht:cp2;3;(1,1)|(1)|(1)|(1)|(1)|(1)|(1)\t2\n"])
+    path.write_bytes(data)
+    code, out, err = run(capsys, "compute", "-d", "3", "-c",
+                         "(1,1);(1);(1);(1);(1);(1);(1)", "--hat", "--stats",
+                         "--format", "json", "--cache-file", str(path))
+    assert code == 0
+    record, = json.loads(out)
+    assert (record["value"], record["provenance"]) == (2, "cached")
+    assert parse_stats(err)["base_cases"] == 0
+    assert path.read_bytes() == data
+
+
 def test_table_provenance_comes_from_the_file(tmp_path, capsys):
     path = tmp_path / "counts.txt"
     path.write_bytes(signed([b"ht:cp2;3;(8)\t4\n"]))
