@@ -417,6 +417,7 @@ def test_the_adjunction_rule_answers_only_zeros(work):
     assert unsolved == 0
     assert run.answers == full.answers
     assert run.counters["adjunction_zeros"] == asked
+    # the all-ones inputs the solves leave unread, pinned
     assert answered == (4160 if work == "column_to_seven" else 1571)
     assert full.counters["adjunction_zeros"] == 0
 
