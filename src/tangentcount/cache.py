@@ -9,7 +9,11 @@ each bisecting for ``ht:key<TAB>`` and parsing the one value it finds.
 The engine looks up only the keys its callers ask for, never a key of its
 recursion, so no record enters a solve.  A harvest writes no key whose
 constraints are all ones: the engine keeps none, as the blowup memo
-recomputes it, but an older file's record of one still answers it.
+recomputes it, but an older file's record of one still answers it.  Nor
+does it write a key past the adjunction budget (Engine.memo_items), which
+the engine answers with 0 before it looks in the records; an older
+file's record of one is kept, never read by a lookup and never compared
+by a harvest.
 
 A file is read only if this program wrote it: one with no header or a wrong
 digest (damaged, edited by hand, or older than the header) opens with no

@@ -315,14 +315,14 @@ def cmd_verify(args, parser):
         report("point-count identity, degrees 1..%d" % hi, not bad,
                "mismatches %r" % bad)
 
-        bad = []
-        for k in range(2, MATRIX_LIMIT + 1):
+        bad, weights = [], range(2, MATRIX_LIMIT + 1)
+        for k in weights:
             try:
                 move_determinant(k)
             except InconsistencyError as exc:
                 bad.append(str(exc))
-        report("move-matrix determinant law, weights 2..%d" % MATRIX_LIMIT,
-               not bad, "; ".join(bad))
+        report("move-matrix determinant law, weights %d..%d"
+               % (weights[0], weights[-1]), not bad, "; ".join(bad))
 
         hi = min(max_d, 5)
         bad = []

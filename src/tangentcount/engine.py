@@ -177,6 +177,11 @@ def _reads(k, left):
     return closure, tuple(map(inputs.__getitem__, closure.reads))
 
 
+def _left(space, degree, rest):
+    """What the codes rest leave of the class's _budget."""
+    return _budget(space, degree) - sum(map(nodes, map(_diagram, rest)))
+
+
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
     return key[:2] + (tuple(map(_diagram, key[2])),)
 
@@ -302,7 +307,7 @@ class Engine:
         solve_plan(k).parts[1:], each value its closure does not set to 0
         checked against the vector _held finds for its key (skipping
         rest's, which is not stored yet).  It reads the inputs _reads lists
-        for left, what rest leaves of the class's _budget.  An input with a
+        for _left(rest), what rest leaves of the budget.  An input with a
         level code is read from the vector _held tries first, near: beside
         its key less the top level code (rest's top t, or the input's if
         larger).  If near is missing and the key has another code of that
@@ -311,12 +316,11 @@ class Engine:
         if others has no code of it), which must be below rank.  An
         all-ones input goes to _base."""
         k, vectors, values, hits = rank[0], self._vectors[space, degree], [], 0
-        left = _budget(space, degree) - sum(map(nodes, map(_diagram, rest)))
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
             rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
-        closure, reads = _reads(k, left)
+        closure, reads = _reads(k, _left(space, degree, rest))
         for codes, slot in reads:
             near = None  # stays None for an all-ones key
             if slot is not None and codes[0] > t:
@@ -370,10 +374,15 @@ class Engine:
     # --------------------------------------------------------- cache plumbing
 
     def memo_items(self):
-        """Each memoized key once, as (key text, value) pairs; a vector's
-        key is yielded by the vector _held finds for it, so only vectors
-        beside rest's own larger targets can come first.  A vector's key
-        texts share the text of rest around the target's."""
+        """Each memoized key inside the adjunction budget once, as (key
+        text, value) pairs: a vector yields only the live unknowns of the
+        closure its solve used, as a key past the budget is answered by
+        hat_invariant before stored.  A key inside the budget is live in
+        every vector holding it, since each holder's rest leaves at least
+        what the key's target forces; it is yielded by the vector _held
+        finds for it, so only vectors beside rest's own larger targets can
+        come first.  A vector's key texts share the text of rest around the
+        target's."""
         for (space, degree), vectors in self._vectors.items():
             on_shell = gw.chern_number(space, degree) - 1
             head = encode_key(space, degree, ())
@@ -389,7 +398,8 @@ class Engine:
                 ends = [(head + "".join(t + "|" for t in texts[:i]),
                          "".join("|" + t for t in texts[i:]))
                         for i in range(top, top + len(targets) + 1)]
-                for q, value in enumerate(vector, lo + 1):
+                for j in solve_closure(k, _left(space, degree, rest)).live:
+                    q, value = lo + 1 + j, vector[j]
                     above = [c for c in targets if c > q] if targets else ()
                     if above and self._held(space, degree, tuple(sorted(
                             rest + (q,), reverse=True)), k)[0] != q:

@@ -145,7 +145,7 @@ def test_a_read_copies_only_the_key_it_asks_for(tmp_path):
     engine = Engine()
     with CountCache(path) as cache:
         assert cache.preload(engine) == len(
-            records_in(cache.entries.lines)) == 865
+            records_in(cache.entries.lines)) == 305
         assert engine.hat_invariant("cp2", 4, ((11,),)) == 26
         assert list(engine.memo_items()) == []
         assert cache.harvest(engine) == 0
@@ -166,15 +166,64 @@ def test_blowup_records_are_not_read(tmp_path):
 
 
 def test_cold_table_file_is_pinned():
-    # the header, then the sorted one-record-per-key lines, byte for byte
+    # the header, then the sorted lines, one record per key inside the
+    # adjunction budget, byte for byte
     data = cold_d4_file()
     head, lines = split_header(data)
     body = data[len(head):]
     assert head == header(lines)
-    assert body.count(b"\n") == len(lines) == 865
-    assert len(body) == 26783
+    assert body.count(b"\n") == len(lines) == 305
+    assert len(body) == 9945
     assert hashlib.sha256(body).hexdigest() == (
-        "aaaa892509b0b9bd94c03ea279a6257a91add5be7576fa659c8ca3a5aa7ce48b")
+        "a724cd155f6a63bd290068a823d3648183599c9ae13c41905625ae1d9a7a871a")
+
+
+def test_a_harvest_writes_no_key_past_the_adjunction_budget():
+    # every record of a cold d <= 5 table is a key the adjunction rule does
+    # not answer: its points' local double points fit in its class's budget
+    _, lines = split_header(written_by("table", "--max-d", "5"))
+    records = records_in(lines)
+    for text in records:
+        space, dtext, ctext = text.split(";")
+        cs = parse_constraints(ctext.replace("|", ";"))
+        assert sum(map(local_double_points, cs)) <= double_point_count(
+            space, int(dtext)), text
+    assert len(records) == len(lines) == 3251
+
+
+# Two records past the adjunction budget of degree 3, one double point, as
+# an older file holds them: (5,3) at a wrong 5, and (6,2) at 0, the value
+# harvests wrote for such keys.
+PAST_BUDGET = [b"ht:cp2;3;(5,3)\t5\n", b"ht:cp2;3;(6,2)\t0\n"]
+
+
+def test_an_older_file_keeps_its_records_past_the_budget(tmp_path, capsys):
+    # the rule answers both keys before their records are looked up, yet
+    # the file holds them, so both are cached; a harvest neither compares
+    # nor drops them; verify recomputes each, as 0, and fails the wrong one
+    assert all(local_double_points(p) > double_point_count("cp2", 3)
+               for p in ((5, 3), (6, 2)))
+    path = tmp_path / "counts.txt"
+    older = signed(PAST_BUDGET)
+    path.write_bytes(older)
+    for ctext in ("(5,3)", "(6,2)"):
+        assert main(["compute", "-d", "3", "-c", ctext, "--format", "json",
+                     "--cache-file", str(path)]) == 0
+        record, = json.loads(capsys.readouterr().out)
+        assert (record["value"], record["provenance"]) == (0, "cached")
+    assert path.read_bytes() == older
+    assert main(["compute", "-d", "3", "-c", "(8)",
+                 "--cache-file", str(path)]) == 0
+    assert capsys.readouterr().out == "4\n"
+    _, lines = split_header(path.read_bytes())
+    _, added = split_header(written_by("compute", "-d", "3", "-c", "(8)"))
+    assert lines == sorted(PAST_BUDGET + added)
+    assert path.read_bytes() == signed(lines)
+    assert main(["verify", "--max-d", "3", "--cache-file", str(path)]) == 1
+    first, *report = capsys.readouterr().out.splitlines()
+    assert first == ("FAIL cache records of degree at most 3: "
+                     "cp2;3;(5,3) stored 5 computed 0")
+    assert report and all(line.startswith("PASS") for line in report)
 
 
 def test_the_header_is_the_sha256_of_the_joined_lines():
@@ -489,9 +538,9 @@ def test_a_wrong_record_never_spreads(tmp_path, capsys):
     # value unless it asked for the wrong record itself, and it writes no
     # line but true ones, refusing with exit 3 where a value it computed
     # contradicts the record.  The keys the file lacks are drawn from those
-    # inside the adjunction budget: the file lacks nearly every key past
-    # it, and those the rule answers without a computation (drawn here
-    # among all keys)
+    # inside the adjunction budget: the file lacks every key past it, and
+    # those the rule answers without a computation (drawn here among all
+    # keys)
     path = tmp_path / "counts.txt"
     head, lines = split_header(cold_d4_file())
     lines = [line.decode().rstrip("\n") for line in lines]

@@ -22,6 +22,7 @@ from tangentcount import (cli, engine as engine_module, gw, matrices,
 from tangentcount.cache import CountCache, header
 from tangentcount.cli import main, parse_constraints, parse_degree
 from tangentcount.engine import Engine
+from tangentcount.errors import InconsistencyError
 from tangentcount.partitions import partitions_of
 
 from reference import cold_d4_file, signed, split_header
@@ -502,6 +503,24 @@ def test_verify_small(capsys):
         "PASS move-matrix determinant law, weights 2..24",
         "PASS push-together formula, two-point keys of degrees 1..5",
     ]
+
+
+def test_verify_checks_the_determinant_law_up_to_the_matrix_limit(
+        capsys, monkeypatch):
+    # the law broken at the largest weight alone fails the line, which
+    # names the weights its loop walked
+    law = cli.move_determinant
+
+    def broken_at_the_limit(k):
+        if k == cli.MATRIX_LIMIT:
+            raise InconsistencyError("law broken at weight %d" % k)
+        return law(k)
+
+    monkeypatch.setattr(cli, "move_determinant", broken_at_the_limit)
+    code, out, _ = run(capsys, "verify", "--max-d", "1", "--no-cache")
+    assert code == 1
+    assert ("FAIL move-matrix determinant law, weights 2..24: law broken "
+            "at weight 24\n") in out
 
 
 def test_verify_fails_on_a_point_count_mismatch(capsys, monkeypatch):

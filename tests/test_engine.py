@@ -359,14 +359,14 @@ def test_cold_column_work_is_pinned():
     # and what is stored, and the classes the blowup recursion visits
     run = cold(column, 6)
     assert run.counters["solves"] == 4450
-    assert sum(1 for _ in run.engine.memo_items()) == 50128
+    assert sum(1 for _ in run.engine.memo_items()) == 27100
     assert len(run.blowup) == 73
 
 
 @pytest.mark.parametrize("work, pins", [
-    ("column_to_seven", (21671, 22205, 181045, 534, 0, 310807, 178,
+    ("column_to_seven", (21671, 22205, 181045, 534, 0, 190854, 178,
                          118, 1, 10, 2852)),
-    ("quadric_tables", (7474, 7898, 43551, 424, 1394, 78993, 402,
+    ("quadric_tables", (7474, 7898, 43551, 424, 1394, 47928, 402,
                         248, 0, 21, 7923))])
 def test_cold_work_is_pinned(work, pins):
     # the work of the benchmark's two in-process passes, counted: how the
@@ -565,18 +565,24 @@ def test_memo_items_are_distinct_and_reproducible():
 
 
 def per_key_memo_items(e):
-    """The memo spelled out slot by slot, as a reference that does not
-    share _held: {key text: value} over every vector slot's key, sorted
-    and decoded; slots that hold one key must agree."""
+    """The memo spelled out slot by slot, as a reference that shares
+    neither _held nor the closure: {key text: value} over every vector
+    slot's key, sorted and decoded, whose summed local_double_points are
+    within double_point_count of its class; slots that hold one key must
+    agree."""
     m = engine_module
     out = {}
     for (space, degree), vectors in e._vectors.items():
         on_shell = gw.chern_number(space, degree) - 1
+        budget = double_point_count(space, degree)
         for rest, vector in vectors.items():
             k = on_shell - sum(map(sum, map(m._diagram, rest)))
             for q, value in enumerate(vector, m._first[k] + 1):
                 key = space, degree, tuple(sorted(rest + (q,), reverse=True))
-                text = encode_key(*m._decoded(key))
+                cs = m._decoded(key)[2]
+                if sum(map(local_double_points, cs)) > budget:
+                    continue
+                text = encode_key(space, degree, cs)
                 assert out.setdefault(text, value) == value, text
     return out
 
