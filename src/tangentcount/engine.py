@@ -62,11 +62,22 @@ canonical key order, a key is a descending tuple of codes, and code c is
 entry c - _first[k] - 1 of a weight-k solve vector.  Block offsets come
 from partition counts; a weight's other diagrams are listed (by
 partition_list, as its solve_plan lists them) once one of them is coded.
+
+The memo holds each solve's vector under the _key of its rest: code c has
+its own prime _prime[c], the c-th prime, and a multiset of codes is keyed
+by the product of their primes, which by unique factorization names it
+exactly and in any order.  An input a solve reads is held beside rest with
+a code taken out and the input's codes put in, so its key is one
+multiplication by a product _solve_inputs keeps, and a read that hits
+sorts nothing.  A product cannot be factored cheaply, so a vector carries
+its rest: the values at their slots, then rest's codes, then their count.
 """
 
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from functools import lru_cache
+from itertools import compress
 from math import factorial, isqrt, prod
 
 from . import gw
@@ -98,11 +109,14 @@ def _rank(levels):
 _first = [0, 0]  # _first[w]: the code of (1,)*w, grown by _offset
 _counts = [1]  # p(0), p(1), ...: partition counts, one fewer than _first
 _LEVEL = {}  # code -> weight, for each listed diagram with a branch >= 2
+_prime = array("I", [2])  # _prime[c]: the c-th prime (from 0), by _offset
 
 
 def _offset(w):
     """_first[w], growing the blocks from partition counts (Euler's
-    pentagonal recurrence) until _first[w + 1] is known too."""
+    pentagonal recurrence) until _first[w + 1] is known too, and _prime
+    with them to a prime per code: sieved afresh, up to twice its largest
+    prime, whenever the codes outgrow it."""
     while len(_first) <= w + 1:
         n = len(_counts)
         _counts.append(sum((-1) ** (j + 1) * _counts[n - g]
@@ -110,6 +124,13 @@ def _offset(w):
                            for g in (j * (3*j - 1) // 2, j * (3*j + 1) // 2)
                            if g <= n))
         _first.append(_first[n] + _counts[n])
+        while len(_prime) < _first[-1]:  # sieve twice the largest prime
+            limit = 2 * _prime[-1]
+            sieve = bytearray([1]) * limit
+            for p in range(2, isqrt(limit) + 1):
+                if sieve[p]:
+                    sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+            _prime[:] = array("I", compress(range(2, limit), sieve[2:]))
     return _first[w]
 
 
@@ -159,14 +180,15 @@ def _budget(space, degree):
 def _solve_inputs(k):
     """Per input a weight-k solve may read beside rest, indexed as
     solve_closure reads them (the split (top row, rest) of each row's
-    diagram, then (1,)*k): its codes, top level code first, and that
-    code's slot (None if none)."""
+    diagram, then (1,)*k): its codes, top level code first, that code's
+    slot (None if none), and the _key of its codes and of codes[1:]."""
     pairs = [((y[0],), y[1:]) for y in partition_list(k)[:-1]]
     inputs = [tuple(sorted(map(_code, pair), reverse=True,
                            key=lambda c: (c in _LEVEL, c)))
               for pair in (*pairs, ((1,) * k,))]
     return tuple((codes, codes[0] - _first[_LEVEL[codes[0]]] - 1
-                  if codes[0] in _LEVEL else None) for codes in inputs)
+                  if codes[0] in _LEVEL else None, _key(codes),
+                  _key(codes[1:])) for codes in inputs)
 
 
 @lru_cache(maxsize=None)
@@ -182,6 +204,12 @@ def _left(space, degree, rest):
     return _budget(space, degree) - sum(map(nodes, map(_diagram, rest)))
 
 
+def _key(codes):
+    """The memo key of a multiset of codes: the product of their primes,
+    which names the multiset in any order (unique factorization)."""
+    return prod(map(_prime.__getitem__, codes))
+
+
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
     return key[:2] + (tuple(map(_diagram, key[2])),)
 
@@ -192,8 +220,9 @@ class Engine:
     The memo keeps one vector per solve; a key of level k is answered by
     the first weight-k vector holding it (_held), and an all-ones key by
     the blowup memo (_base).
-    A vector is the solve's list, in solve_plan(k).parts[1:] order, packed
-    into the narrowest int array that holds it (a tuple past int64).
+    A vector is the solve's list, in solve_plan(k).parts[1:] order, then
+    the codes of its rest and their count, packed into the narrowest int
+    array that holds it (a tuple past int64), and kept under _key(rest).
     Instances share only the diagram codes and the blowup backend memo,
     both pure functions of their keys, so results are independent of
     evaluation order.  ``stored.get`` answers key text (encode_key) with
@@ -229,14 +258,15 @@ class Engine:
             k, count = _rank(map(_LEVEL.get, key))
             if k == 1:
                 return self._base(space, degree, key)
-            hit = self._held(space, degree, key, k)[1]
+            whole = _key(key)
+            hit = self._held(space, degree, key, whole, k)[1]
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
         self.counters["evaluations"] += 1
         i = next(i for i, c in enumerate(key) if c in _LEVEL)
-        return self._solve_at(space, degree, key[:i] + key[i + 1:],
-                              (k, count))[key[i] - _first[k] - 1]
+        return self._solve_at(space, degree, key[:i] + key[i + 1:], (k, count),
+                              whole // _prime[key[i]])[key[i] - _first[k] - 1]
 
     def invariant(self, space, degree, constraints):
         """The curve count N: hat-H divided by the branch-reordering groups."""
@@ -270,21 +300,24 @@ class Engine:
 
     # ------------------------------------------------------------- internals
 
-    def _held(self, space, degree, cs, k, skip=None):
+    def _held(self, space, degree, cs, whole, k, skip=None):
         """(target, value) from the first weight-k vector, in target order,
-        holding the key cs of level k, else (None, None); a vector's targets
-        are its codes between (1,)*k and (1,)*(k+1).  The vector beside cs
-        less skip is not probed: the caller knows it is missing.  All holders
-        of a key agree, as _solve_at alone stores a vector and first checks
-        each value against the holders stored: checking against this one
-        checks all."""
+        holding the key of level k whose _key is whole, else (None, None);
+        a vector's targets are its codes between (1,)*k and (1,)*(k+1).
+        It tries the targets among the descending codes cs, the key's or
+        some of them, probing the vector beside the key less c at
+        whole // _prime[c].  The vector beside the key less skip is not
+        probed: the caller knows it is missing.  All holders of a key
+        agree, as _solve_at alone stores a vector and first checks each
+        value against the holders stored: checking against this one checks
+        all."""
         lo, hi = _first[k], _first[k + 1]
         vectors = self._vectors[space, degree]
-        for i, c in enumerate(cs):
+        for c in cs:
             if c <= lo:
                 break
             if c < hi and c != skip:
-                vector = vectors.get(cs[:i] + cs[i + 1:])
+                vector = vectors.get(whole // _prime[c])
                 if vector is not None:
                     return c, vector[c - lo - 1]
         return None, None
@@ -301,38 +334,40 @@ class Engine:
         return prod(map(factorial, sizes)) * gw.gw_blowup(
             *_plane(space, degree, sizes))
 
-    def _solve_at(self, space, degree, rest, rank):
+    def _solve_at(self, space, degree, rest, rank, pk):
         """One box-moving solve at weight k = rank[0]: hat-H for every
-        diagram of weight k beside rest, indexed like
-        solve_plan(k).parts[1:], each value its closure does not set to 0
-        checked against the vector _held finds for its key (skipping
-        rest's, which is not stored yet).  It reads the inputs _reads lists
-        for _left(rest), what rest leaves of the budget.  An input with a
-        level code is read from the vector _held tries first, near: beside
-        its key less the top level code (rest's top t, or the input's if
-        larger).  If near is missing and the key has another code of that
-        weight, _held tries the key's later holders, skipping near.  If none
-        holds it, near is solved here, at the key's _rank (top's level once
-        if others has no code of it), which must be below rank.  An
-        all-ones input goes to _base."""
+        diagram of weight k beside rest, whose _key is pk (the caller has
+        it from its own probe), indexed like solve_plan(k).parts[1:], each
+        value its closure does not set to 0 checked against the vector
+        _held finds for its key (skipping rest's, which is not stored yet;
+        the check walks rest's codes, unsorted).  It reads the inputs
+        _reads lists for _left(rest), what rest leaves of the budget.  An
+        input with a level code is read from the vector _held tries first,
+        near: beside its key less the top level code (rest's top t, or the
+        input's if larger), probed at pk times the product of the input's
+        codes after its top, or at pk less t's prime times all of them.
+        Only a miss sorts the key.  If near is missing and the key has
+        another code of that weight, _held tries the key's later holders,
+        skipping near.  If none holds it, near is solved here, at the key's
+        _rank (top's level once if others has no code of it), which must be
+        below rank.  An all-ones input goes to _base."""
         k, vectors, values, hits = rank[0], self._vectors[space, degree], [], 0
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
             rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
+            pk_t = pk // _prime[t]
         closure, reads = _reads(k, _left(space, degree, rest))
-        for codes, slot in reads:
-            near = None  # stays None for an all-ones key
+        for codes, slot, whole, tail in reads:
             if slot is not None and codes[0] > t:
-                top, near = codes[0], rest + codes[1:]
+                top, key = codes[0], pk * tail
             elif t:
-                top, near, slot = t, rest_t + codes, slot_t
-            if not near:
+                top, slot, key = t, slot_t, pk_t * whole
+            else:  # an all-ones key
                 values.append(self._base(space, degree, tuple(sorted(
                     rest + codes, reverse=True))))
                 continue
-            near = tuple(sorted(near, reverse=True))
-            vector = vectors.get(near)
+            vector = vectors.get(key)
             if vector is not None:
                 hits += 1
                 values.append(vector[slot])
@@ -342,33 +377,36 @@ class Engine:
                       else (*rest_t[i:i + 1], codes[0]))
             lower = w, 1
             if w in map(_LEVEL.get, others):
-                key = tuple(sorted(rest + codes, reverse=True))
-                value = self._held(space, degree, key, w, top)[1]
+                cs = tuple(sorted(rest + codes, reverse=True))
+                value = self._held(space, degree, cs, pk * whole, w, top)[1]
                 if value is not None:
                     hits += 1
                     values.append(value)
                     continue
-                lower = _rank(map(_LEVEL.get, key))
+                lower = _rank(map(_LEVEL.get, cs))
             self.counters["evaluations"] += 1
             if not lower < rank:
-                key = space, degree, tuple(sorted(rest + codes, reverse=True))
+                at = space, degree, tuple(sorted(rest + codes, reverse=True))
                 raise InconsistencyError(
                     "complexity failed to decrease: %s -> %s at %s"
-                    % (rank, lower, _decoded(key)))
-            values.append(self._solve_at(space, degree, near, lower)[slot])
+                    % (rank, lower, _decoded(at)))
+            values.append(self._solve_at(space, degree, tuple(sorted(
+                rest + codes[1:] if top > t else rest_t + codes,
+                reverse=True)), lower, key)[slot])
         self.counters["memo_hits"] += hits
         solved = solve_split_system(k, closure, values)
         self.counters["solves"] += 1
         if rank[1] > 1:  # else no other vector holds a key
             for j in closure.live:  # a target past left is 0 at every holder
                 q, value = _first[k] + 1 + j, solved[j]
-                key = space, degree, tuple(sorted(rest + (q,), reverse=True))
-                old = self._held(*key, k, q)[1]  # rest: not yet stored
+                old = self._held(space, degree, rest, pk * _prime[q], k,
+                                 q)[1]  # rest: not yet stored
                 if old not in (None, value):
+                    at = tuple(sorted(rest + (q,), reverse=True))
                     raise InconsistencyError(
                         "conflicting values %d and %d for %s"
-                        % (old, value, _decoded(key)))
-        vectors[rest] = packed(solved)
+                        % (old, value, _decoded((space, degree, at))))
+        vectors[pk] = packed([*solved, *rest, len(rest)])
         return solved
 
     # --------------------------------------------------------- cache plumbing
@@ -381,12 +419,13 @@ class Engine:
         every vector holding it, since each holder's rest leaves at least
         what the key's target forces; it is yielded by the vector _held
         finds for it, so only vectors beside rest's own larger targets can
-        come first.  A vector's key texts share the text of rest around the
-        target's."""
+        come first.  A vector's rest is read off its suffix, and its key
+        texts share the text of rest around the target's."""
         for (space, degree), vectors in self._vectors.items():
             on_shell = gw.chern_number(space, degree) - 1
             head = encode_key(space, degree, ())
-            for rest, vector in vectors.items():
+            for pk, vector in vectors.items():
+                rest = tuple(vector[-1 - vector[-1]:-1])
                 k = on_shell - sum(map(sum, map(_diagram, rest)))
                 lo, hi = _first[k], _first[k + 1]
                 # rest (descending) is: codes above every target, its own
@@ -401,8 +440,8 @@ class Engine:
                 for j in solve_closure(k, _left(space, degree, rest)).live:
                     q, value = lo + 1 + j, vector[j]
                     above = [c for c in targets if c > q] if targets else ()
-                    if above and self._held(space, degree, tuple(sorted(
-                            rest + (q,), reverse=True)), k)[0] != q:
+                    if above and self._held(space, degree, above,
+                                            pk * _prime[q], k)[1] is not None:
                         continue
                     pre, post = ends[len(above)]
                     yield pre + _text(q) + post, value

@@ -1,19 +1,26 @@
 """Reference helpers that only the tests use: the adjunction counts behind
 the a-priori vanishing predicate, the dual diagram, the complexity rank on
-diagrams, the value of the package's merge expansion term by term, an
-integer matrix's determinant by elimination, the diagram product one walk
-at a time, and single-point tables with their zeros; and a cache file's
+diagrams, the value of the package's merge expansion term by term, and the
+push-together formula on every multi-point key a run holds
+(push_together_disagreements), an integer matrix's determinant by
+elimination, the diagram product one walk at a time, single-point tables
+with their zeros, and primality by trial division; and a cache file's
 bytes, signed and split.  None of them is a shortcut of the package; each
 gives a second route to a value the package computes.
 
 It is also the one owner of the runs the tests share: the benchmark's two
 in-process questions (column, quadric_pass), a cold run of either with the
-work it did (cold), the one cold T_1..T_top per process (cold_run), the
-same work with the engine's adjunction rule off, once per process
-(unpruned; compared_with_unpruned for T_1..T_top, kept without its
-engine), the cache file a command line writes into a new file, once per
-process (written_by; cold_d4_file is table --max-d 4's), and the only read
-of the blowup memo (blowup_memo)."""
+work it did (cold), the one cold T_1..T_top per process (cold_run) and the
+one cold quadric pass (quadric_run), the same work with the engine's
+adjunction rule off, once per process (unpruned; compared_with_unpruned
+for T_1..T_top, kept without its engine), the cache file a command line
+writes into a new file, once per process (written_by; cold_d4_file is
+table --max-d 4's), and the only read of the blowup memo (blowup_memo).
+
+And it is the one reader of an Engine's solve vectors (vector_stores):
+each is kept under vector_key(rest), the product of one prime per code of
+rest, and holds its values at their slots, then rest's codes, then their
+count (solve_vectors, vector_at); forked copies them into a new Engine."""
 
 import io
 import math
@@ -25,15 +32,16 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt, prod
 
 from tangentcount import Engine, engine as engine_module, gw
 from tangentcount.cache import header, parse_line
-from tangentcount.cli import main
+from tangentcount.cli import main, parse_degree
 from tangentcount.engine import _rank
 from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import solve_closure
-from tangentcount.partitions import as_diagram, partitions_of
+from tangentcount.partitions import (as_diagram, aut_order, parse_diagram,
+                                     partitions_of)
 from tangentcount.star import combine_forward
 
 
@@ -44,6 +52,39 @@ QUADRIC = ((3, 3), (4, 3), (4, 4), (5, 3), (5, 4))
 # counters, gw.counters and the blowup memo as the work finished, and its
 # wall seconds.  Shared runs are read, never changed.
 Run = namedtuple("Run", "engine answers counters gw_counters blowup seconds")
+
+
+def vector_stores(engine):
+    """The engine's solve vectors, {(space, degree): {key: vector}}: the
+    one read of Engine._vectors."""
+    return engine._vectors
+
+
+def vector_key(codes):
+    """The key the solve vector beside the codes is kept under: the
+    product of their primes (engine._prime), the same in any order."""
+    return prod(engine_module._prime[c] for c in codes)
+
+
+def vector_at(engine, space, degree, rest):
+    """The stored vector beside the codes rest, or None."""
+    return vector_stores(engine)[space, degree].get(vector_key(rest))
+
+
+def solve_vectors(engine):
+    """(space, degree, rest, values, key) per solve vector the engine holds:
+    rest read off the vector's suffix (its codes, then their count), values
+    the slots before it, key what the vector is kept under."""
+    for (space, degree), vectors in vector_stores(engine).items():
+        for key, vector in vectors.items():
+            n = vector[-1]
+            yield (space, degree, tuple(vector[-1 - n:-1]), vector[:-1 - n],
+                   key)
+
+
+def is_prime(n):
+    """Whether n is a prime, by trial division."""
+    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
 
 
 def cold_engine():
@@ -91,6 +132,59 @@ def cold_run(top):
     return cold(column, top)
 
 
+@cache
+def quadric_run():
+    """The Run of one cold quadric_pass per process, shared as cold_run's
+    is."""
+    return cold(quadric_pass)
+
+
+def forked(engine):
+    """A new Engine holding engine's solve vectors: what it is asked is
+    read from them, and solved where they miss, without adding to
+    engine's memo."""
+    fork = Engine()
+    for cls, vectors in vector_stores(engine).items():
+        vector_stores(fork)[cls] = dict(vectors)
+    return fork
+
+
+def push_together_disagreements(engine, keep=lambda space, degree: True):
+    """The push-together formula on every key with two or more constraints
+    that engine's memo_items yields, of each class keep admits: the keys
+    whose count N differs from the sum over combine_forward, as (key text,
+    N, sum), and how many keys were compared.  A key text lists its points
+    heaviest first, so its first two, P1 and P2, are the two that
+    combine_forward pushes together.  Each count is asked once of a forked
+    engine, and combine_forward once per pair, as the rest of a key rides
+    along unchanged; the sum is taken in ints, times |Aut P1| |Aut P2|,
+    which makes every coefficient an int."""
+    fork, bad, compared = forked(engine), [], 0
+    count, diagram = cache(fork.invariant), cache(parse_diagram)
+
+    @cache
+    def forward(p1, p2):
+        auts = aut_order(p1) * aut_order(p2)
+        terms = [(coeff * auts, q) for coeff, (q,) in combine_forward(
+            (p1, p2))]
+        assert all(m.denominator == 1 for m, _ in terms), (p1, p2)
+        return auts, [(m.numerator, q) for m, q in terms]
+
+    for text, _ in engine.memo_items():
+        space, dtext, ptext = text.split(";")
+        degree = parse_degree(dtext, space)
+        if "|" not in ptext or not keep(space, degree):
+            continue
+        p1, p2, *rest = cs = tuple(map(diagram, ptext.split("|")))
+        compared += 1
+        auts, terms = forward(p1, p2)
+        pushed = Fraction(sum(m * count(space, degree, (q, *rest))
+                              for m, q in terms), auts)
+        if count(space, degree, cs) != pushed:
+            bad.append((text, count(space, degree, cs), pushed))
+    return bad, compared
+
+
 @contextmanager
 def adjunction_rule_off():
     """Engines that answer no key by the adjunction rule while this lasts:
@@ -133,41 +227,40 @@ def unpruned_disagreements(run, full):
         def unpruned_value(space, degree, key):
             # an all-ones key, of level 1, is held by no vector
             level = _rank(map(m._LEVEL.get, key))[0]
-            value = full.engine._held(space, degree, key, level)[1]
+            value = full.engine._held(space, degree, key, vector_key(key),
+                                      level)[1]
             if value is None:
                 value = full.engine.hat_invariant(
                     space, degree, tuple(map(m._diagram, key)))
             return value
 
-        for (space, degree), vectors in run.engine._vectors.items():
+        for space, degree, rest, vector, _ in solve_vectors(run.engine):
             budget = double_point_count(space, degree)
             on_shell = gw.chern_number(space, degree) - 1
-            held = full.engine._vectors[space, degree]
-            for rest, vector in vectors.items():
-                k = on_shell - sum(map(sum, map(m._diagram, rest)))
-                targets = range(m._first[k] + 1, m._first[k + 1])
-                other = held.get(rest)
-                if other is None:
-                    unsolved += 1
-                    other = [unpruned_value(space, degree, tuple(sorted(
-                        rest + (q,), reverse=True))) for q in targets]
-                bad += [("slot", (space, degree, rest), q, value)
-                        for q, value, expected in zip(targets, vector, other)
-                        if value != expected]
-                left = budget - sum(map(nodes_of, rest))
-                inputs, closure = m._solve_inputs(k), solve_closure(k, left)
-                for r in closure.reads:
-                    codes = inputs[r][0]
-                    if sum(map(nodes_of, codes)) > left:
-                        key = tuple(sorted(rest + codes, reverse=True))
-                        bad.append(("read", (space, degree, key)))
-                if closure.close == 0 and len(inputs) - 1 not in closure.reads:
-                    answered += 1
-                    codes = inputs[-1][0]
+            k = on_shell - sum(map(sum, map(m._diagram, rest)))
+            targets = range(m._first[k] + 1, m._first[k + 1])
+            other = vector_at(full.engine, space, degree, rest)
+            if other is None:
+                unsolved += 1
+                other = [unpruned_value(space, degree, tuple(sorted(
+                    rest + (q,), reverse=True))) for q in targets]
+            bad += [("slot", (space, degree, rest), q, value)
+                    for q, value, expected in zip(targets, vector, other)
+                    if value != expected]
+            left = budget - sum(map(nodes_of, rest))
+            inputs, closure = m._solve_inputs(k), solve_closure(k, left)
+            for r in closure.reads:
+                codes = inputs[r][0]
+                if sum(map(nodes_of, codes)) > left:
                     key = tuple(sorted(rest + codes, reverse=True))
-                    if (sum(map(nodes_of, codes)) <= left
-                            or unpruned_value(space, degree, key) != 0):
-                        bad.append(("answered", (space, degree, key)))
+                    bad.append(("read", (space, degree, key)))
+            if closure.close == 0 and len(inputs) - 1 not in closure.reads:
+                answered += 1
+                codes = inputs[-1][0]
+                key = tuple(sorted(rest + codes, reverse=True))
+                if (sum(map(nodes_of, codes)) <= left
+                        or unpruned_value(space, degree, key) != 0):
+                    bad.append(("answered", (space, degree, key)))
     return bad, answered, unsolved
 
 

@@ -237,7 +237,7 @@ class RankProbe(Engine):
                                                  cs))))
         return super()._base(space, degree, cs)
 
-    def _solve_at(self, space, degree, rest, rank):
+    def _solve_at(self, space, degree, rest, rank, pk):
         m, k = engine_module, rank[0]
         left = m._budget(space, degree) - sum(
             nodes(m._diagram(c)) for c in rest)
@@ -247,7 +247,7 @@ class RankProbe(Engine):
             diagrams = tuple(map(engine_module._diagram, rest + codes))
             if not complexity(diagrams) < rank:
                 self.violations.append((rank, diagrams))
-        return super()._solve_at(space, degree, rest, rank)
+        return super()._solve_at(space, degree, rest, rank, pk)
 
 
 def test_criterion_10_property_suites():

@@ -1,14 +1,16 @@
 """Cross-checks between independent computation routes: the a-priori
 vanishing predicate against zeros the recursion computes with the engine's
-adjunction rule off, nonnegativity of the curve counts, and the exhaustive
-merge/split round trip at low total weight."""
+adjunction rule off, nonnegativity of the curve counts, the exhaustive
+merge/split round trip at low total weight, and the push-together formula
+on every multi-point key the benchmark's two in-process passes hold."""
 
 import pytest
 
 from tangentcount.engine import Engine
 from tangentcount.partitions import partitions_of
 
-from reference import (adjunction_rule_off, combined_value,
+from reference import (adjunction_rule_off, cold_run, combined_value,
+                       push_together_disagreements, quadric_run,
                        single_point_table, vanishing_filter)
 
 
@@ -145,3 +147,17 @@ def test_merge_consistency_off_shell(engine):
     # Off-shell keys: both routes must report zero.
     assert engine.invariant("cp2", 2, ((2, 2), (2, 2))) == 0
     assert combined_value(engine, "cp2", 2, ((2, 2), (2, 2))) == 0
+
+
+@pytest.mark.parametrize("work", ["column_to_five", "quadric_tables"])
+def test_the_push_together_formula_holds_on_every_multi_point_key(work):
+    # every key with two or more points that T_1..T_5 of the shared cold
+    # column, or the shared quadric pass, holds: N<P1, P2, rest> against
+    # the sum over combine_forward, in a fork of the run's engine.  Most
+    # are instances the recursion does not solve with, where P1 is not one
+    # row split off a diagram
+    if work == "column_to_five":
+        run, keep, keys = cold_run(7), lambda space, degree: degree <= 5, 3229
+    else:
+        run, keep, keys = quadric_run(), lambda space, degree: True, 47819
+    assert push_together_disagreements(run.engine, keep) == ([], keys)

@@ -22,9 +22,10 @@ from tangentcount import (engine as engine_module, gw,
 
 from reference import (QUADRIC, cold, cold_engine, cold_run, column,
                        combined_value, complexity, cross_space_values,
-                       double_point_count, local_double_points, quadric_pass,
-                       signed, single_point_table, unpruned,
-                       unpruned_disagreements)
+                       double_point_count, is_prime, local_double_points,
+                       quadric_pass, quadric_run, signed, single_point_table,
+                       solve_vectors, unpruned, unpruned_disagreements,
+                       vector_at, vector_key, vector_stores)
 
 
 def test_canonical_constraint_order():
@@ -325,13 +326,13 @@ def test_a_solve_given_a_rank_its_input_does_not_descend_from_raises():
     # the solve beside ((2,), (1,)) is ranked (2, 2); told (2, 1), its input
     # ((2,), (1,), (1,), (1,)), ranked (2, 1) and held nowhere yet, would be
     # solved in place without descending
-    code = engine_module._code
+    rest = tuple(map(engine_module._code, ((2,), (1,))))
     with pytest.raises(InconsistencyError, match=re.escape(
             "complexity failed to decrease: (2, 1) -> (2, 1) at ('cp2', 2, "
             "((2,), (1,), (1,), (1,)))")):
-        Engine()._solve_at("cp2", 2, (code((2,)), code((1,))), (2, 1))
+        Engine()._solve_at("cp2", 2, rest, (2, 1), vector_key(rest))
     assert Engine()._solve_at(
-        "cp2", 2, (code((2,)), code((1,))), (2, 2)) == [1]
+        "cp2", 2, rest, (2, 2), vector_key(rest)) == [1]
 
 
 def test_a_hat_value_its_branch_groups_do_not_divide_is_refused():
@@ -341,7 +342,7 @@ def test_a_hat_value_its_branch_groups_do_not_divide_is_refused():
     code, e = engine_module._code, Engine()
     key = ((2, 2),) + ((1,),) * 7
     assert e.invariant("cp2", 4, key) == 10
-    e._vectors["cp2", 4][(code((1,)),) * 7][
+    vector_at(e, "cp2", 4, (code((1,)),) * 7)[
         code((2, 2)) - engine_module._first[4] - 1] += 1
     with pytest.raises(InconsistencyError,
                        match="hat invariant 21 not divisible by 2"):
@@ -373,7 +374,7 @@ def test_cold_work_is_pinned(work, pins):
     # memo stores its vectors must not change what is solved, answered by
     # the adjunction rule or kept, nor what the blowup recursion solves and
     # reduces
-    run = cold_run(7) if work == "column_to_seven" else cold(quadric_pass)
+    run = cold_run(7) if work == "column_to_seven" else quadric_run()
     c, g = run.counters, run.gw_counters
     assert (c["solves"], c["evaluations"], c["memo_hits"], c["base_cases"],
             c["adjunction_zeros"], sum(1 for _ in run.engine.memo_items()),
@@ -406,7 +407,7 @@ def test_the_adjunction_rule_answers_only_zeros(work):
     if work == "column_to_seven":
         run, full, asked = cold_run(7), unpruned(column, 7), 0
     else:
-        run, full = cold(quadric_pass), unpruned(quadric_pass)
+        run, full = quadric_run(), unpruned(quadric_pass)
         asked = 2 * sum(local_double_points(p) > double_point_count(
             "p1xp1", ab) for ab in QUADRIC for p in partitions_of(
                 gw.chern_number("p1xp1", ab) - 1))
@@ -420,6 +421,54 @@ def test_the_adjunction_rule_answers_only_zeros(work):
     # the all-ones inputs the solves leave unread, pinned
     assert answered == (4160 if work == "column_to_seven" else 1571)
     assert full.counters["adjunction_zeros"] == 0
+
+
+def held_keys(run):
+    """The codes each vector of the Run's engine holds, per key: {(space,
+    degree, vector_key(key)): {key}} over every vector's rest with each of
+    its targets, each key a descending tuple of codes; after checking that
+    each vector is kept under vector_key of the rest read off its suffix,
+    that rest is descending, and that the values before it are one per
+    diagram of the solve's weight but (1,)*k."""
+    m, keys = engine_module, {}
+    for space, degree, rest, values, pk in solve_vectors(run.engine):
+        k = gw.chern_number(space, degree) - 1 - sum(
+            map(sum, map(m._diagram, rest)))
+        assert pk == vector_key(rest), rest
+        assert list(rest) == sorted(rest, reverse=True), rest
+        assert len(values) == len(partitions_of(k)) - 1, rest
+        for q in range(m._first[k] + 1, m._first[k + 1]):
+            key = tuple(sorted(rest + (q,), reverse=True))
+            keys.setdefault((space, degree, vector_key(key)), set()).add(key)
+    return keys
+
+
+@pytest.mark.parametrize("work", ["column_to_seven", "quadric_tables"])
+def test_each_vector_is_kept_under_the_product_of_its_rest(work):
+    # the vectors of the benchmark's two in-process passes: each multiplies
+    # back to its key, and distinct keys they hold have distinct products
+    # (310,807 and 78,993 keys, those past the adjunction budget included)
+    run = cold_run(7) if work == "column_to_seven" else quadric_run()
+    keys = held_keys(run)
+    assert len(keys) == (310807 if work == "column_to_seven" else 78993)
+    assert [key for key in keys.values() if len(key) > 1] == []
+
+
+@pytest.mark.parametrize("work", ["column_to_seven", "quadric_tables"])
+def test_the_codes_a_run_uses_have_distinct_primes(work):
+    # every code in a vector's rest, among its targets or among its solve's
+    # inputs has a prime of its own, each checked by trial division
+    m = engine_module
+    run = cold_run(7) if work == "column_to_seven" else quadric_run()
+    used = set()
+    for space, degree, rest, values, _ in solve_vectors(run.engine):
+        k = gw.chern_number(space, degree) - 1 - sum(
+            map(sum, map(m._diagram, rest)))
+        used.update(rest, range(m._first[k], m._first[k + 1]),
+                    *(codes for codes, *_ in m._solve_inputs(k)))
+    primes = [m._prime[c] for c in used]
+    assert len(set(primes)) == len(primes)
+    assert all(map(is_prime, primes))
 
 
 def test_vectors_are_the_narrowest_int_arrays(monkeypatch):
@@ -444,8 +493,9 @@ def test_vectors_are_the_narrowest_int_arrays(monkeypatch):
         shift[0] = shifts[d]
         e.hat_invariant("cp2", d, ((3,),) + ((1,),) * m[d])
     kinds = {d: sorted(getattr(v, "typecode", "tuple")
-                       for v in vectors.values())
-             for (_, d), vectors in e._vectors.items()}
+                       for _, degree, _, v, _ in solve_vectors(e)
+                       if degree == d)
+             for d in m}
     assert kinds == {2: ["i", "i"], 3: ["i", "q"], 4: ["i", "tuple"]}
     for d in m:
         for top in [(3,), (2, 1)]:
@@ -534,14 +584,14 @@ def test_a_holder_past_a_missing_one_is_cross_checked(monkeypatch):
                              r"\('cp2', 5, \(\(4,\), \(3, 1\), \(2, 2\), "
                              r"\(2,\)\)\)" % (value + 1, value)):
         e.hat_invariant("cp2", 5, ((3, 1), (3, 1), (2, 2), (2,)))
-    assert second not in e._vectors["cp2", 5]
+    assert vector_at(e, "cp2", 5, second) is None
 
 
 def test_an_array_and_a_tuple_that_conflict_are_refused(monkeypatch):
     # the same corruption past int64: the corrupt vector is a tuple, the
     # one that re-derives the entry an int array, and both values are exact
     e, value = corrupt_top_solve(monkeypatch, 2**70)
-    kinds = [type(v) for v in e._vectors["cp2", 4].values()]
+    kinds = [type(v) for *_, v, _ in solve_vectors(e)]
     assert kinds.count(tuple) == 1 and kinds.count(array) == len(kinds) - 1
     with pytest.raises(InconsistencyError, match=r"conflicting values %d and "
                        r"%d for " % (value + 2**70, value) + THREE_TWO_ONE):
@@ -572,18 +622,17 @@ def per_key_memo_items(e):
     agree."""
     m = engine_module
     out = {}
-    for (space, degree), vectors in e._vectors.items():
+    for space, degree, rest, vector, _ in solve_vectors(e):
         on_shell = gw.chern_number(space, degree) - 1
         budget = double_point_count(space, degree)
-        for rest, vector in vectors.items():
-            k = on_shell - sum(map(sum, map(m._diagram, rest)))
-            for q, value in enumerate(vector, m._first[k] + 1):
-                key = space, degree, tuple(sorted(rest + (q,), reverse=True))
-                cs = m._decoded(key)[2]
-                if sum(map(local_double_points, cs)) > budget:
-                    continue
-                text = encode_key(space, degree, cs)
-                assert out.setdefault(text, value) == value, text
+        k = on_shell - sum(map(sum, map(m._diagram, rest)))
+        for q, value in enumerate(vector, m._first[k] + 1):
+            key = space, degree, tuple(sorted(rest + (q,), reverse=True))
+            cs = m._decoded(key)[2]
+            if sum(map(local_double_points, cs)) > budget:
+                continue
+            text = encode_key(space, degree, cs)
+            assert out.setdefault(text, value) == value, text
     return out
 
 
@@ -601,8 +650,7 @@ def shared_top_weight(e):
     for degree, cs in [(3, ((3,), (3,), (2,))), (3, ((2, 1), (2, 1), (2,))),
                        (4, ((4,), (4,), (3,))), (4, ((3, 1), (2, 2), (3,)))]:
         e.hat_invariant("cp2", degree, cs)
-    held = sum(len(vector) for vectors in e._vectors.values()
-               for vector in vectors.values())
+    held = sum(len(vector) for *_, vector, _ in solve_vectors(e))
     assert held > sum(1 for _ in e.memo_items())
 
 
@@ -626,9 +674,9 @@ def test_a_key_held_by_three_vectors_is_yielded_once():
                ((3, 1), (3, 1), (2, 2), (2,)), top]:
         e.hat_invariant("cp2", 5, cs)
     codes = tuple(map(engine_module._code, top))
-    vectors = e._vectors["cp2", 5]
-    assert all(codes[:i] + codes[i + 1:] in vectors for i in range(3))
-    assert e._held("cp2", 5, codes, 4) == (
+    assert all(vector_at(e, "cp2", 5, codes[:i] + codes[i + 1:]) is not None
+               for i in range(3))
+    assert e._held("cp2", 5, codes, vector_key(codes), 4) == (
         codes[0], Engine().hat_invariant("cp2", 5, top))
     texts = [text for text, _ in e.memo_items()]
     assert texts.count(encode_key("cp2", 5, top)) == 1
@@ -689,19 +737,19 @@ class Replay(Engine):
 
     def __init__(self, space, degree, store):
         super().__init__()
-        self._vectors[space, degree] = store()
+        vector_stores(self)[space, degree] = store()
         self.asked, self.depth = [], 0
 
     def _base(self, space, degree, cs):
         self.asked.append(cs)
         return super()._base(space, degree, cs)
 
-    def _solve_at(self, space, degree, rest, rank):
+    def _solve_at(self, space, degree, rest, rank, pk):
         if self.depth:
             return Marked((rest, rank))
         self.depth += 1
         try:
-            return super()._solve_at(space, degree, rest, rank)
+            return super()._solve_at(space, degree, rest, rank, pk)
         finally:
             self.depth -= 1
 
@@ -724,37 +772,36 @@ def shortcut_disagreements(e):
     out, a key with a level code never reaches _base, and a key with none
     must reach it, which finds a base case."""
     m, bad = engine_module, []
-    for (space, degree), vectors in e._vectors.items():
+    for space, degree, rest, _, pk in solve_vectors(e):
         on_shell = gw.chern_number(space, degree) - 1
         budget = double_point_count(space, degree)
-        for rest in vectors:
-            k = on_shell - sum(map(sum, map(m._diagram, rest)))
-            rank = complexity(tuple(map(m._diagram, rest)) + ((k,),))
-            for name, store in [("held", Everywhere), ("missing", Nowhere)]:
-                probe = Replay(space, degree, store)
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(m, "solve_split_system", read_inputs)
-                    with pytest.raises(Inputs) as stop:
-                        probe._solve_at(space, degree, rest, rank)
-                for codes, read in zip(*stop.value.args):
-                    key = tuple(sorted(rest + codes, reverse=True))
-                    diagrams = tuple(map(m._diagram, key))
-                    level, count = complexity(diagrams)
-                    if sum(map(local_double_points, diagrams)) > budget:
-                        ok = False
-                    elif level == 1:
-                        ok = key in probe.asked and type(read) is int
-                    elif name == "held":
-                        ok = key not in probe.asked and read == probe._held(
-                            space, degree, key, level)[1]
-                    else:
-                        top = top_level_code(key)
-                        i = key.index(top)
-                        ok = key not in probe.asked and read == (
-                            (key[:i] + key[i + 1:], (level, count)),
-                            top - m._first[level] - 1)
-                    if not ok:
-                        bad.append((name, space, degree, key, read))
+        k = on_shell - sum(map(sum, map(m._diagram, rest)))
+        rank = complexity(tuple(map(m._diagram, rest)) + ((k,),))
+        for name, store in [("held", Everywhere), ("missing", Nowhere)]:
+            probe = Replay(space, degree, store)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(m, "solve_split_system", read_inputs)
+                with pytest.raises(Inputs) as stop:
+                    probe._solve_at(space, degree, rest, rank, pk)
+            for codes, read in zip(*stop.value.args):
+                key = tuple(sorted(rest + codes, reverse=True))
+                diagrams = tuple(map(m._diagram, key))
+                level, count = complexity(diagrams)
+                if sum(map(local_double_points, diagrams)) > budget:
+                    ok = False
+                elif level == 1:
+                    ok = key in probe.asked and type(read) is int
+                elif name == "held":
+                    ok = key not in probe.asked and read == probe._held(
+                        space, degree, key, vector_key(key), level)[1]
+                else:
+                    top = top_level_code(key)
+                    i = key.index(top)
+                    ok = key not in probe.asked and read == (
+                        (key[:i] + key[i + 1:], (level, count)),
+                        top - m._first[level] - 1)
+                if not ok:
+                    bad.append((name, space, degree, key, read))
     return bad
 
 
@@ -774,8 +821,8 @@ def test_a_wrong_slot_offset_is_a_disagreement(monkeypatch):
     e.invariant("cp2", 3, ((8,),))
     real = engine_module._reads
     monkeypatch.setattr(engine_module, "_reads", lambda k, left: (
-        real(k, left)[0], tuple((codes, s if s is None else s + 1)
-                                for codes, s in real(k, left)[1])))
+        real(k, left)[0], tuple((codes, s if s is None else s + 1, *keys)
+                                for codes, s, *keys in real(k, left)[1])))
     assert {bad[0] for bad in shortcut_disagreements(e)} == {"held",
                                                              "missing"}
 
@@ -783,19 +830,21 @@ def test_a_wrong_slot_offset_is_a_disagreement(monkeypatch):
 def test_solve_inputs_are_the_row_splits_then_all_ones():
     # input r < p(k) - 1 of a weight-k solve is partition r split into its
     # top row and the rest, input p(k) - 1 is (1,)*k; a level code comes
-    # first, with its slot
+    # first, with its slot, then the keys of its codes and of the codes
+    # after the first
     m = engine_module
     for k in range(2, 13):
         parts = partitions_of(k)
         inputs = m._solve_inputs(k)
-        assert [sorted(map(m._diagram, codes)) for codes, _ in inputs] == [
+        assert [sorted(map(m._diagram, codes)) for codes, *_ in inputs] == [
             sorted([(y[0],), y[1:]]) for y in parts[:-1]] + [[(1,) * k]]
-        for codes, slot in inputs:
+        for codes, slot, whole, tail in inputs:
             top = codes[0]
             assert all(top in m._LEVEL and top >= c
                        for c in codes[1:] if c in m._LEVEL)
             assert slot == (top - m._first[m._LEVEL[top]] - 1
                             if top in m._LEVEL else None)
+            assert (whole, tail) == (vector_key(codes), vector_key(codes[1:]))
 
 
 class Asked(Engine):
@@ -810,9 +859,9 @@ class Asked(Engine):
         self.asked.append(tuple(map(engine_module._diagram, cs)))
         return super()._base(space, degree, cs)
 
-    def _solve_at(self, space, degree, rest, rank):
+    def _solve_at(self, space, degree, rest, rank, pk):
         self.ranks.append((tuple(map(engine_module._diagram, rest)), rank))
-        return super()._solve_at(space, degree, rest, rank)
+        return super()._solve_at(space, degree, rest, rank, pk)
 
 
 def test_a_sole_holder_miss_never_reaches_base():
@@ -854,19 +903,21 @@ def test_a_later_holder_answers_a_levelled_input():
     e.hat_invariant("cp2", 5, ((4,), (4,), (2, 2), (2,)))
     key = tuple(map(code, ((4,), (3, 1), (2, 2), (2,))))
     second = key[:1] + key[2:]
-    assert key[1:] not in e._vectors["cp2", 5]
+    assert vector_at(e, "cp2", 5, key[1:]) is None
     probe = Replay("cp2", 5, Probed)
-    store = probe._vectors["cp2", 5]
-    store[second] = e._vectors["cp2", 5][second]
+    store = vector_stores(probe)["cp2", 5]
+    store[vector_key(second)] = vector_at(e, "cp2", 5, second)
     value = Engine().hat_invariant("cp2", 5, tuple(
         map(engine_module._diagram, key)))
-    assert probe._held("cp2", 5, key, 4, key[0]) == (key[1], value)
-    assert probe._held("cp2", 5, key, 4) == (key[1], value)
-    assert store.asked == [second, key[1:], second]
+    whole = vector_key(key)
+    assert probe._held("cp2", 5, key, whole, 4, key[0]) == (key[1], value)
+    assert probe._held("cp2", 5, key, whole, 4) == (key[1], value)
+    assert store.asked == list(map(vector_key, [second, key[1:], second]))
+    rest = (code((3, 1)), code((2, 2)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "solve_split_system", read_inputs)
         with pytest.raises(Inputs) as stop:
-            probe._solve_at("cp2", 5, (code((3, 1)), code((2, 2))), (6, 1))
+            probe._solve_at("cp2", 5, rest, (6, 1), vector_key(rest))
     inputs, values = stop.value.args
     read = values[inputs.index((code((4,)), code((2,))))]
     assert read == value and probe.asked == []
