@@ -63,14 +63,17 @@ entry c - _first[k] - 1 of a weight-k solve vector.  Block offsets come
 from partition counts; a weight's other diagrams are listed (by
 partition_list, as its solve_plan lists them) once one of them is coded.
 
-The memo holds each solve's vector under the _key of its rest: code c has
-its own prime _prime[c], the c-th prime, and a multiset of codes is keyed
-by the product of their primes, which by unique factorization names it
-exactly and in any order.  An input a solve reads is held beside rest with
-a code taken out and the input's codes put in, so its key is one
-multiplication by a product _solve_inputs keeps, and a read that hits
-sorts nothing.  A product cannot be factored cheaply, so a vector carries
-its rest: the values at their slots, then rest's codes, then their count.
+The memo holds each solve's vector under the _key of its rest: each code
+met has a prime of its own, and a multiset of codes is keyed by the
+product of their primes, which by unique factorization names it exactly
+and in any order.  Listing weight k gives a prime to each code of weight
+k or less, in code order (_prime[c]), and _code one to an all-ones code
+past them (_far), so an all-ones key of any weight gives out one prime.
+An input a solve reads is held beside rest with a code taken out and the
+input's codes put in, so its key is one multiplication by a product
+_solve_inputs keeps, and a read that hits sorts nothing.  A product
+cannot be factored cheaply, so a vector carries its rest: the values at
+their slots, then rest's codes, then their count.
 """
 
 from array import array
@@ -109,14 +112,14 @@ def _rank(levels):
 _first = [0, 0]  # _first[w]: the code of (1,)*w, grown by _offset
 _counts = [1]  # p(0), p(1), ...: partition counts, one fewer than _first
 _LEVEL = {}  # code -> weight, for each listed diagram with a branch >= 2
-_prime = array("I", [2])  # _prime[c]: the c-th prime (from 0), by _offset
+_prime = array("Q")  # _prime[c]: c's prime, for c of a listed weight or less
+_far = {}  # code -> prime, for each all-ones code _code meets past _prime
+_primes = array("Q", [2])  # the primes below a bound, given out in order
 
 
 def _offset(w):
     """_first[w], growing the blocks from partition counts (Euler's
-    pentagonal recurrence) until _first[w + 1] is known too, and _prime
-    with them to a prime per code: sieved afresh, up to twice its largest
-    prime, whenever the codes outgrow it."""
+    pentagonal recurrence) until _first[w + 1] is known too."""
     while len(_first) <= w + 1:
         n = len(_counts)
         _counts.append(sum((-1) ** (j + 1) * _counts[n - g]
@@ -124,21 +127,34 @@ def _offset(w):
                            for g in (j * (3*j - 1) // 2, j * (3*j + 1) // 2)
                            if g <= n))
         _first.append(_first[n] + _counts[n])
-        while len(_prime) < _first[-1]:  # sieve twice the largest prime
-            limit = 2 * _prime[-1]
-            sieve = bytearray([1]) * limit
-            for p in range(2, isqrt(limit) + 1):
-                if sieve[p]:
-                    sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
-            _prime[:] = array("I", compress(range(2, limit), sieve[2:]))
     return _first[w]
+
+
+def _issue():
+    """The next prime of _primes no code has.  Once each prime there is
+    given out, _primes is sieved afresh up to twice its largest (Bertrand:
+    one more at least), so it stays below twice the largest one given."""
+    n = len(_prime) + len(_far)
+    if n == len(_primes):
+        limit = 2 * _primes[-1]
+        sieve = bytearray([1]) * limit
+        for p in range(2, isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+        _primes[:] = array("Q", compress(range(2, limit), sieve[2:]))
+    return _primes[n]
 
 
 @lru_cache(maxsize=None)
 def _listed(k):
     """{diagram: code} over weight k's diagrams but (1,)*k; fills _LEVEL.
-    Listing a weight costs far less than its solve_plan."""
+    Listing a weight costs far less than its solve_plan.  It extends
+    _prime over each code of weight k or less (a code in _far keeps its
+    prime), one int per diagram listed or lighter, so the light codes a
+    rest is mostly made of have the small primes."""
     lo = _offset(k)
+    while len(_prime) < _first[k + 1]:
+        _prime.append(_far.pop(len(_prime), None) or _issue())
     codes = {q: lo + j for j, q in enumerate(partition_list(k)) if j}
     _LEVEL.update(dict.fromkeys(codes.values(), k))
     return codes
@@ -146,7 +162,12 @@ def _listed(k):
 
 def _code(q):
     """The code of a valid diagram."""
-    return _offset(len(q)) if q[0] == 1 else _listed(sum(q))[q]
+    if q[0] != 1:
+        return _listed(sum(q))[q]
+    c = _offset(len(q))
+    if c >= len(_prime):
+        _far.setdefault(c, _issue())
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -206,8 +227,9 @@ def _left(space, degree, rest):
 
 def _key(codes):
     """The memo key of a multiset of codes: the product of their primes,
-    which names the multiset in any order (unique factorization)."""
-    return prod(map(_prime.__getitem__, codes))
+    which names the multiset in any order (unique factorization).  Every
+    code but an all-ones one has a listed weight, so _prime holds it."""
+    return prod(_prime[c] if c < len(_prime) else _far[c] for c in codes)
 
 
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
@@ -233,7 +255,8 @@ class Engine:
     """
 
     def __init__(self):
-        self._vectors = defaultdict(dict)  # {(space, degree): {rest: vector}}
+        # {(space, degree): {_key(rest): vector}}
+        self._vectors = defaultdict(dict)
         self.stored = {}
         self.counters = {"evaluations": 0, "solves": 0, "base_cases": 0,
                          "memo_hits": 0, "adjunction_zeros": 0}

@@ -60,10 +60,17 @@ def vector_stores(engine):
     return engine._vectors
 
 
+def prime_of(c):
+    """Code c's prime: engine._prime's, or for an all-ones code past it,
+    engine._far's."""
+    m = engine_module
+    return m._prime[c] if c < len(m._prime) else m._far[c]
+
+
 def vector_key(codes):
     """The key the solve vector beside the codes is kept under: the
-    product of their primes (engine._prime), the same in any order."""
-    return prod(engine_module._prime[c] for c in codes)
+    product of their primes (prime_of), the same in any order."""
+    return prod(map(prime_of, codes))
 
 
 def vector_at(engine, space, degree, rest):

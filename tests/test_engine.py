@@ -23,9 +23,10 @@ from tangentcount import (engine as engine_module, gw,
 from reference import (QUADRIC, cold, cold_engine, cold_run, column,
                        combined_value, complexity, cross_space_values,
                        double_point_count, is_prime, local_double_points,
-                       quadric_pass, quadric_run, signed, single_point_table,
-                       solve_vectors, unpruned, unpruned_disagreements,
-                       vector_at, vector_key, vector_stores)
+                       prime_of, quadric_pass, quadric_run, signed,
+                       single_point_table, solve_vectors, unpruned,
+                       unpruned_disagreements, vector_at, vector_key,
+                       vector_stores)
 
 
 def test_canonical_constraint_order():
@@ -98,6 +99,21 @@ def test_all_ones_keys_list_no_diagrams(monkeypatch):
     assert max(listed, default=0) < 41
     assert Engine().invariant("cp2", 30, ((1,) * 89,)) == 0
     assert max(listed, default=0) < 41
+
+
+@pytest.mark.parametrize("d", [100, 255])
+def test_an_exceptional_all_ones_key_issues_a_prime_per_code_met(d):
+    # a (d - 1)-fold point takes the whole budget (d - 1)(d - 2)/2, so the
+    # rule passes the key to _base; it gives primes to its two codes
+    # alone, not to the 1e9 and more codes of lighter weights, and the
+    # primes sieved stay below twice the largest one given out
+    m = engine_module
+    given = len(m._prime) + len(m._far)
+    key = ((1,) * (d - 1),) + ((1,),) * (2 * d)
+    assert Engine().invariant("cp2", d, key) == 1
+    assert len(m._prime) + len(m._far) - given <= 2
+    assert m._first[d - 1] in m._far  # past every listed weight
+    assert m._primes[-1] < 2 * max(*m._prime, *m._far.values())
 
 
 def test_worked_degree_three_chain():
@@ -466,7 +482,7 @@ def test_the_codes_a_run_uses_have_distinct_primes(work):
             map(sum, map(m._diagram, rest)))
         used.update(rest, range(m._first[k], m._first[k + 1]),
                     *(codes for codes, *_ in m._solve_inputs(k)))
-    primes = [m._prime[c] for c in used]
+    primes = list(map(prime_of, used))
     assert len(set(primes)) == len(primes)
     assert all(map(is_prime, primes))
 
