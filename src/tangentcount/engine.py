@@ -220,9 +220,16 @@ def _reads(k, left):
     return closure, tuple(map(inputs.__getitem__, closure.reads))
 
 
+@lru_cache(maxsize=None)
+def _nodes(c):
+    """The double points a code's diagram forces."""
+    return nodes(_diagram(c))
+
+
 def _left(space, degree, rest):
-    """What the codes rest leave of the class's _budget."""
-    return _budget(space, degree) - sum(map(nodes, map(_diagram, rest)))
+    """What the codes rest leave of the class's _budget, read as one
+    cached count per code."""
+    return _budget(space, degree) - sum(map(_nodes, rest))
 
 
 def _key(codes):
@@ -364,17 +371,19 @@ class Engine:
         value its closure does not set to 0 checked against the vector
         _held finds for its key (skipping rest's, which is not stored yet;
         the check walks rest's codes, unsorted).  It reads the inputs
-        _reads lists for _left(rest), what rest leaves of the budget.  An
-        input with a level code is read from the vector _held tries first,
-        near: beside its key less the top level code (rest's top t, or the
-        input's if larger), probed at pk times the product of the input's
-        codes after its top, or at pk less t's prime times all of them.
-        Only a miss sorts the key.  If near is missing and the key has
+        _reads lists for _left(rest), what rest leaves of the budget, and
+        counts each read that neither _base nor an in-place solve answers
+        as one memo hit, all at once after the loop.  An input with a level
+        code is read from the vector _held tries first, near: beside its
+        key less the top level code (rest's top t, or the input's if
+        larger), probed at pk times the product of the input's codes after
+        its top, or at pk less t's prime times all of them.  Only a miss
+        sorts the key.  If near is missing and the key has
         another code of that weight, _held tries the key's later holders,
         skipping near.  If none holds it, near is solved here, at the key's
         _rank (top's level once if others has no code of it), which must be
         below rank.  An all-ones input goes to _base."""
-        k, vectors, values, hits = rank[0], self._vectors[space, degree], [], 0
+        k, vectors, values, own = rank[0], self._vectors[space, degree], [], 0
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
@@ -387,12 +396,12 @@ class Engine:
             elif t:
                 top, slot, key = t, slot_t, pk_t * whole
             else:  # an all-ones key
+                own += 1
                 values.append(self._base(space, degree, tuple(sorted(
                     rest + codes, reverse=True))))
                 continue
             vector = vectors.get(key)
             if vector is not None:
-                hits += 1
                 values.append(vector[slot])
                 continue
             w = _LEVEL[top]  # another level-w code would be in others
@@ -403,10 +412,10 @@ class Engine:
                 cs = tuple(sorted(rest + codes, reverse=True))
                 value = self._held(space, degree, cs, pk * whole, w, top)[1]
                 if value is not None:
-                    hits += 1
                     values.append(value)
                     continue
                 lower = _rank(map(_LEVEL.get, cs))
+            own += 1
             self.counters["evaluations"] += 1
             if not lower < rank:
                 at = space, degree, tuple(sorted(rest + codes, reverse=True))
@@ -416,7 +425,7 @@ class Engine:
             values.append(self._solve_at(space, degree, tuple(sorted(
                 rest + codes[1:] if top > t else rest_t + codes,
                 reverse=True)), lower, key)[slot])
-        self.counters["memo_hits"] += hits
+        self.counters["memo_hits"] += len(values) - own
         solved = solve_split_system(k, closure, values)
         self.counters["solves"] += 1
         if rank[1] > 1:  # else no other vector holds a key

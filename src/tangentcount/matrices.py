@@ -21,14 +21,18 @@ unit subdiagonal, and |det A| = (k-1)!.  Solving the system recovers all
 one-point invariants of weight k from the split two-point values, which have
 strictly smaller constraint weights.
 
-The linear solve exploits the Hessenberg shape by expressing every unknown
-as an affine function of the last one and closing the loop with one more
-equation, which costs only the number of nonzero entries.  The multiples of
-the last unknown depend on the weight alone, so they are built once per
-weight, and with them the multiple b of the last unknown in the first
-equation.  That b is the determinant up to sign, so the determinant comes
-from the solve's closure, never from eliminating the dense matrix, and the
-closure checks the law |det A| = (k-1)! before any solve of its weight.
+The linear solve exploits the Hessenberg shape.  Every unknown is an
+affine function of the last one, top: row r gives unknown r - 1 from its
+split value less the later unknowns it merges into.  Substituting these
+into one more equation, the first, leaves b * top equal to an integer
+combination of the inputs, where b, the multiple of top there, and the
+weights of that combination depend on the weight alone.  So they are built
+once per weight, and a solve is one dot product and one division for top,
+then one pass down the rows for the other unknowns, which costs only the
+number of nonzero entries.  That b is the determinant up to sign, so the
+determinant comes from the solve's closure, never from eliminating the
+dense matrix, and the closure checks the law |det A| = (k-1)! before any
+solve of its weight.
 
 A solve beside rest knows more.  By adjunction (engine.py) the unknown of
 a diagram y with nodes(y) > left is 0, left being what rest leaves of the
@@ -36,7 +40,8 @@ class's double points.  The row of a diagram y other than the column only
 defines y's unknown from later ones, so the row of a vanishing unknown, and
 the input it reads, are not needed for the others: the live unknowns are
 again affine in top, with multiples coef built over the live rows alone (0
-at a vanishing unknown).  The single row (k) forces no double points, so
+at a vanishing unknown), and the closing row's weights fall on the live
+rows' inputs and its own.  The single row (k) forces no double points, so
 top is always live.  The loop closes on any other row, the first or a
 vanishing unknown's (whose own term is 0), whose multiple b of top, the sum
 of coef over its merge targets, is nonzero.  One always is.  A is
@@ -65,6 +70,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, inf
+from operator import mul
 
 from .errors import InconsistencyError
 from .partitions import nodes, partition_list
@@ -95,12 +101,20 @@ SolvePlan = namedtuple("SolvePlan", "parts merges")
 def solve_plan(k):
     """What the weight-k system needs besides its right-hand side, built
     once: the partitions of k in increasing order and per row the unknowns
-    of its merge targets, one per lower row (unknown j is parts[j + 1])."""
+    of its merge targets, one per lower row (unknown j is parts[j + 1]).
+    Equal lower rows merge to the same diagram, and the rows descend, so
+    merge_top_into runs once per distinct lower row."""
     parts = partition_list(k)
     pos = {q: j for j, q in enumerate(parts)}
-    return SolvePlan(parts, tuple(
-        tuple(pos[merge_top_into(y, i)] - 1 for i in range(1, len(y)))
-        for y in parts[:-1]))
+    merges = []
+    for y in parts[:-1]:
+        targets = []
+        for i in range(1, len(y)):
+            if i == 1 or y[i] != y[i - 1]:
+                j = pos[merge_top_into(y, i)] - 1
+            targets.append(j)
+        merges.append(tuple(targets))
+    return SolvePlan(parts, tuple(merges))
 
 
 # A weight-k solve beside a rest that leaves left double points, row r
@@ -109,8 +123,8 @@ def solve_plan(k):
 # rows, then close, then (1,)*k if it forces at most left; rows, the rows
 # r >= 1 of the live unknowns, last first; live, the live unknowns j (of
 # parts[j + 1]) in increasing order; close, the row that closes the loop;
-# and coef and b as in _closure.
-Closure = namedtuple("Closure", "reads rows live close coef b")
+# and coef, b and weights as in _closure.
+Closure = namedtuple("Closure", "reads rows live close coef b weights")
 
 
 def solve_closure(k, left):
@@ -135,38 +149,41 @@ def solve_split_system(k, closure, values):
     exactly, given the unknowns that closure (solve_closure) sets to 0 and
     values, the inputs closure.reads lists in its order, and returns the
     list of invariants of every y except the single column, in
-    solve_plan(k).parts[1:] order.  All results must come out integral;
+    solve_plan(k).parts[1:] order.  b * top is the closure's weights on
+    the inputs, less the all-ones value if read; the rows then give the
+    other unknowns from top.  All results must come out integral;
     anything else means the inputs were inconsistent and raises
     InconsistencyError.  Its one caller, Engine._solve_at, solves at k >= 2
     and builds values from the same closure, so neither is checked here.
     """
     parts, merges = solve_plan(k)
-    _, rows, _, close, coef, b = closure
-    # Unknown j is const[j] + coef[j] * top, top being the last unknown, the
-    # single row (k); merge targets sit later in the order than their row,
-    # and a vanishing unknown keeps const 0 and coef 0.
-    const = [0] * len(merges)
-    for r, a in zip(rows, values):
-        for j in merges[r]:
-            a -= const[j]
-        const[r - 1] = a
-    # The closing row's split, less the all-ones value on row 0 if read.
-    n = len(rows)
-    a = values[n] - sum(values[n + 1:])
-    for j in merges[close]:
-        a -= const[j]
+    rows, b, weights = closure.rows, closure.b, closure.weights
+    a = sum(map(mul, weights, values))
+    if len(values) > len(weights):  # the all-ones value, on row 0
+        a -= values[-1]
     # Every unknown is an integer exactly when top is, since top is one of
     # them and the others are integer affine functions of it.
     top, remainder = divmod(a, b)
     if remainder:
-        top = Fraction(a, b)
-        for j, (c, m) in enumerate(zip(const, coef)):
-            value = c + m * top
-            if value.denominator != 1:
-                raise InconsistencyError(
-                    "non-integral invariant %s for constraint %s at weight %d"
-                    % (value, parts[j + 1], k))
-    return [c + m * top for c, m in zip(const, coef)]
+        x = _substituted(merges, rows, values, Fraction(a, b))
+        j = next(j for j, value in enumerate(x) if value.denominator != 1)
+        raise InconsistencyError(
+            "non-integral invariant %s for constraint %s at weight %d"
+            % (x[j], parts[j + 1], k))
+    return _substituted(merges, rows, values, top)
+
+
+def _substituted(merges, rows, values, top):
+    """The unknowns from top: row r's split value less the unknowns it
+    merges into, which sit later in the order, gives unknown r - 1; a
+    vanishing unknown has no row and stays 0."""
+    x = [0] * len(merges)
+    x[-1] = top
+    for r, a in zip(rows, values):
+        for j in merges[r]:
+            a -= x[j]
+        x[r - 1] = a
+    return x
 
 
 def move_determinant(k):
@@ -178,11 +195,18 @@ def move_determinant(k):
 def _closure(k, left):
     """The part of the weight-k solve that no input enters, for k >= 2 and
     left at most k(k-1)/2, as a Closure: coef[j], the multiple of top in
-    unknown j, and b, the multiple of top in the closing row, chosen as the
-    module docstring says.  From full = (k-1)(k-2)/2 on every unknown is
-    live and the first row closes, so A times coef is b e_1 and coef ends
-    in 1: by Cramer's rule det A is b times the minor without the first row
-    and last column, which is unit triangular, and the sign (-1)^(p(k)-2).
+    unknown j, b, the multiple of top in the closing row, chosen as the
+    module docstring says, and weights, the integers w with b * top =
+    sum(w * v) over the inputs v of rows + (close,), less the all-ones
+    value if read.  Each unknown's part that is not a multiple of top is
+    its row's input less those of the unknowns it merges into, so weights
+    come from walking that pass's adjoint once, in reverse row order; the
+    closing row's input has weight 1.  From full = (k-1)(k-2)/2 on every
+    unknown is live and the first row closes, so A times coef is b e_1 and
+    coef ends in 1: by Cramer's rule det A is b times the minor without the
+    first row and last column, which is unit triangular, and the sign
+    (-1)^(p(k)-2); and weights[i] is b times entry (top, reads[i]) of A's
+    inverse.
     Raises InconsistencyError unless at full |b| = (k-1)!, the determinant
     law; a closure at any other left checks it on full's first."""
     full = (k - 1) * (k - 2) // 2
@@ -207,7 +231,18 @@ def _closure(k, left):
     # (1,)*k forces more than full, so it is read only where row 0 closes
     reads = rows + (close,) + ((len(merges),) if whole[0] <= left else ())
     live = tuple(j for j in range(len(merges)) if whole[j + 1] <= left)
-    return Closure(reads, rows, live, close, packed(coef), bs[close])
+    # adjoint[j]: the weight in b * top of unknown j's part that is not a
+    # multiple of top; row r's input has unknown r - 1's, as r - 1 is final
+    # once every earlier row that merges into it is walked
+    adjoint = [0] * len(merges)
+    for j in merges[close]:
+        adjoint[j] -= 1
+    for r in reversed(rows):
+        for j in merges[r]:
+            adjoint[j] -= adjoint[r - 1]
+    weights = [adjoint[r - 1] for r in rows] + [1]
+    return Closure(reads, rows, live, close, packed(coef), bs[close],
+                   packed(weights))
 
 
 @lru_cache(maxsize=None)

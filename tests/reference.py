@@ -2,11 +2,11 @@
 the a-priori vanishing predicate, the dual diagram, the complexity rank on
 diagrams, the value of the package's merge expansion term by term, and the
 push-together formula on every multi-point key a run holds
-(push_together_disagreements), an integer matrix's determinant by
-elimination, the diagram product one walk at a time, single-point tables
-with their zeros, and primality by trial division; and a cache file's
-bytes, signed and split.  None of them is a shortcut of the package; each
-gives a second route to a value the package computes.
+(push_together_disagreements), an integer matrix's determinant and a
+Fraction solve by elimination, the diagram product one walk at a time,
+single-point tables with their zeros, and primality by trial division; and
+a cache file's bytes, signed and split.  None of them is a shortcut of the
+package; each gives a second route to a value the package computes.
 
 It is also the one owner of the runs the tests share: the benchmark's two
 in-process questions (column, quadric_pass), a cold run of either with the
@@ -409,6 +409,24 @@ def determinant(matrix):
             m[r][p] = 0
         prev = m[p][p]
     return sign * m[n - 1][n - 1]
+
+
+def gauss_solve(matrix, rhs_list):
+    """Reference solve of matrix * x = rhs for every rhs in rhs_list by
+    Fraction Gauss-Jordan elimination with row pivoting; it knows nothing
+    of the Hessenberg shape.  Returns one solution list per rhs."""
+    n = len(matrix)
+    m = [[Fraction(e) for e in row] + [Fraction(rhs[r]) for rhs in rhs_list]
+         for r, row in enumerate(matrix)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [[m[r][n + i] / m[r][r] for r in range(n)]
+            for i in range(len(rhs_list))]
 
 
 def star_oracle(p1, p2):

@@ -215,13 +215,17 @@ def test_closed_stdout_ends_the_run_quietly():
 
 # A child that runs main on its arguments and says on stderr when main has
 # made the run's engine, so that a signal sent after that lands inside main.
+# A child started with SIGINT ignored (as under `cmd &` from a shell that is
+# not interactive) inherits that, so it installs Python's handler first.
 MAIN_STARTED = """
+import signal
 import sys
 from tangentcount import cli
 
 class Engine(cli.Engine):
     def __init__(self):
         super().__init__()
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         print("main started", file=sys.stderr, flush=True)
 
 cli.Engine = Engine

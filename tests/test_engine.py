@@ -399,11 +399,13 @@ def test_cold_work_is_pinned(work, pins):
 
 
 def test_the_adjunction_counts_are_the_reference_ones():
-    # the engine's closed form for a diagram's double points against the
-    # sum over its pairs of branches, and its budget, from the plane class,
-    # against (A.A - c1(A))/2 + 1, the rulings (a, 0) and (0, b) included
+    # the engine's closed form for a diagram's double points, and the
+    # count it caches per code, against the sum over its pairs of branches,
+    # and its budget, from the plane class, against (A.A - c1(A))/2 + 1,
+    # the rulings (a, 0) and (0, b) included
     m = engine_module
     assert all(nodes(p) == local_double_points(p)
+               == m._nodes(m._code(p))
                for w in range(1, 13) for p in partitions_of(w))
     classes = [("cp2", d) for d in range(12)] + [
         ("p1xp1", (a, b)) for a in range(7) for b in range(7)]

@@ -2,9 +2,9 @@
 law, and exactness of the splitting solve."""
 
 import math
+import operator
 import random
 import re
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -18,7 +18,7 @@ from tangentcount.matrices import (merge_top_into, move_matrix,
 from tangentcount.partitions import nodes, partitions_of
 from tangentcount.star import star
 
-from reference import determinant
+from reference import determinant, gauss_solve
 
 
 def test_merge_top_into():
@@ -153,24 +153,6 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
                 matrices.solve_closure(4, left)
 
 
-def gauss_solve(matrix, rhs_list):
-    """Reference solve of matrix * x = rhs for every rhs in rhs_list by
-    Fraction Gauss-Jordan elimination with row pivoting; it knows nothing
-    of the Hessenberg shape.  Returns one solution list per rhs."""
-    n = len(matrix)
-    m = [[Fraction(e) for e in row] + [Fraction(rhs[r]) for rhs in rhs_list]
-         for r, row in enumerate(matrix)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if m[r][c] != 0)
-        m[c], m[p] = m[p], m[c]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c] / m[c][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [[m[r][n + i] / m[r][r] for r in range(n)]
-            for i in range(len(rhs_list))]
-
-
 def test_plan_merges_reproduce_move_matrix():
     for k in range(1, 15):
         parts, merges = solve_plan(k)
@@ -183,6 +165,27 @@ def test_plan_merges_reproduce_move_matrix():
             for j in targets:
                 rebuilt[r][j] += 1
         assert rebuilt == move_matrix(k), k
+
+
+def test_the_plan_merges_each_distinct_lower_row_once(monkeypatch):
+    # solve_plan calls merge_top_into once per distinct lower row of each
+    # row's diagram, through the module global, and its merges are those
+    # of one merge_top_into call per lower row
+    calls = []
+
+    def counted(y, i):
+        calls.append((y, i))
+        return merge_top_into(y, i)
+
+    monkeypatch.setattr(matrices, "merge_top_into", counted)
+    for k in range(1, 17):
+        calls.clear()
+        parts, merges = solve_plan.__wrapped__(k)
+        assert len(calls) == sum(len(set(y[1:])) for y in parts[:-1]), k
+        pos = {q: j for j, q in enumerate(parts)}
+        assert merges == tuple(
+            tuple(pos[merge_top_into(y, i)] - 1 for i in range(1, len(y)))
+            for y in parts[:-1]), k
 
 
 def test_solve_matches_fraction_oracle():
@@ -263,3 +266,35 @@ def test_a_pruned_solve_recovers_every_value_the_rule_allows(k):
         assert list(closure.coef) == [v / x[-1] for v in x]
         assert closure.b == 1 / x[-1]
         assert abs(closure.b) == factorial(k - 1)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_the_closing_weights_are_b_times_the_inverse_at_top(k):
+    # the closure's weights, walked off the row pass's adjoint, by two
+    # other routes: at the unpruned closure weights[i] is b times entry
+    # (top, reads[i]) of A's inverse, its last row found by elimination on
+    # A's transpose; and at every left, on integer unknowns drawn at random
+    # but 0 past left, the weights on the inputs the closure reads, less
+    # the all-ones value if read, give b times top
+    rng = random.Random(k)
+    parts = partitions_of(k)
+    n, cap = len(parts) - 1, k * (k - 1) // 2
+    a = move_matrix(k)
+    last, = gauss_solve([list(col) for col in zip(*a)], [[0] * (n - 1) + [1]])
+    closure = solve_closure(k, math.inf)
+    assert len(closure.weights) == n
+    assert list(closure.weights) == [closure.b * last[r]
+                                     for r in closure.reads[:n]]
+    for left in range(cap + 1):
+        closure = solve_closure(k, left)
+        weights = list(closure.weights)
+        assert len(weights) == len(closure.rows) + 1
+        assert all(type(w) is int for w in weights) and weights[-1] == 1
+        for _ in range(3):
+            w = {q: rng.randint(-10**6, 10**6) if nodes(q) <= left else 0
+                 for q in parts}
+            inputs = matvec(k, w, w[parts[0]]) + [w[parts[0]]]
+            values = [inputs[r] for r in closure.reads]
+            assert (sum(map(operator.mul, weights, values))
+                    - sum(values[len(weights):])
+                    == closure.b * w[parts[-1]]), left
