@@ -153,8 +153,9 @@ def cmd_compute(args, parser):
             value = engine.hat_invariant(args.space, degree, constraints)
         else:
             value = engine.invariant(args.space, degree, constraints)
-        record = {"key": key, "value": value,
-                  "provenance": "cached" if cached else "computed"}
+        # a record answers the key unless the adjunction rule did first
+        record = {"key": key, "value": value, "provenance": "cached" if cached
+                  and not engine.counters["adjunction_zeros"] else "computed"}
         if args.format == "plain":
             print(value)
         else:

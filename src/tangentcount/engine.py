@@ -289,7 +289,7 @@ class Engine:
             if k == 1:
                 return self._base(space, degree, key)
             whole = _key(key)
-            hit = self._held(space, degree, key, whole, k)[1]
+            hit = self._held(space, degree, key, whole, k)
         if hit is not None:
             self.counters["memo_hits"] += 1
             return hit
@@ -330,27 +330,25 @@ class Engine:
 
     # ------------------------------------------------------------- internals
 
-    def _held(self, space, degree, cs, whole, k, skip=None):
-        """(target, value) from the first weight-k vector, in target order,
-        holding the key of level k whose _key is whole, else (None, None);
-        a vector's targets are its codes between (1,)*k and (1,)*(k+1).
-        It tries the targets among the descending codes cs, the key's or
-        some of them, probing the vector beside the key less c at
-        whole // _prime[c].  The vector beside the key less skip is not
-        probed: the caller knows it is missing.  All holders of a key
-        agree, as _solve_at alone stores a vector and first checks each
-        value against the holders stored: checking against this one checks
-        all."""
+    def _held(self, space, degree, cs, whole, k):
+        """The value from the first weight-k vector, in target order,
+        holding the key of level k whose _key is whole, else None; a
+        vector's targets are its codes between (1,)*k and (1,)*(k+1).  It
+        tries the targets among the descending codes cs, the key's or some
+        of them, probing the vector beside the key less c at
+        whole // _prime[c].  All holders of a key agree, as _solve_at alone
+        stores a vector and first checks each value against the holders
+        stored: checking against this one checks all."""
         lo, hi = _first[k], _first[k + 1]
         vectors = self._vectors[space, degree]
         for c in cs:
             if c <= lo:
                 break
-            if c < hi and c != skip:
+            if c < hi:
                 vector = vectors.get(whole // _prime[c])
                 if vector is not None:
-                    return c, vector[c - lo - 1]
-        return None, None
+                    return vector[c - lo - 1]
+        return None
 
     def _base(self, space, degree, cs):
         """hat-H of the all-ones coded key cs: one evaluation and one base
@@ -369,20 +367,20 @@ class Engine:
         diagram of weight k beside rest, whose _key is pk (the caller has
         it from its own probe), indexed like solve_plan(k).parts[1:], each
         value its closure does not set to 0 checked against the vector
-        _held finds for its key (skipping rest's, which is not stored yet;
-        the check walks rest's codes, unsorted).  It reads the inputs
-        _reads lists for _left(rest), what rest leaves of the budget, and
-        counts each read that neither _base nor an in-place solve answers
-        as one memo hit, all at once after the loop.  An input with a level
-        code is read from the vector _held tries first, near: beside its
-        key less the top level code (rest's top t, or the input's if
-        larger), probed at pk times the product of the input's codes after
-        its top, or at pk less t's prime times all of them.  Only a miss
-        sorts the key.  If near is missing and the key has
-        another code of that weight, _held tries the key's later holders,
-        skipping near.  If none holds it, near is solved here, at the key's
-        _rank (top's level once if others has no code of it), which must be
-        below rank.  An all-ones input goes to _base."""
+        _held finds for its key among rest's codes, unsorted (rest's own
+        vector, probed if rest holds the target, is not stored yet).  It
+        reads the inputs _reads lists for _left(rest), what rest leaves of
+        the budget, and counts each read that neither _base nor an in-place
+        solve answers as one memo hit, all at once after the loop.  An
+        input with a level code is read from the vector _held tries first,
+        near: beside its key less the top level code (rest's top t, or the
+        input's if larger), probed at pk times the product of the input's
+        codes after its top, or at pk less t's prime times all of them.
+        Only a miss sorts the key.  If near is missing and the key has
+        another code of that weight, _held tries the key's holders in turn,
+        near again among them.  If none holds it, near is solved here, at
+        the key's _rank (top's level once if others has no code of it),
+        which must be below rank.  An all-ones input goes to _base."""
         k, vectors, values, own = rank[0], self._vectors[space, degree], [], 0
         t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
         if t:
@@ -410,7 +408,7 @@ class Engine:
             lower = w, 1
             if w in map(_LEVEL.get, others):
                 cs = tuple(sorted(rest + codes, reverse=True))
-                value = self._held(space, degree, cs, pk * whole, w, top)[1]
+                value = self._held(space, degree, cs, pk * whole, w)
                 if value is not None:
                     values.append(value)
                     continue
@@ -431,8 +429,7 @@ class Engine:
         if rank[1] > 1:  # else no other vector holds a key
             for j in closure.live:  # a target past left is 0 at every holder
                 q, value = _first[k] + 1 + j, solved[j]
-                old = self._held(space, degree, rest, pk * _prime[q], k,
-                                 q)[1]  # rest: not yet stored
+                old = self._held(space, degree, rest, pk * _prime[q], k)
                 if old not in (None, value):
                     at = tuple(sorted(rest + (q,), reverse=True))
                     raise InconsistencyError(
@@ -473,7 +470,7 @@ class Engine:
                     q, value = lo + 1 + j, vector[j]
                     above = [c for c in targets if c > q] if targets else ()
                     if above and self._held(space, degree, above,
-                                            pk * _prime[q], k)[1] is not None:
+                                            pk * _prime[q], k) is not None:
                         continue
                     pre, post = ends[len(above)]
                     yield pre + _text(q) + post, value

@@ -62,7 +62,10 @@ strong as the closure allows.
 Where that |b| is 1 the check cannot fire, as every integer is a multiple
 of 1: on cold T_1..T_7, 14 of the 181 closures the solves use close so, and
 997 of its 21,671 solves.  solve_closure builds one closure per weight and
-left, capped at k(k-1)/2, and solve_split_system solves it.
+left, capped at k(k-1)/2, from the weight's solve_plan, which also lists
+the double points of each diagram and of its split; solve_split_system
+solves it.  A closure keeps only what a solve reads; coef only chooses
+the closing row and gives its b.
 """
 
 from array import array
@@ -94,16 +97,18 @@ def move_matrix(k):
     return a
 
 
-SolvePlan = namedtuple("SolvePlan", "parts merges")
+SolvePlan = namedtuple("SolvePlan", "parts merges whole split")
 
 
 @lru_cache(maxsize=None)
 def solve_plan(k):
     """What the weight-k system needs besides its right-hand side, built
-    once: the partitions of k in increasing order and per row the unknowns
-    of its merge targets, one per lower row (unknown j is parts[j + 1]).
-    Equal lower rows merge to the same diagram, and the rows descend, so
-    merge_top_into runs once per distinct lower row."""
+    once: the partitions of k in increasing order, per row the unknowns of
+    its merge targets, one per lower row (unknown j is parts[j + 1]), and
+    the double points each diagram y forces (whole) and those its split
+    (top row of y, rest of y) forces (split).  Equal lower rows merge to
+    the same diagram, and the rows descend, so merge_top_into runs once
+    per distinct lower row."""
     parts = partition_list(k)
     pos = {q: j for j, q in enumerate(parts)}
     merges = []
@@ -114,17 +119,18 @@ def solve_plan(k):
                 j = pos[merge_top_into(y, i)] - 1
             targets.append(j)
         merges.append(tuple(targets))
-    return SolvePlan(parts, tuple(merges))
+    return SolvePlan(parts, tuple(merges), tuple(map(nodes, parts)),
+                     tuple(nodes(y[1:]) for y in parts))
 
 
 # A weight-k solve beside a rest that leaves left double points, row r
 # being the equation of parts[r]: reads, the inputs it reads in order
 # (input r < p(k) - 1 is row r's split, input p(k) - 1 is (1,)*k), that is
-# rows, then close, then (1,)*k if it forces at most left; rows, the rows
-# r >= 1 of the live unknowns, last first; live, the live unknowns j (of
-# parts[j + 1]) in increasing order; close, the row that closes the loop;
-# and coef, b and weights as in _closure.
-Closure = namedtuple("Closure", "reads rows live close coef b weights")
+# rows, then the row that closes the loop, reads[len(rows)], then (1,)*k
+# if it forces at most left; rows, the rows r >= 1 of the live unknowns,
+# last first; live, the live unknowns j (of parts[j + 1]) in increasing
+# order; and b and weights as in _closure.
+Closure = namedtuple("Closure", "reads rows live b weights")
 
 
 def solve_closure(k, left):
@@ -156,7 +162,7 @@ def solve_split_system(k, closure, values):
     InconsistencyError.  Its one caller, Engine._solve_at, solves at k >= 2
     and builds values from the same closure, so neither is checked here.
     """
-    parts, merges = solve_plan(k)
+    parts, merges, _, _ = solve_plan(k)
     rows, b, weights = closure.rows, closure.b, closure.weights
     a = sum(map(mul, weights, values))
     if len(values) > len(weights):  # the all-ones value, on row 0
@@ -194,26 +200,25 @@ def move_determinant(k):
 @lru_cache(maxsize=None)
 def _closure(k, left):
     """The part of the weight-k solve that no input enters, for k >= 2 and
-    left at most k(k-1)/2, as a Closure: coef[j], the multiple of top in
-    unknown j, b, the multiple of top in the closing row, chosen as the
-    module docstring says, and weights, the integers w with b * top =
-    sum(w * v) over the inputs v of rows + (close,), less the all-ones
-    value if read.  Each unknown's part that is not a multiple of top is
-    its row's input less those of the unknowns it merges into, so weights
-    come from walking that pass's adjoint once, in reverse row order; the
-    closing row's input has weight 1.  From full = (k-1)(k-2)/2 on every
-    unknown is live and the first row closes, so A times coef is b e_1 and
-    coef ends in 1: by Cramer's rule det A is b times the minor without the
-    first row and last column, which is unit triangular, and the sign
-    (-1)^(p(k)-2); and weights[i] is b times entry (top, reads[i]) of A's
-    inverse.
+    left at most k(k-1)/2, as a Closure: b, the multiple of top in the
+    closing row, chosen from coef as the module docstring says, and
+    weights, the integers w with b * top = sum(w * v) over the inputs v of
+    rows and the closing row, less the all-ones value if read; coef[j],
+    the multiple of top in unknown j, stays local.  Each unknown's part
+    that is not a multiple of top is its row's input less those of the
+    unknowns it merges into, so weights come from walking that pass's
+    adjoint once, in reverse row order; the closing row's input has weight
+    1.  From full = (k-1)(k-2)/2 on every unknown is live and the first row
+    closes, so A times coef is b e_1 and coef ends in 1: by Cramer's rule
+    det A is b times the minor without the first row and last column,
+    which is unit triangular, and the sign (-1)^(p(k)-2); and weights[i]
+    is b times entry (top, reads[i]) of A's inverse.
     Raises InconsistencyError unless at full |b| = (k-1)!, the determinant
     law; a closure at any other left checks it on full's first."""
     full = (k - 1) * (k - 2) // 2
     if left != full:
         _closure(k, full)
-    merges = solve_plan(k).merges
-    whole, split = _forced(k)
+    _, merges, whole, split = solve_plan(k)
     rows = tuple(r for r in range(len(merges) - 1, 0, -1) if whole[r] <= left)
     coef = [0] * (len(merges) - 1) + [1]
     for r in rows:
@@ -241,16 +246,7 @@ def _closure(k, left):
         for j in merges[r]:
             adjoint[j] -= adjoint[r - 1]
     weights = [adjoint[r - 1] for r in rows] + [1]
-    return Closure(reads, rows, live, close, packed(coef), bs[close],
-                   packed(weights))
-
-
-@lru_cache(maxsize=None)
-def _forced(k):
-    """The double points of each diagram y of weight k, in increasing
-    order, and those of its split (top row of y, rest of y)."""
-    parts = partition_list(k)
-    return tuple(map(nodes, parts)), tuple(nodes(y[1:]) for y in parts)
+    return Closure(reads, rows, live, bs[close], packed(weights))
 
 
 def packed(values):

@@ -235,7 +235,7 @@ def unpruned_disagreements(run, full):
             # an all-ones key, of level 1, is held by no vector
             level = _rank(map(m._LEVEL.get, key))[0]
             value = full.engine._held(space, degree, key, vector_key(key),
-                                      level)[1]
+                                      level)
             if value is None:
                 value = full.engine.hat_invariant(
                     space, degree, tuple(map(m._diagram, key)))
@@ -261,7 +261,8 @@ def unpruned_disagreements(run, full):
                 if sum(map(nodes_of, codes)) > left:
                     key = tuple(sorted(rest + codes, reverse=True))
                     bad.append(("read", (space, degree, key)))
-            if closure.close == 0 and len(inputs) - 1 not in closure.reads:
+            closes = closure.reads[len(closure.rows)]
+            if closes == 0 and len(inputs) - 1 not in closure.reads:
                 answered += 1
                 codes = inputs[-1][0]
                 key = tuple(sorted(rest + codes, reverse=True))

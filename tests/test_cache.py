@@ -198,9 +198,10 @@ PAST_BUDGET = [b"ht:cp2;3;(5,3)\t5\n", b"ht:cp2;3;(6,2)\t0\n"]
 
 
 def test_an_older_file_keeps_its_records_past_the_budget(tmp_path, capsys):
-    # the rule answers both keys before their records are looked up, yet
-    # the file holds them, so both are cached; a harvest neither compares
-    # nor drops them; verify recomputes each, as 0, and fails the wrong one
+    # the rule answers both keys before their records are looked up, so
+    # both are computed though the file holds them; a harvest neither
+    # compares nor drops them; verify recomputes each, as 0, and fails the
+    # wrong one
     assert all(local_double_points(p) > double_point_count("cp2", 3)
                for p in ((5, 3), (6, 2)))
     path = tmp_path / "counts.txt"
@@ -210,7 +211,7 @@ def test_an_older_file_keeps_its_records_past_the_budget(tmp_path, capsys):
         assert main(["compute", "-d", "3", "-c", ctext, "--format", "json",
                      "--cache-file", str(path)]) == 0
         record, = json.loads(capsys.readouterr().out)
-        assert (record["value"], record["provenance"]) == (0, "cached")
+        assert (record["value"], record["provenance"]) == (0, "computed")
     assert path.read_bytes() == older
     assert main(["compute", "-d", "3", "-c", "(8)",
                  "--cache-file", str(path)]) == 0

@@ -578,8 +578,9 @@ def test_a_first_holder_is_cross_checked_from_a_later_one(monkeypatch):
     # the same key the other way round: corrupt its entry in the vector
     # next to ((2, 1), (2,)) and POINTS, the first _held tries.  The solve
     # next to ((3,), (2,)) and POINTS re-derives it as its target (2, 1),
-    # which is not the key's top code: its check skips only the vector
-    # beside the key less (2, 1) and must refuse
+    # which is not the key's top code: its check walks rest's codes, so it
+    # probes the vector beside the key less (3,), not its own, and must
+    # refuse
     e, value = corrupt_top_solve(monkeypatch, 1, 4,
                                  ((2, 1), (2, 1), (2,)) + POINTS, (3,))
     with pytest.raises(InconsistencyError,
@@ -592,8 +593,9 @@ def test_a_holder_past_a_missing_one_is_cross_checked(monkeypatch):
     # ((4,), (3, 1), (2, 2), (2,)) at degree 5 has three weight-4 holders,
     # beside the key less (4,), less (3, 1) and less (2, 2).  Corrupt its
     # entry in the last; the second is never solved.  The solve beside the
-    # first re-derives the key, skips its own vector, which is not stored
-    # yet, finds the second missing and must refuse at the last
+    # first re-derives the key; its check walks rest's codes, which hold
+    # no (4,), so it never probes its own vector, which is not stored yet,
+    # finds the second missing and must refuse at the last
     top = ((4,), (4,), (3, 1), (2,))
     e, value = corrupt_top_solve(monkeypatch, 1, 5, top, (2, 2))
     second = tuple(map(engine_module._code, ((4,), (2, 2), (2,))))
@@ -685,7 +687,8 @@ def test_memo_items_match_the_per_key_enumeration(work):
 def test_a_key_held_by_three_vectors_is_yielded_once():
     # after these four keys, ((4,), (3, 1), (2, 2), (2,)) sits in the
     # weight-4 vectors beside each of its three targets: memo_items yields
-    # it once, and _held reads it from the vector beside its largest, (4,)
+    # it once, and _held reads it from the vector beside its largest, (4,):
+    # the one vector it probes, the key less (4,)
     e = Engine()
     top = ((4,), (3, 1), (2, 2), (2,))
     for cs in [((4,), (4,), (3, 1), (2,)), ((4,), (4,), (2, 2), (2,)),
@@ -694,8 +697,12 @@ def test_a_key_held_by_three_vectors_is_yielded_once():
     codes = tuple(map(engine_module._code, top))
     assert all(vector_at(e, "cp2", 5, codes[:i] + codes[i + 1:]) is not None
                for i in range(3))
+    store = Probed()
+    store.update(vector_stores(e)["cp2", 5])
+    vector_stores(e)["cp2", 5] = store
     assert e._held("cp2", 5, codes, vector_key(codes), 4) == (
-        codes[0], Engine().hat_invariant("cp2", 5, top))
+        Engine().hat_invariant("cp2", 5, top))
+    assert store.asked == [vector_key(codes[1:])]
     texts = [text for text, _ in e.memo_items()]
     assert texts.count(encode_key("cp2", 5, top)) == 1
 
@@ -811,7 +818,7 @@ def shortcut_disagreements(e):
                     ok = key in probe.asked and type(read) is int
                 elif name == "held":
                     ok = key not in probe.asked and read == probe._held(
-                        space, degree, key, vector_key(key), level)[1]
+                        space, degree, key, vector_key(key), level)
                 else:
                     top = top_level_code(key)
                     i = key.index(top)
@@ -915,7 +922,7 @@ def test_a_later_holder_answers_a_levelled_input():
     # (2, 2), (2,)).  As the input ((4,), (2,)) of the weight-6 solve beside
     # ((3, 1), (2, 2)) it is read from the second holder: one memo hit, no
     # evaluation, no solve and no _base.  Every other input it reads
-    # misses.  _held told to skip (4,) does not probe the first holder
+    # misses.  _held probes the first holder, then reads the second
     code = engine_module._code
     e = Engine()
     e.hat_invariant("cp2", 5, ((4,), (4,), (2, 2), (2,)))
@@ -928,9 +935,8 @@ def test_a_later_holder_answers_a_levelled_input():
     value = Engine().hat_invariant("cp2", 5, tuple(
         map(engine_module._diagram, key)))
     whole = vector_key(key)
-    assert probe._held("cp2", 5, key, whole, 4, key[0]) == (key[1], value)
-    assert probe._held("cp2", 5, key, whole, 4) == (key[1], value)
-    assert store.asked == list(map(vector_key, [second, key[1:], second]))
+    assert probe._held("cp2", 5, key, whole, 4) == value
+    assert store.asked == list(map(vector_key, [key[1:], second]))
     rest = (code((3, 1)), code((2, 2)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "solve_split_system", read_inputs)

@@ -18,7 +18,7 @@ from tangentcount.matrices import (merge_top_into, move_matrix,
 from tangentcount.partitions import nodes, partitions_of
 from tangentcount.star import star
 
-from reference import determinant, gauss_solve
+from reference import determinant, gauss_solve, local_double_points
 
 
 def test_merge_top_into():
@@ -154,9 +154,15 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
 
 
 def test_plan_merges_reproduce_move_matrix():
+    # and the plan's double points are the reference counts: of each
+    # diagram, and of its split (top row, rest), summed over its two points
     for k in range(1, 15):
-        parts, merges = solve_plan(k)
+        parts, merges, whole, split = solve_plan(k)
         assert list(parts) == partitions_of(k)
+        assert whole == tuple(map(local_double_points, parts)), k
+        assert split == tuple(local_double_points((y[0],))
+                              + local_double_points(y[1:])
+                              for y in parts), k
         n = len(parts) - 1
         rebuilt = [[0] * n for _ in range(n)]
         for r, targets in enumerate(merges):
@@ -180,7 +186,7 @@ def test_the_plan_merges_each_distinct_lower_row_once(monkeypatch):
     monkeypatch.setattr(matrices, "merge_top_into", counted)
     for k in range(1, 17):
         calls.clear()
-        parts, merges = solve_plan.__wrapped__(k)
+        parts, merges, _, _ = solve_plan.__wrapped__(k)
         assert len(calls) == sum(len(set(y[1:])) for y in parts[:-1]), k
         pos = {q: j for j, q in enumerate(parts)}
         assert merges == tuple(
@@ -243,27 +249,33 @@ def test_a_pruned_solve_recovers_every_value_the_rule_allows(k):
         closure = solve_closure(k, left)
         rows = tuple(r for r in range(n - 1, 0, -1) if nodes(parts[r]) <= left)
         assert closure.rows == rows
-        assert closure.reads == rows + (closure.close,) + (
+        close = closure.reads[len(rows)]
+        assert closure.reads == rows + (close,) + (
             (n,) if nodes(parts[0]) <= left else ())
         assert closure.live == tuple(j for j in range(n)
                                      if nodes(parts[j + 1]) <= left)
-        assert closure.close == 0 or nodes(parts[closure.close]) > left
+        assert close == 0 or nodes(parts[close]) > left
         for _ in range(3):
             w = {q: rng.randint(-10**6, 10**6) if nodes(q) <= left else 0
                  for q in parts}
             inputs = matvec(k, w, w[parts[0]]) + [w[parts[0]]]
             assert solve_split_system(k, closure, [
                 inputs[r] for r in closure.reads]) == [w[q] for q in parts[1:]]
-    # from (k-1)(k-2)/2 on, the unpruned closure: its multiples of top are
-    # A's inverse applied to e_1, scaled to end in 1, by elimination, and
-    # b = +-(k-1)!; it differs from the one at the cap in its reads alone
+    # from (k-1)(k-2)/2 on, the unpruned closure: the first row closes,
+    # the multiples of top, the unknowns it solves from split b e_1 (top =
+    # 1), are A's inverse applied to e_1, scaled to end in 1, by
+    # elimination, and b = +-(k-1)!; it differs from the one at the cap in
+    # its reads alone
     full = (k - 1) * (k - 2) // 2
     x, = gauss_solve(move_matrix(k), [[1] + [0] * (n - 1)])
     assert solve_closure(k, cap) == solve_closure(k, math.inf)
     for left in range(full, cap + 1):
         closure = solve_closure(k, left)
         assert closure[1:] == solve_closure(k, cap)[1:]
-        assert list(closure.coef) == [v / x[-1] for v in x]
+        assert closure.reads[len(closure.rows)] == 0
+        assert solve_split_system(k, closure, [
+            closure.b if r == 0 else 0 for r in closure.reads]) == [
+                v / x[-1] for v in x]
         assert closure.b == 1 / x[-1]
         assert abs(closure.b) == factorial(k - 1)
 
