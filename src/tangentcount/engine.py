@@ -55,20 +55,22 @@ is resolved the same way, so every frame between it and a base case is a
 _solve_at.  Neither keeps a base case: the blowup memo, shared by all
 engines, answers it again.
 
-Inside the engine a diagram of weight w is one int, its code: _first[w]
-plus its index in partitions_of(w), the blocks of p(w) codes laid out in
-increasing weight.  So (1,)*w codes as _first[w], descending codes are the
+Inside the engine a diagram of weight w is one int, its code:
+w << 21 | j, j its index in partition_list(w), so (1,)*w codes as w << 21
+and codes with a branch >= 2 have j > 0.  Descending codes are the
 canonical key order, a key is a descending tuple of codes, and code c is
-entry c - _first[k] - 1 of a weight-k solve vector.  Block offsets come
-from partition counts; a weight's other diagrams are listed (by
-partition_list, as its solve_plan lists them) once one of them is coded.
+entry (c & _MASK) - 1 of a weight-k solve vector.  A weight's diagrams are
+listed (by partition_list, as its solve_plan lists them) once one with a
+branch >= 2 is coded; a weight of 2^21 diagrams or more, from 66 on, is
+refused with MemoryError before j could reach the weight bits.
 
 The memo holds each solve's vector under the _key of its rest: each code
 met has a prime of its own, and a multiset of codes is keyed by the
 product of their primes, which by unique factorization names it exactly
-and in any order.  Listing weight k gives a prime to each code of weight
-k or less, in code order (_prime[c]), and _code one to an all-ones code
-past them (_far), so an all-ones key of any weight gives out one prime.
+and in any order.  Listing weight k gives a prime to each of its codes
+with a branch >= 2, in code order, and _code one to an all-ones code the
+first time it meets it (_prime), so an all-ones key of any weight gives
+out one prime.
 An input a solve reads is held beside rest with a code taken out and the
 input's codes put in, so its key is one multiplication by a product
 _solve_inputs keeps, and a read that hits sorts nothing.  A product
@@ -77,7 +79,6 @@ their slots, then rest's codes, then their count.
 """
 
 from array import array
-from bisect import bisect_right
 from collections import defaultdict
 from functools import lru_cache
 from itertools import compress
@@ -99,42 +100,27 @@ def canonical_constraints(constraints):
     return tuple(sorted(cs, key=lambda c: (sum(c), c), reverse=True))
 
 
-def _rank(levels):
-    """The complexity rank (level, count) from each constraint's weight if
-    it has a branch >= 2, else 0 or None: _rank(map(_LEVEL.get, codes))
-    ranks a coded key.  The level is the largest such weight (1 when there
-    is none, the all-ones case), the count how many constraints have it."""
-    levels = [w for w in levels if w]
+def _rank(codes):
+    """The complexity rank (level, count) of the codes of a key, from the
+    weight c >> 21 of each code c with a branch >= 2 (c & _MASK nonzero).
+    The level is the largest such weight (1 when there is none, the
+    all-ones case), the count how many codes have it."""
+    levels = [c >> 21 for c in codes if c & _MASK]
     top = max(levels, default=1)
     return top, levels.count(top)
 
 
-_first = [0, 0]  # _first[w]: the code of (1,)*w, grown by _offset
-_counts = [1]  # p(0), p(1), ...: partition counts, one fewer than _first
-_LEVEL = {}  # code -> weight, for each listed diagram with a branch >= 2
-_prime = array("Q")  # _prime[c]: c's prime, for c of a listed weight or less
-_far = {}  # code -> prime, for each all-ones code _code meets past _prime
+_MASK = (1 << 21) - 1  # c & _MASK: code c's index in its weight's list
+_prime = {}  # code -> prime, for each code listed or met
 _primes = array("Q", [2])  # the primes below a bound, given out in order
 
 
-def _offset(w):
-    """_first[w], growing the blocks from partition counts (Euler's
-    pentagonal recurrence) until _first[w + 1] is known too."""
-    while len(_first) <= w + 1:
-        n = len(_counts)
-        _counts.append(sum((-1) ** (j + 1) * _counts[n - g]
-                           for j in range(1, isqrt(n) + 1)
-                           for g in (j * (3*j - 1) // 2, j * (3*j + 1) // 2)
-                           if g <= n))
-        _first.append(_first[n] + _counts[n])
-    return _first[w]
-
-
 def _issue():
-    """The next prime of _primes no code has.  Once each prime there is
-    given out, _primes is sieved afresh up to twice its largest (Bertrand:
-    one more at least), so it stays below twice the largest one given."""
-    n = len(_prime) + len(_far)
+    """The next prime of _primes no code has, as they are given out in
+    order, one per code in _prime.  Once each prime there is given out,
+    _primes is sieved afresh up to twice its largest (Bertrand: one more
+    at least), so it stays below twice the largest one given."""
+    n = len(_prime)
     if n == len(_primes):
         limit = 2 * _primes[-1]
         sieve = bytearray([1]) * limit
@@ -147,16 +133,16 @@ def _issue():
 
 @lru_cache(maxsize=None)
 def _listed(k):
-    """{diagram: code} over weight k's diagrams but (1,)*k; fills _LEVEL.
-    Listing a weight costs far less than its solve_plan.  It extends
-    _prime over each code of weight k or less (a code in _far keeps its
-    prime), one int per diagram listed or lighter, so the light codes a
-    rest is mostly made of have the small primes."""
-    lo = _offset(k)
-    while len(_prime) < _first[k + 1]:
-        _prime.append(_far.pop(len(_prime), None) or _issue())
-    codes = {q: lo + j for j, q in enumerate(partition_list(k)) if j}
-    _LEVEL.update(dict.fromkeys(codes.values(), k))
+    """{diagram: code} over weight k's diagrams but (1,)*k, each code
+    given a prime in code order.  Listing a weight costs far less than
+    its solve_plan.  Raises MemoryError for a weight of 2^21 diagrams or
+    more, whose indices would spill into the weight bits."""
+    parts = partition_list(k)
+    if len(parts) > _MASK:
+        raise MemoryError("weight %d has too many diagrams to code" % k)
+    codes = {q: k << 21 | j for j, q in enumerate(parts) if j}
+    for c in codes.values():
+        _prime[c] = _issue()
     return codes
 
 
@@ -164,17 +150,17 @@ def _code(q):
     """The code of a valid diagram."""
     if q[0] != 1:
         return _listed(sum(q))[q]
-    c = _offset(len(q))
-    if c >= len(_prime):
-        _far.setdefault(c, _issue())
+    c = len(q) << 21
+    if c not in _prime:
+        _prime[c] = _issue()
     return c
 
 
 @lru_cache(maxsize=None)
 def _diagram(c):
     """The diagram of a code."""
-    w = bisect_right(_first, c) - 1
-    return partition_list(w)[c - _first[w]] if c in _LEVEL else (1,) * w
+    w, j = c >> 21, c & _MASK
+    return partition_list(w)[j] if j else (1,) * w
 
 
 @lru_cache(maxsize=None)
@@ -201,14 +187,15 @@ def _budget(space, degree):
 def _solve_inputs(k):
     """Per input a weight-k solve may read beside rest, indexed as
     solve_closure reads them (the split (top row, rest) of each row's
-    diagram, then (1,)*k): its codes, top level code first, that code's
-    slot (None if none), and the _key of its codes and of codes[1:]."""
+    diagram, then (1,)*k): its codes, top level code first (the largest
+    with c & _MASK nonzero), that code's slot (None if none), and the _key
+    of its codes and of codes[1:]."""
     pairs = [((y[0],), y[1:]) for y in partition_list(k)[:-1]]
     inputs = [tuple(sorted(map(_code, pair), reverse=True,
-                           key=lambda c: (c in _LEVEL, c)))
+                           key=lambda c: (c & _MASK > 0, c)))
               for pair in (*pairs, ((1,) * k,))]
-    return tuple((codes, codes[0] - _first[_LEVEL[codes[0]]] - 1
-                  if codes[0] in _LEVEL else None, _key(codes),
+    return tuple((codes, (codes[0] & _MASK) - 1
+                  if codes[0] & _MASK else None, _key(codes),
                   _key(codes[1:])) for codes in inputs)
 
 
@@ -235,8 +222,9 @@ def _left(space, degree, rest):
 def _key(codes):
     """The memo key of a multiset of codes: the product of their primes,
     which names the multiset in any order (unique factorization).  Every
-    code but an all-ones one has a listed weight, so _prime holds it."""
-    return prod(_prime[c] if c < len(_prime) else _far[c] for c in codes)
+    code met has one: from its weight's _listed, or from _code if it is
+    all-ones."""
+    return prod(map(_prime.__getitem__, codes))
 
 
 def _decoded(key):  # (space, degree, codes) -> (space, degree, diagrams)
@@ -285,7 +273,7 @@ class Engine:
         hit = self.stored.get(encode_key(space, degree, cs))
         if hit is None:
             key = tuple(map(_code, cs))
-            k, count = _rank(map(_LEVEL.get, key))
+            k, count = _rank(key)
             if k == 1:
                 return self._base(space, degree, key)
             whole = _key(key)
@@ -294,9 +282,9 @@ class Engine:
             self.counters["memo_hits"] += 1
             return hit
         self.counters["evaluations"] += 1
-        i = next(i for i, c in enumerate(key) if c in _LEVEL)
+        i = next(i for i, c in enumerate(key) if c & _MASK)
         return self._solve_at(space, degree, key[:i] + key[i + 1:], (k, count),
-                              whole // _prime[key[i]])[key[i] - _first[k] - 1]
+                              whole // _prime[key[i]])[(key[i] & _MASK) - 1]
 
     def invariant(self, space, degree, constraints):
         """The curve count N: hat-H divided by the branch-reordering groups."""
@@ -333,13 +321,14 @@ class Engine:
     def _held(self, space, degree, cs, whole, k):
         """The value from the first weight-k vector, in target order,
         holding the key of level k whose _key is whole, else None; a
-        vector's targets are its codes between (1,)*k and (1,)*(k+1).  It
+        vector's targets are its codes between k << 21, that of (1,)*k,
+        and (k + 1) << 21: those of weight k with c & _MASK nonzero.  It
         tries the targets among the descending codes cs, the key's or some
         of them, probing the vector beside the key less c at
         whole // _prime[c].  All holders of a key agree, as _solve_at alone
         stores a vector and first checks each value against the holders
         stored: checking against this one checks all."""
-        lo, hi = _first[k], _first[k + 1]
+        lo, hi = k << 21, (k + 1) << 21
         vectors = self._vectors[space, degree]
         for c in cs:
             if c <= lo:
@@ -347,7 +336,7 @@ class Engine:
             if c < hi:
                 vector = vectors.get(whole // _prime[c])
                 if vector is not None:
-                    return vector[c - lo - 1]
+                    return vector[(c & _MASK) - 1]
         return None
 
     def _base(self, space, degree, cs):
@@ -382,10 +371,10 @@ class Engine:
         the key's _rank (top's level once if others has no code of it),
         which must be below rank.  An all-ones input goes to _base."""
         k, vectors, values, own = rank[0], self._vectors[space, degree], [], 0
-        t = next(filter(_LEVEL.__contains__, rest), 0)  # 0: none
+        t = next(filter(_MASK.__and__, rest), 0)  # 0: none
         if t:
             i = rest.index(t)
-            rest_t, slot_t = rest[:i] + rest[i + 1:], t - _first[_LEVEL[t]] - 1
+            rest_t, slot_t = rest[:i] + rest[i + 1:], (t & _MASK) - 1
             pk_t = pk // _prime[t]
         closure, reads = _reads(k, _left(space, degree, rest))
         for codes, slot, whole, tail in reads:
@@ -402,17 +391,18 @@ class Engine:
             if vector is not None:
                 values.append(vector[slot])
                 continue
-            w = _LEVEL[top]  # another level-w code would be in others
+            w = top >> 21  # another level-w code would be in others
             others = ((t, *codes[1:]) if top > t
                       else (*rest_t[i:i + 1], codes[0]))
             lower = w, 1
-            if w in map(_LEVEL.get, others):
+            lo, hi = w << 21, (w + 1) << 21  # others has one or two codes
+            if lo < others[0] < hi or lo < others[-1] < hi:
                 cs = tuple(sorted(rest + codes, reverse=True))
                 value = self._held(space, degree, cs, pk * whole, w)
                 if value is not None:
                     values.append(value)
                     continue
-                lower = _rank(map(_LEVEL.get, cs))
+                lower = _rank(cs)
             own += 1
             self.counters["evaluations"] += 1
             if not lower < rank:
@@ -428,7 +418,7 @@ class Engine:
         self.counters["solves"] += 1
         if rank[1] > 1:  # else no other vector holds a key
             for j in closure.live:  # a target past left is 0 at every holder
-                q, value = _first[k] + 1 + j, solved[j]
+                q, value = k << 21 | (j + 1), solved[j]
                 old = self._held(space, degree, rest, pk * _prime[q], k)
                 if old not in (None, value):
                     at = tuple(sorted(rest + (q,), reverse=True))
@@ -456,7 +446,7 @@ class Engine:
             for pk, vector in vectors.items():
                 rest = tuple(vector[-1 - vector[-1]:-1])
                 k = on_shell - sum(map(sum, map(_diagram, rest)))
-                lo, hi = _first[k], _first[k + 1]
+                lo, hi = k << 21, (k + 1) << 21
                 # rest (descending) is: codes above every target, its own
                 # targets, then codes at or below (1,)*k; target q's text
                 # goes after the codes of rest above q

@@ -63,9 +63,9 @@ Where that |b| is 1 the check cannot fire, as every integer is a multiple
 of 1: on cold T_1..T_7, 14 of the 181 closures the solves use close so, and
 997 of its 21,671 solves.  solve_closure builds one closure per weight and
 left, capped at k(k-1)/2, from the weight's solve_plan, which also lists
-the double points of each diagram and of its split; solve_split_system
-solves it.  A closure keeps only what a solve reads; coef only chooses
-the closing row and gives its b.
+the double points of each diagram; solve_split_system solves it.  A
+closure keeps only what a solve reads; coef only chooses the closing row
+and gives its b.
 """
 
 from array import array
@@ -97,7 +97,7 @@ def move_matrix(k):
     return a
 
 
-SolvePlan = namedtuple("SolvePlan", "parts merges whole split")
+SolvePlan = namedtuple("SolvePlan", "parts merges whole")
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +105,8 @@ def solve_plan(k):
     """What the weight-k system needs besides its right-hand side, built
     once: the partitions of k in increasing order, per row the unknowns of
     its merge targets, one per lower row (unknown j is parts[j + 1]), and
-    the double points each diagram y forces (whole) and those its split
-    (top row of y, rest of y) forces (split).  Equal lower rows merge to
-    the same diagram, and the rows descend, so merge_top_into runs once
+    the double points each diagram forces (whole).  Equal lower rows merge
+    to the same diagram, and the rows descend, so merge_top_into runs once
     per distinct lower row."""
     parts = partition_list(k)
     pos = {q: j for j, q in enumerate(parts)}
@@ -119,8 +118,7 @@ def solve_plan(k):
                 j = pos[merge_top_into(y, i)] - 1
             targets.append(j)
         merges.append(tuple(targets))
-    return SolvePlan(parts, tuple(merges), tuple(map(nodes, parts)),
-                     tuple(nodes(y[1:]) for y in parts))
+    return SolvePlan(parts, tuple(merges), tuple(map(nodes, parts)))
 
 
 # A weight-k solve beside a rest that leaves left double points, row r
@@ -162,7 +160,7 @@ def solve_split_system(k, closure, values):
     InconsistencyError.  Its one caller, Engine._solve_at, solves at k >= 2
     and builds values from the same closure, so neither is checked here.
     """
-    parts, merges, _, _ = solve_plan(k)
+    parts, merges, _ = solve_plan(k)
     rows, b, weights = closure.rows, closure.b, closure.weights
     a = sum(map(mul, weights, values))
     if len(values) > len(weights):  # the all-ones value, on row 0
@@ -218,17 +216,15 @@ def _closure(k, left):
     full = (k - 1) * (k - 2) // 2
     if left != full:
         _closure(k, full)
-    _, merges, whole, split = solve_plan(k)
+    _, merges, whole = solve_plan(k)
     rows = tuple(r for r in range(len(merges) - 1, 0, -1) if whole[r] <= left)
     coef = [0] * (len(merges) - 1) + [1]
     for r in rows:
         coef[r - 1] = -sum(map(coef.__getitem__, merges[r]))
-    # the rows that can close: row 0 and the vanishing unknowns' rows, less
-    # those whose split is past the budget, as their merge targets vanish
-    # too; from full on that leaves row 0 alone
+    # the rows that can close: row 0 and the vanishing unknowns' rows; from
+    # full on that leaves row 0 alone
     bs = {r: sum(map(coef.__getitem__, merges[r]))
-          for r in range(len(merges))
-          if split[r] <= left and (not r or left < whole[r])}
+          for r in range(len(merges)) if not r or left < whole[r]}
     if left == full and abs(bs[0]) != factorial(k - 1):
         raise InconsistencyError("determinant law broken at weight %d: "
                                  "|det A| = %d" % (k, abs(bs[0])))

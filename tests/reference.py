@@ -20,7 +20,9 @@ table --max-d 4's), and the only read of the blowup memo (blowup_memo).
 And it is the one reader of an Engine's solve vectors (vector_stores):
 each is kept under vector_key(rest), the product of one prime per code of
 rest, and holds its values at their slots, then rest's codes, then their
-count (solve_vectors, vector_at); forked copies them into a new Engine."""
+count (solve_vectors, vector_at); forked copies them into a new Engine.
+It is also the one reader of the layout of the engine's diagram codes
+(code_of, code_level, code_slot, weight_codes, slot_codes)."""
 
 import io
 import math
@@ -41,7 +43,7 @@ from tangentcount.engine import _rank
 from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import solve_closure
 from tangentcount.partitions import (as_diagram, aut_order, parse_diagram,
-                                     partitions_of)
+                                     partition_list, partitions_of)
 from tangentcount.star import combine_forward
 
 
@@ -60,11 +62,39 @@ def vector_stores(engine):
     return engine._vectors
 
 
+def code_of(w, j=0):
+    """The engine's code of diagram j of partitions_of(w), w << 21 | j:
+    (1,)*w's by default."""
+    return w << 21 | j
+
+
+def code_level(c):
+    """The weight of code c if its diagram has a branch >= 2 (its index j
+    is not 0), else None."""
+    return c >> 21 if c & ((1 << 21) - 1) else None
+
+
+def code_slot(c):
+    """Where a solve vector of code c's weight holds its diagram, j - 1,
+    or None for an all-ones code, which no vector holds."""
+    j = c & ((1 << 21) - 1)
+    return j - 1 if j else None
+
+
+def weight_codes(k):
+    """The codes of the diagrams of weight k, in code order: (1,)*k's,
+    then one per slot of a weight-k solve vector."""
+    return range(code_of(k), code_of(k, len(partition_list(k))))
+
+
+def slot_codes(k):
+    """The codes of a weight-k solve vector's slots, in slot order."""
+    return weight_codes(k)[1:]
+
+
 def prime_of(c):
-    """Code c's prime: engine._prime's, or for an all-ones code past it,
-    engine._far's."""
-    m = engine_module
-    return m._prime[c] if c < len(m._prime) else m._far[c]
+    """Code c's prime, engine._prime's."""
+    return engine_module._prime[c]
 
 
 def vector_key(codes):
@@ -233,7 +263,7 @@ def unpruned_disagreements(run, full):
 
         def unpruned_value(space, degree, key):
             # an all-ones key, of level 1, is held by no vector
-            level = _rank(map(m._LEVEL.get, key))[0]
+            level = _rank(key)[0]
             value = full.engine._held(space, degree, key, vector_key(key),
                                       level)
             if value is None:
@@ -245,7 +275,7 @@ def unpruned_disagreements(run, full):
             budget = double_point_count(space, degree)
             on_shell = gw.chern_number(space, degree) - 1
             k = on_shell - sum(map(sum, map(m._diagram, rest)))
-            targets = range(m._first[k] + 1, m._first[k + 1])
+            targets = slot_codes(k)
             other = vector_at(full.engine, space, degree, rest)
             if other is None:
                 unsolved += 1
@@ -286,14 +316,15 @@ def compared_with_unpruned(top):
 
 def complexity(constraints):
     """Complexity rank (level, count) of a constraint multiset, ranked by
-    the engine's own rule.
+    the engine's own rule, _rank, on a code of each constraint's weight
+    with a branch >= 2 (index 1) or not (index 0) as the constraint has.
 
     The level is the maximal weight among constraints containing a branch
     of order >= 2 (1 when there is none, the all-ones case), and the count
     is how many constraints realize that maximum.  Ranks compare
     lexicographically; the recursion strictly descends in this order.
     """
-    return _rank(sum(c) if c[0] >= 2 else 0 for c in constraints)
+    return _rank(code_of(sum(c), int(c[0] >= 2)) for c in constraints)
 
 
 def signed(lines):

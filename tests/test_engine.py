@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tangentcount.cache import CountCache
-from tangentcount.cli import parse_constraints, parse_degree
+from tangentcount.cli import main, parse_constraints, parse_degree
 from tangentcount.engine import Engine, canonical_constraints, encode_key
 from tangentcount.errors import InconsistencyError
 from tangentcount.matrices import solve_closure, solve_plan
@@ -20,13 +20,13 @@ from tangentcount.star import combine_forward
 from tangentcount import (engine as engine_module, gw,
                           partitions as partitions_module)
 
-from reference import (QUADRIC, cold, cold_engine, cold_run, column,
-                       combined_value, complexity, cross_space_values,
-                       double_point_count, is_prime, local_double_points,
-                       prime_of, quadric_pass, quadric_run, signed,
-                       single_point_table, solve_vectors, unpruned,
-                       unpruned_disagreements, vector_at, vector_key,
-                       vector_stores)
+from reference import (QUADRIC, code_level, code_of, code_slot, cold,
+                       cold_engine, cold_run, column, combined_value,
+                       complexity, cross_space_values, double_point_count,
+                       is_prime, local_double_points, prime_of, quadric_pass,
+                       quadric_run, signed, single_point_table, slot_codes,
+                       solve_vectors, unpruned, unpruned_disagreements,
+                       vector_at, vector_key, vector_stores, weight_codes)
 
 
 def test_canonical_constraint_order():
@@ -69,22 +69,19 @@ def test_diagram_codes_keep_key_order_rank_and_slots(cs):
     assert [e._diagram(c) for c in codes] == cs
     key = tuple(sorted(codes, reverse=True))
     assert tuple(map(e._diagram, key)) == canonical_constraints(cs)
-    assert (e._rank(map(e._LEVEL.get, key)) == complexity(cs)
-            == spelled_out_rank(cs))
+    assert e._rank(key) == complexity(cs) == spelled_out_rank(cs)
     for q, c in zip(cs, codes):
         k = sum(q)
-        assert e._first[k + 1] - e._first[k] == len(partitions_of(k))
-        if max(q) == 1:
-            assert c == e._first[k]
-        else:
-            assert c - e._first[k] - 1 == solve_plan(k).parts[1:].index(q)
+        assert c == code_of(k, partitions_of(k).index(q))
+        assert code_slot(c) == (solve_plan(k).parts[1:].index(q)
+                                if max(q) > 1 else None)
 
 
 def test_all_ones_keys_list_no_diagrams(monkeypatch):
-    # an all-ones diagram codes as its block's offset, which comes from
-    # partition counts, so answering these keys lists no diagram of weight
-    # 41 (44,583 of them) or 89 (about 5e7); the heavier key runs only
-    # once the lighter one has shown that nothing is listed
+    # an all-ones diagram codes as its weight shifted past the index bits,
+    # so answering these keys lists no diagram of weight 41 (44,583 of
+    # them) or 89 (about 5e7); the heavier key runs only once the lighter
+    # one has shown that nothing is listed
     listed = []
     real = partitions_module.partitions_of
 
@@ -105,15 +102,30 @@ def test_all_ones_keys_list_no_diagrams(monkeypatch):
 def test_an_exceptional_all_ones_key_issues_a_prime_per_code_met(d):
     # a (d - 1)-fold point takes the whole budget (d - 1)(d - 2)/2, so the
     # rule passes the key to _base; it gives primes to its two codes
-    # alone, not to the 1e9 and more codes of lighter weights, and the
+    # alone, not to the codes of any weight it does not list, and the
     # primes sieved stay below twice the largest one given out
     m = engine_module
-    given = len(m._prime) + len(m._far)
+    given = len(m._prime)
     key = ((1,) * (d - 1),) + ((1,),) * (2 * d)
     assert Engine().invariant("cp2", d, key) == 1
-    assert len(m._prime) + len(m._far) - given <= 2
-    assert m._first[d - 1] in m._far  # past every listed weight
-    assert m._primes[-1] < 2 * max(*m._prime, *m._far.values())
+    assert len(m._prime) - given <= 2
+    assert code_of(d - 1) in m._prime
+    assert m._primes[-1] < 2 * max(m._prime.values())
+
+
+def test_a_weight_with_too_many_diagrams_to_code_is_out_of_memory(
+        monkeypatch, capsys):
+    # a code keeps a diagram's index below 2^21, so a weight listing that
+    # many diagrams (66 on) is refused before any is coded.  A sized stand-in
+    # plays such a list for weight 70, which nothing else lists; _listed
+    # caches no weight it refuses
+    real = engine_module.partition_list
+    monkeypatch.setattr(engine_module, "partition_list",
+                        lambda k: range(1 << 21) if k == 70 else real(k))
+    with pytest.raises(MemoryError):
+        Engine().invariant("cp2", 24, ((70,), (1,)))
+    assert main(["compute", "-d", "24", "-c", "(70);(1)", "--no-cache"]) == 4
+    assert capsys.readouterr() == ("", "out of memory\n")
 
 
 def test_worked_degree_three_chain():
@@ -358,8 +370,7 @@ def test_a_hat_value_its_branch_groups_do_not_divide_is_refused():
     code, e = engine_module._code, Engine()
     key = ((2, 2),) + ((1,),) * 7
     assert e.invariant("cp2", 4, key) == 10
-    vector_at(e, "cp2", 4, (code((1,)),) * 7)[
-        code((2, 2)) - engine_module._first[4] - 1] += 1
+    vector_at(e, "cp2", 4, (code((1,)),) * 7)[code_slot(code((2, 2)))] += 1
     with pytest.raises(InconsistencyError,
                        match="hat invariant 21 not divisible by 2"):
         e.invariant("cp2", 4, key)
@@ -455,7 +466,7 @@ def held_keys(run):
         assert pk == vector_key(rest), rest
         assert list(rest) == sorted(rest, reverse=True), rest
         assert len(values) == len(partitions_of(k)) - 1, rest
-        for q in range(m._first[k] + 1, m._first[k + 1]):
+        for q in slot_codes(k):
             key = tuple(sorted(rest + (q,), reverse=True))
             keys.setdefault((space, degree, vector_key(key)), set()).add(key)
     return keys
@@ -482,7 +493,7 @@ def test_the_codes_a_run_uses_have_distinct_primes(work):
     for space, degree, rest, values, _ in solve_vectors(run.engine):
         k = gw.chern_number(space, degree) - 1 - sum(
             map(sum, map(m._diagram, rest)))
-        used.update(rest, range(m._first[k], m._first[k + 1]),
+        used.update(rest, weight_codes(k),
                     *(codes for codes, *_ in m._solve_inputs(k)))
     primes = list(map(prime_of, used))
     assert len(set(primes)) == len(primes)
@@ -646,7 +657,7 @@ def per_key_memo_items(e):
         on_shell = gw.chern_number(space, degree) - 1
         budget = double_point_count(space, degree)
         k = on_shell - sum(map(sum, map(m._diagram, rest)))
-        for q, value in enumerate(vector, m._first[k] + 1):
+        for q, value in zip(slot_codes(k), vector):
             key = space, degree, tuple(sorted(rest + (q,), reverse=True))
             cs = m._decoded(key)[2]
             if sum(map(local_double_points, cs)) > budget:
@@ -824,7 +835,7 @@ def shortcut_disagreements(e):
                     i = key.index(top)
                     ok = key not in probe.asked and read == (
                         (key[:i] + key[i + 1:], (level, count)),
-                        top - m._first[level] - 1)
+                        code_slot(top))
                 if not ok:
                     bad.append((name, space, degree, key, read))
     return bad
@@ -865,10 +876,9 @@ def test_solve_inputs_are_the_row_splits_then_all_ones():
             sorted([(y[0],), y[1:]]) for y in parts[:-1]] + [[(1,) * k]]
         for codes, slot, whole, tail in inputs:
             top = codes[0]
-            assert all(top in m._LEVEL and top >= c
-                       for c in codes[1:] if c in m._LEVEL)
-            assert slot == (top - m._first[m._LEVEL[top]] - 1
-                            if top in m._LEVEL else None)
+            assert all(code_level(top) and top >= c
+                       for c in codes[1:] if code_level(c))
+            assert slot == code_slot(top)
             assert (whole, tail) == (vector_key(codes), vector_key(codes[1:]))
 
 

@@ -154,15 +154,11 @@ def test_a_plan_whose_loop_does_not_close_is_singular(monkeypatch):
 
 
 def test_plan_merges_reproduce_move_matrix():
-    # and the plan's double points are the reference counts: of each
-    # diagram, and of its split (top row, rest), summed over its two points
+    # and the plan's double points are the reference counts of each diagram
     for k in range(1, 15):
-        parts, merges, whole, split = solve_plan(k)
+        parts, merges, whole = solve_plan(k)
         assert list(parts) == partitions_of(k)
         assert whole == tuple(map(local_double_points, parts)), k
-        assert split == tuple(local_double_points((y[0],))
-                              + local_double_points(y[1:])
-                              for y in parts), k
         n = len(parts) - 1
         rebuilt = [[0] * n for _ in range(n)]
         for r, targets in enumerate(merges):
@@ -186,7 +182,7 @@ def test_the_plan_merges_each_distinct_lower_row_once(monkeypatch):
     monkeypatch.setattr(matrices, "merge_top_into", counted)
     for k in range(1, 17):
         calls.clear()
-        parts, merges, _, _ = solve_plan.__wrapped__(k)
+        parts, merges, _ = solve_plan.__wrapped__(k)
         assert len(calls) == sum(len(set(y[1:])) for y in parts[:-1]), k
         pos = {q: j for j, q in enumerate(parts)}
         assert merges == tuple(
